@@ -1,9 +1,11 @@
 """Exact answer-set counting for ground disjunctive logic programs.
 
-The pipeline: parse a program, build the Clark completion, count its
-models, count the completion models that are not answer sets with a
-projected model count over a copy encoding, and subtract. A brute-force
-reduct oracle and an enumeration mode provide independent ground truth.
+The pipeline: parse a program, split it into atom-disjoint parts, and for
+each part build the Clark completion, count its models, count the
+completion models that are not answer sets with a projected model count
+over a copy encoding, and subtract; the parts' counts multiply. A
+brute-force reduct oracle and an enumeration mode provide independent
+ground truth.
 """
 
 from .cnf import CnfFormula, dimacs, parse_dimacs
@@ -24,12 +26,21 @@ from .counting import (
     CountReport,
     IntegrityError,
     enumerate_count,
+    enumeration_report,
     external_projected_count,
     hybrid_count,
     parse_counter_output,
     subtractive_count,
+    write_formulas,
 )
-from .depgraph import DependencyGraph, build_dependency_graph, is_tight, loop_atoms
+from .depgraph import (
+    Analysis,
+    DependencyGraph,
+    build_dependency_graph,
+    is_tight,
+    loop_atoms,
+    split,
+)
 from .oracle import (
     BRUTE_FORCE_ATOM_LIMIT,
     ReductProgram,

@@ -2,8 +2,9 @@
 
 Subcommands: analyze, encode, count, oracle, check. Programs are read from
 a file path or from standard input when the path is ``-``. Exit codes:
-0 success, 1 usage/input/backend failure, 2 external-counter timeout,
-3 integrity failure (surplus exceeded overcount).
+0 success, 1 usage/input/backend failure (also recursion too deep or out of
+memory), 2 external-counter timeout, 3 integrity failure (surplus exceeded
+overcount).
 """
 
 import argparse
@@ -18,11 +19,12 @@ from .counting import (
     BackendTimeout,
     BackendError,
     IntegrityError,
-    enumerate_count,
+    enumeration_report,
     hybrid_count,
     subtractive_count,
+    write_formulas,
 )
-from .depgraph import build_dependency_graph, loop_atoms
+from .depgraph import Analysis
 from .oracle import (
     BRUTE_FORCE_ATOM_LIMIT,
     answer_sets_bruteforce,
@@ -139,7 +141,7 @@ def _emit_json(obj):
 
 def _cmd_analyze(args) -> int:
     program = _read_program(args.path)
-    loops = loop_atoms(build_dependency_graph(program))
+    loops = Analysis(program).loops
     loop_names = sorted(program.name_of(x) for x in loops)
     warnings = lint(program)
     if args.json:
@@ -171,18 +173,10 @@ def _cmd_analyze(args) -> int:
 def _cmd_encode(args) -> int:
     program = _read_program(args.path)
     completion = clark_completion(program)
-    surplus = surplus_formula(program, completion)
-    os.makedirs(args.emit_cnf, exist_ok=True)
-    phi1_path = os.path.join(args.emit_cnf, "phi1.cnf")
-    phi2_path = os.path.join(args.emit_cnf, "phi2.cnf")
-    map_path = os.path.join(args.emit_cnf, "phi2.map.json")
-    with open(phi1_path, "w") as handle:
-        handle.write(completion.to_dimacs(program))
-    with open(phi2_path, "w") as handle:
-        handle.write(surplus.to_dimacs(program))
-    with open(map_path, "w") as handle:
-        json.dump(surplus.variable_map(program), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    surplus = surplus_formula(program, completion, Analysis(program).loops)
+    phi1_path, phi2_path, map_path = write_formulas(
+        args.emit_cnf, program, completion, surplus
+    )
     if args.json:
         _emit_json(
             {
@@ -206,29 +200,16 @@ def _cmd_count(args) -> int:
     program = _read_program(args.path)
     config = _backend_config(args)
     if args.mode == "enumerate":
-        count, exhausted = enumerate_count(program, args.threshold)
-        loops = loop_atoms(build_dependency_graph(program))
-        payload = {
-            "schema": 1,
-            "overcount": count,
-            "surplus": 0,
-            "answer_sets": count,
-            "mode": "enumeration",
-            "backend": "builtin",
-            "encode_time": 0.0,
-            "count_time": 0.0,
-            "loop_atom_count": len(loops),
-            "exhausted": exhausted,
-        }
-        if not exhausted:
+        report = enumeration_report(program, args.threshold)
+        if not report.exhausted:
             sys.stderr.write(
                 f"note: stopped at limit {args.threshold}; count is a lower bound\n"
             )
         if args.json:
-            _emit_json(payload)
+            _emit_json(report.to_json_dict())
         else:
-            print(f"mode: enumeration ({'exhausted' if exhausted else 'capped'})")
-            print(f"answer sets: {count}")
+            print(f"mode: enumeration ({'exhausted' if report.exhausted else 'capped'})")
+            print(f"answer sets: {report.answer_sets}")
         return 0
     if args.mode == "hybrid":
         report = hybrid_count(
@@ -287,7 +268,7 @@ def _cmd_check(args) -> int:
     except KeyError as exc:
         return _usage_error(f"unknown atom {exc.args[0]!r} in --model")
     completion = clark_completion(program)
-    loops = loop_atoms(build_dependency_graph(program))
+    loops = Analysis(program).loops
     models_program = satisfies_program(interp, program)
     models_completion = completion_model_check(completion, interp)
 
@@ -388,6 +369,12 @@ def main(argv=None) -> int:
         return 3
     except BackendError as exc:
         sys.stderr.write(f"aspsubcount: backend error: {exc}\n")
+        return 1
+    except RecursionError:
+        sys.stderr.write("aspsubcount: recursion too deep for the builtin counter\n")
+        return 1
+    except MemoryError:
+        sys.stderr.write("aspsubcount: out of memory\n")
         return 1
 
 

@@ -112,16 +112,20 @@ def overcount_formula(program: GroundProgram) -> CompletionArtifact:
 
 
 def surplus_formula(
-    program: GroundProgram, completion: CompletionArtifact | None = None
+    program: GroundProgram,
+    completion: CompletionArtifact | None = None,
+    loops: frozenset[int] | None = None,
 ) -> SurplusArtifact:
-    """Build the subtrahend formula.
+    """Build the subtrahend formula. ``loops`` are the program's loop
+    atoms, computed here when not given.
 
     For a tight program the strictness disjunction is empty, so the formula
     contains an empty clause and is unsatisfiable (surplus zero).
     """
     if completion is None:
         completion = clark_completion(program)
-    loops = loop_atoms(build_dependency_graph(program))
+    if loops is None:
+        loops = loop_atoms(build_dependency_graph(program))
     ordered = sorted(loops)
     base = completion.cnf.num_vars
     prime = {x: base + 1 + i for i, x in enumerate(ordered)}

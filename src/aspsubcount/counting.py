@@ -1,12 +1,14 @@
 """Answer-set counting strategies and counter backends.
 
-The subtractive pipeline counts models of the completion, counts the
-surplus (completion models that are not answer sets) by projected counting,
-and subtracts. Enumeration walks completion models one by one and keeps the
-justified ones. The hybrid strategy enumerates up to a threshold and falls
-back to subtraction when the threshold is hit.
+The subtractive pipeline splits the program into atom-disjoint parts and,
+for each part, counts models of the completion, counts the surplus
+(completion models that are not answer sets) by projected counting, and
+subtracts; the parts' counts multiply. Enumeration walks completion models
+one by one and keeps the justified ones. The hybrid strategy enumerates up
+to a threshold and falls back to subtraction when the threshold is hit.
 """
 
+import contextlib
 import json
 import os
 import subprocess
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 from .cnf import dimacs
 from .completion import clark_completion, CompletionArtifact
 from .copyenc import surplus_formula, SurplusArtifact
-from .depgraph import build_dependency_graph, loop_atoms
+from .depgraph import Analysis, split
 from .oracle import copy_check
 from .program import GroundProgram
 from .sat import count_models, projected_count, solve_clauses
@@ -57,7 +59,6 @@ class BackendConfig:
     kind: str = "builtin"
     executable: str | None = None
     args_template: list[str] = field(default_factory=list)
-    output_format: str = "auto"
     timeout: float | None = None
 
     def __post_init__(self):
@@ -76,7 +77,8 @@ class BackendConfig:
 class CountReport:
     """Result of one counting run. In subtractive mode
     ``answer_sets == overcount - surplus``; enumeration reports the plain
-    count with surplus zero."""
+    count with surplus zero, and whether it ran the model space dry
+    (``exhausted``, None on the subtractive paths)."""
 
     overcount: int
     surplus: int
@@ -86,9 +88,10 @@ class CountReport:
     encode_time: float
     count_time: float
     loop_atom_count: int
+    exhausted: bool | None = None
 
     def to_json_dict(self) -> dict:
-        return {
+        payload = {
             "schema": 1,
             "overcount": self.overcount,
             "surplus": self.surplus,
@@ -99,6 +102,9 @@ class CountReport:
             "count_time": self.count_time,
             "loop_atom_count": self.loop_atom_count,
         }
+        if self.exhausted is not None:
+            payload["exhausted"] = self.exhausted
+        return payload
 
 
 def parse_counter_output(text: str) -> int:
@@ -170,65 +176,60 @@ def external_projected_count(dimacs_path: str, config: BackendConfig) -> int:
     return parse_counter_output(proc.stdout)
 
 
-def _emit(path: str, text: str):
-    with open(path, "w") as handle:
-        handle.write(text)
+def write_formulas(
+    directory: str,
+    program: GroundProgram,
+    completion: CompletionArtifact,
+    surplus_art: SurplusArtifact | None = None,
+    show_atoms: bool = False,
+) -> list[str]:
+    """Write ``phi1.cnf`` (the completion, with a show line over the atom
+    variables when ``show_atoms``) and, given the surplus formula,
+    ``phi2.cnf`` and ``phi2.map.json`` into ``directory``. Returns the
+    paths written, in that order."""
+    os.makedirs(directory, exist_ok=True)
+    phi1_path = os.path.join(directory, "phi1.cnf")
+    show = sorted(completion.atom_vars.values()) if show_atoms else None
+    names = {completion.atom_vars[a.id]: a.name for a in program.atoms}
+    texts = [(phi1_path, dimacs(completion.cnf, atom_names=names, show=show))]
+    if surplus_art is not None:
+        texts.append((os.path.join(directory, "phi2.cnf"), surplus_art.to_dimacs(program)))
+        mapping = json.dumps(surplus_art.variable_map(program), indent=2, sort_keys=True)
+        texts.append((os.path.join(directory, "phi2.map.json"), mapping + "\n"))
+    for path, text in texts:
+        with open(path, "w") as handle:
+            handle.write(text)
+    return [path for path, _ in texts]
 
 
-def _count_formulas(
+def _count_part(
     program: GroundProgram,
     completion: CompletionArtifact,
     surplus_art: SurplusArtifact | None,
     config: BackendConfig,
-    emit_dir: str | None,
     project_overcount: bool,
+    tmp_dir: str | None,
 ) -> tuple[int, int]:
-    """Count the completion formula and (when built) the surplus formula.
-    Writes DIMACS files when emitting or when the backend is external."""
-
-    def run(dir_path):
-        if dir_path is not None:
-            phi1_path = os.path.join(dir_path, "phi1.cnf")
-            phi2_path = os.path.join(dir_path, "phi2.cnf")
-            show = sorted(completion.atom_vars.values()) if project_overcount else None
-            names = {completion.atom_vars[a.id]: a.name for a in program.atoms}
-            _emit(phi1_path, dimacs(completion.cnf, atom_names=names, show=show))
-            if surplus_art is not None:
-                _emit(phi2_path, surplus_art.to_dimacs(program))
-                _emit(
-                    phi2_path.removesuffix(".cnf") + ".map.json",
-                    _json_text(surplus_art.variable_map(program)),
-                )
-        if config.kind == "external":
-            over = external_projected_count(phi1_path, config)
-            surplus = (
-                external_projected_count(phi2_path, config)
-                if surplus_art is not None
-                else 0
-            )
-            return over, surplus
-        if project_overcount:
-            over = projected_count(completion.cnf, completion.aux_vars)
-        else:
-            over = count_models(completion.cnf)
+    """Count one part's completion formula and (when built) its surplus
+    formula. The external backend reads DIMACS files written to
+    ``tmp_dir``."""
+    if config.kind == "external":
+        paths = write_formulas(tmp_dir, program, completion, surplus_art, project_overcount)
+        over = external_projected_count(paths[0], config)
         surplus = (
-            projected_count(surplus_art.cnf, surplus_art.projection_out)
-            if surplus_art is not None
-            else 0
+            external_projected_count(paths[1], config) if surplus_art is not None else 0
         )
         return over, surplus
-
-    if emit_dir is not None:
-        os.makedirs(emit_dir, exist_ok=True)
-        return run(emit_dir)
-    if config.kind == "external":
-        with tempfile.TemporaryDirectory(prefix="aspsubcount-") as tmp:
-            return run(tmp)
-    return run(None)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    if project_overcount:
+        over = projected_count(completion.cnf, completion.aux_vars)
+    else:
+        over = count_models(completion.cnf)
+    surplus = (
+        projected_count(surplus_art.cnf, surplus_art.projection_out)
+        if surplus_art is not None
+        else 0
+    )
+    return over, surplus
 
 
 def subtractive_count(
@@ -237,58 +238,89 @@ def subtractive_count(
     emit_dir: str | None = None,
     count_surplus_anyway: bool = False,
     project_overcount: bool = False,
+    analysis: Analysis | None = None,
 ) -> CountReport:
     """Count answer sets as completion models minus surplus.
 
-    For tight programs the surplus is zero by construction and is not
-    counted unless ``count_surplus_anyway`` is set. Raises IntegrityError
-    if the counted surplus exceeds the overcount.
+    The program is split into atom-disjoint parts (``depgraph.split``);
+    each part is counted subtractively and the counts multiply. A part
+    without loop atoms has surplus zero by construction, and its surplus
+    is not counted unless ``count_surplus_anyway`` is set. ``emit_dir``
+    receives the whole program's formulas. ``analysis`` is the program's
+    own, computed here when not given. Raises IntegrityError if the
+    counted surplus of a part exceeds its overcount.
     """
     config = config or BackendConfig()
     t0 = time.perf_counter()
-    completion = clark_completion(program)
-    loops = loop_atoms(build_dependency_graph(program))
-    tight = not loops
-    need_surplus = (not tight) or count_surplus_anyway
-    surplus_art = surplus_formula(program, completion) if need_surplus else None
+    if analysis is None:
+        analysis = Analysis(program)
+    parts = []
+    for part, loops in split(analysis):
+        completion = clark_completion(part)
+        need_surplus = bool(loops) or count_surplus_anyway
+        surplus_art = surplus_formula(part, completion, loops) if need_surplus else None
+        parts.append((part, completion, surplus_art))
+    if emit_dir is not None:
+        if len(parts) == 1:
+            write_formulas(emit_dir, *parts[0], project_overcount)
+        else:
+            completion = clark_completion(program)
+            surplus_art = surplus_formula(program, completion, analysis.loops)
+            write_formulas(emit_dir, program, completion, surplus_art, project_overcount)
     encode_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    overcount, surplus = _count_formulas(
-        program, completion, surplus_art, config, emit_dir, project_overcount
-    )
+    overcount, answer_sets = 1, 1
+    if config.kind == "external":
+        scratch = tempfile.TemporaryDirectory(prefix="aspsubcount-")
+    else:
+        scratch = contextlib.nullcontext()
+    with scratch as tmp:
+        for i, (part, completion, surplus_art) in enumerate(parts):
+            part_dir = os.path.join(tmp, f"part{i}") if tmp else None
+            over, surplus = _count_part(
+                part, completion, surplus_art, config, project_overcount, part_dir
+            )
+            if surplus > over:
+                where = f" in part {i + 1} of {len(parts)}" if len(parts) > 1 else ""
+                raise IntegrityError(
+                    f"surplus {surplus} exceeds overcount {over}{where}; "
+                    "encoding or backend is inconsistent"
+                )
+            overcount *= over
+            answer_sets *= over - surplus
     count_time = time.perf_counter() - t1
 
-    if surplus > overcount:
-        raise IntegrityError(
-            f"surplus {surplus} exceeds overcount {overcount}; "
-            "encoding or backend is inconsistent"
-        )
     return CountReport(
         overcount=overcount,
-        surplus=surplus,
-        answer_sets=overcount - surplus,
+        surplus=overcount - answer_sets,
+        answer_sets=answer_sets,
         mode="subtractive",
         backend=config.label(),
         encode_time=encode_time,
         count_time=count_time,
-        loop_atom_count=len(loops),
+        loop_atom_count=len(analysis.loops),
     )
 
 
 def enumerate_count(
-    program: GroundProgram, limit: int | None = None
+    program: GroundProgram,
+    limit: int | None = None,
+    analysis: Analysis | None = None,
+    completion: CompletionArtifact | None = None,
 ) -> tuple[int, bool]:
     """Enumerate answer sets via completion models plus the copy check.
 
     Stops once ``limit`` answer sets are found. Returns (count, exhausted);
     exhausted is True only when the model space ran dry below the limit.
-    ``limit`` None means enumerate everything.
+    ``limit`` None means enumerate everything. ``analysis`` and
+    ``completion`` are the whole program's, built here when not given.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
-    completion = clark_completion(program)
-    loops = loop_atoms(build_dependency_graph(program))
+    if completion is None:
+        completion = clark_completion(program)
+    loops = (analysis or Analysis(program)).loops
     n = program.num_atoms
     clauses = list(completion.cnf.clauses)
     num_vars = completion.cnf.num_vars
@@ -309,6 +341,34 @@ def enumerate_count(
         )
 
 
+def enumeration_report(
+    program: GroundProgram,
+    limit: int | None = None,
+    analysis: Analysis | None = None,
+) -> CountReport:
+    """``enumerate_count`` as a report: the encode phase builds the
+    analysis (when not given) and the completion, the count phase
+    enumerates."""
+    t0 = time.perf_counter()
+    if analysis is None:
+        analysis = Analysis(program)
+    completion = clark_completion(program)
+    encode_time = time.perf_counter() - t0
+    t1 = time.perf_counter()
+    count, exhausted = enumerate_count(program, limit, analysis, completion)
+    return CountReport(
+        overcount=count,
+        surplus=0,
+        answer_sets=count,
+        mode="enumeration",
+        backend="builtin",
+        encode_time=encode_time,
+        count_time=time.perf_counter() - t1,
+        loop_atom_count=len(analysis.loops),
+        exhausted=exhausted,
+    )
+
+
 def hybrid_count(
     program: GroundProgram,
     threshold: int = 10_000,
@@ -318,25 +378,19 @@ def hybrid_count(
     """Enumerate up to ``threshold`` answer sets; if the threshold is hit,
     rerun subtractively. The mode field records the path that produced the
     number: "enumeration" when enumeration finished, "hybrid" when it
-    switched."""
+    switched. Both paths share one analysis of the program; the times add
+    up both paths' phases."""
     if threshold < 1:
         raise ValueError("threshold must be at least 1")
     t0 = time.perf_counter()
-    count, exhausted = enumerate_count(program, threshold)
-    enum_time = time.perf_counter() - t0
-    if exhausted:
-        loops = loop_atoms(build_dependency_graph(program))
-        return CountReport(
-            overcount=count,
-            surplus=0,
-            answer_sets=count,
-            mode="enumeration",
-            backend="builtin",
-            encode_time=0.0,
-            count_time=enum_time,
-            loop_atom_count=len(loops),
-        )
-    report = subtractive_count(program, config, emit_dir=emit_dir)
+    analysis = Analysis(program)
+    analysis_time = time.perf_counter() - t0
+    enumerated = enumeration_report(program, threshold, analysis)
+    enumerated.encode_time += analysis_time
+    if enumerated.exhausted:
+        return enumerated
+    report = subtractive_count(program, config, emit_dir=emit_dir, analysis=analysis)
     report.mode = "hybrid"
-    report.count_time += enum_time
+    report.encode_time += enumerated.encode_time
+    report.count_time += enumerated.count_time
     return report

@@ -1,8 +1,10 @@
-"""Positive dependency graph, loop atoms, tightness."""
+"""Positive dependency graph, loop atoms, tightness, and the split of a
+program into atom-disjoint parts."""
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .program import GroundProgram
+from .program import Atom, GroundProgram, Rule
 
 
 @dataclass
@@ -98,3 +100,83 @@ def loop_atoms(graph: DependencyGraph) -> frozenset[int]:
 
 def is_tight(program: GroundProgram) -> bool:
     return not loop_atoms(build_dependency_graph(program))
+
+
+class Analysis:
+    """The structure of one program, computed once per count: the
+    dependency graph, its loop atoms and (on first use) the atom-disjoint
+    components."""
+
+    def __init__(self, program: GroundProgram):
+        self.program = program
+        self.graph = build_dependency_graph(program)
+        self.loops = loop_atoms(self.graph)
+
+    @cached_property
+    def components(self) -> list[list[int]]:
+        """Connected components of the rule/atom incidence graph: two atoms
+        are in one component when a chain of rules links them. Each
+        component is sorted; components are ordered by their smallest
+        atom."""
+        parent = list(range(self.program.num_atoms))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for rule in self.program.rules:
+            atoms = rule.head | rule.pos_body | rule.neg_body
+            if atoms:
+                root = find(min(atoms))
+                for x in atoms:
+                    parent[find(x)] = root
+        groups: dict[int, list[int]] = {}
+        for x in range(self.program.num_atoms):
+            groups.setdefault(find(x), []).append(x)
+        return list(groups.values())
+
+
+def _restrict(
+    program: GroundProgram, atoms: list[int], rules: list[Rule], loops: frozenset[int]
+) -> tuple[GroundProgram, frozenset[int]]:
+    """The program over ``atoms`` (ascending) and ``rules``, with atoms
+    renumbered in order, and its loop atoms."""
+    new_id = {x: i for i, x in enumerate(atoms)}
+
+    def renumber(ids):
+        return frozenset(new_id[x] for x in ids)
+
+    sub = GroundProgram(
+        [Atom(i, program.name_of(x)) for i, x in enumerate(atoms)],
+        [Rule(renumber(r.head), renumber(r.pos_body), renumber(r.neg_body)) for r in rules],
+    )
+    return sub, renumber(loops.intersection(atoms))
+
+
+def split(analysis: Analysis) -> list[tuple[GroundProgram, frozenset[int]]]:
+    """Atom-disjoint parts of the program, each with its loop atoms.
+
+    Answer sets and completion models of a union of atom-disjoint programs
+    are the products of those of the parts (the trivial case of the
+    splitting-set theorem), so the parts can be counted separately. Every
+    component holding loop atoms is a part of its own; the tight
+    components and the rules without atoms form one remainder part, last.
+    A tight program, or one whose parts would be one, is returned whole.
+    Parts keep the atoms' relative order and the rules' original order.
+    """
+    program, loops = analysis.program, analysis.loops
+    if not loops:
+        return [(program, loops)]
+    groups = [c for c in analysis.components if not loops.isdisjoint(c)]
+    rest = sorted(x for c in analysis.components if loops.isdisjoint(c) for x in c)
+    part_of = {x: i for i, c in enumerate(groups) for x in c}
+    rules: list[list[Rule]] = [[] for _ in range(len(groups) + 1)]
+    for rule in program.rules:
+        some = next(iter(rule.head or rule.pos_body or rule.neg_body), None)
+        rules[part_of.get(some, len(groups))].append(rule)
+    parts = [(a, r) for a, r in zip(groups + [rest], rules) if a or r]
+    if len(parts) == 1:
+        return [(program, loops)]
+    return [_restrict(program, a, r, loops) for a, r in parts]

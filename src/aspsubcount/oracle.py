@@ -86,23 +86,14 @@ def count_answer_sets_bruteforce(program: GroundProgram) -> int:
 
     Refuses programs with more than BRUTE_FORCE_ATOM_LIMIT atoms.
     """
-    n = program.num_atoms
-    if n > BRUTE_FORCE_ATOM_LIMIT:
-        raise ValueError(
-            f"brute force is capped at {BRUTE_FORCE_ATOM_LIMIT} atoms, got {n}"
-        )
-    count = 0
-    for bits in range(1 << n):
-        interp = frozenset(x for x in range(n) if bits >> x & 1)
-        if not satisfies_program(interp, program):
-            continue
-        if justification_check_all(program, interp) is None:
-            count += 1
-    return count
+    return len(answer_sets_bruteforce(program))
 
 
 def answer_sets_bruteforce(program: GroundProgram) -> list[Interpretation]:
-    """All answer sets, same scan as count_answer_sets_bruteforce."""
+    """All answer sets, by scanning all 2^n interpretations.
+
+    Refuses programs with more than BRUTE_FORCE_ATOM_LIMIT atoms.
+    """
     n = program.num_atoms
     if n > BRUTE_FORCE_ATOM_LIMIT:
         raise ValueError(

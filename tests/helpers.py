@@ -7,6 +7,7 @@ answer-set minimality.
 """
 
 import random
+import re
 
 import numpy as np
 
@@ -217,3 +218,34 @@ def random_cnf(rng: random.Random, max_vars: int = 16, max_clauses: int = 40) ->
     if rng.random() < 0.02:
         clauses.append(())
     return CnfFormula(n, clauses)
+
+
+def pairs_text(k: int, p: str = "") -> str:
+    """``a_i | b_i.`` for i < k: 2^k answer sets and completion models."""
+    return "".join(f"{p}a{i} | {p}b{i}.\n" for i in range(k))
+
+
+def cycles_text(k: int, p: str = "") -> str:
+    """k atom-disjoint blocks ``a|b. x:-y. y:-x. x:-a.``: 2^k answer sets and
+    3^k completion models (with a and b false, x and y may hold together,
+    supporting each other)."""
+    return "".join(
+        f"{p}a{i} | {p}b{i}.\n{p}x{i} :- {p}y{i}.\n{p}y{i} :- {p}x{i}.\n"
+        f"{p}x{i} :- {p}a{i}.\n"
+        for i in range(k)
+    )
+
+
+def prefixed(text: str, p: str) -> str:
+    """Rename the ``a<i>`` atoms of a random program text to ``<p>a<i>``, so
+    that blocks with distinct prefixes are atom-disjoint."""
+    return re.sub(r"\ba(\d+)\b", p + r"a\1", text)
+
+
+def completion_models_by_definition(program) -> int:
+    """Number of completion models, by evaluating the completion directly
+    on every interpretation."""
+    return sum(
+        direct_completion_holds(program, interp)
+        for interp in all_interpretations(program.num_atoms)
+    )

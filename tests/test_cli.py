@@ -165,6 +165,14 @@ class TestCount:
         assert payload["exhausted"] is False
         assert payload["mode"] == "enumeration"
 
+    def test_enumerate_json_reports_measured_times(self, capsys, program_file):
+        path = program_file("a | b.\nc | d.\n")
+        code, out, _ = run_cli(capsys, "count", path, "--mode", "enumerate", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["answer_sets"] == 4 and payload["exhausted"] is True
+        assert payload["encode_time"] > 0.0 and payload["count_time"] > 0.0
+
     def test_hybrid_modes(self, capsys, worked_path):
         code, out, _ = run_cli(
             capsys, "count", worked_path, "--mode", "hybrid", "--threshold", "1"
@@ -362,6 +370,23 @@ class TestErrorPaths:
     def test_no_arguments(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [(RecursionError, "recursion too deep"), (MemoryError, "out of memory")],
+    )
+    def test_resource_errors_end_in_one_line(
+        self, capsys, monkeypatch, worked_path, error, message
+    ):
+        def fail(*args, **kwargs):
+            raise error()
+
+        monkeypatch.setattr("aspsubcount.cli.subtractive_count", fail)
+        code, out, err = run_cli(capsys, "count", worked_path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("aspsubcount: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")

@@ -172,7 +172,8 @@ class TestHybrid:
         high = hybrid_count(example1, threshold=10)
         assert high.mode == "enumeration" and high.answer_sets == 1
         assert high.overcount == 1 and high.surplus == 0
-        assert high.backend == "builtin" and high.encode_time == 0.0
+        assert high.backend == "builtin"
+        assert high.encode_time > 0.0 and high.count_time > 0.0
 
     def test_threshold_validation(self, example1):
         with pytest.raises(ValueError):

@@ -1,0 +1,223 @@
+"""Counting by atom-disjoint parts: the split itself, and counts of split
+programs against brute force, the completion by definition and closed
+forms."""
+
+import random
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import aspsubcount.copyenc
+import aspsubcount.depgraph
+import aspsubcount.oracle
+from aspsubcount import (
+    Analysis,
+    IntegrityError,
+    clark_completion,
+    count_answer_sets_bruteforce,
+    count_models,
+    enumerate_count,
+    hybrid_count,
+    parse_program,
+    projected_count,
+    split,
+    subtractive_count,
+    surplus_formula,
+)
+
+from conftest import EXAMPLE1
+from test_counting import stub_config
+from helpers import (
+    completion_models_by_definition,
+    cycles_text,
+    pairs_text,
+    prefixed,
+    random_program_text,
+    random_tight_program_text,
+)
+
+LOOPS_TWICE = "a :- b.\nb :- a.\na | c.\nx :- y.\ny :- x.\nx | z.\n"
+
+
+def names_of(program):
+    return [a.name for a in program.atoms]
+
+
+class TestSplit:
+    def test_tight_program_is_one_part(self):
+        program = parse_program(pairs_text(3) + "c :- a0, not b1.\n")
+        assert split(Analysis(program)) == [(program, frozenset())]
+
+    def test_one_component_is_the_program_itself(self, example1):
+        [(part, loops)] = split(Analysis(example1))
+        assert part is example1
+        assert loops == Analysis(example1).loops
+
+    def test_loop_components_then_remainder(self):
+        program = parse_program("p | q.\n" + LOOPS_TWICE + ":- .\nr :- not p.\n")
+        parts = split(Analysis(program))
+        assert [names_of(part) for part, _ in parts] == [
+            ["a", "b", "c"],
+            ["x", "y", "z"],
+            ["p", "q", "r"],
+        ]
+        assert [sorted(loops) for _, loops in parts] == [[0, 1], [0, 1], []]
+        remainder = parts[2][0]
+        # rules keep their order; the atomless constraint stays in the remainder
+        assert [len(r.head) for r in remainder.rules] == [2, 0, 1]
+        assert sum(len(part.rules) for part, _ in parts) == len(program.rules)
+
+    def test_parts_renumber_in_original_order(self):
+        program = parse_program("c | z.\nx :- y.\ny :- x.\nx :- c.\n")
+        [(part, loops)] = split(Analysis(program))
+        assert part is program
+        program = parse_program("z.\nx :- y.\ny :- x.\nx :- c.\n")
+        parts = split(Analysis(program))
+        assert [names_of(part) for part, _ in parts] == [["x", "y", "c"], ["z"]]
+        assert parts[0][1] == frozenset({0, 1})
+
+    def test_components_of_unmentioned_atoms(self):
+        program = parse_program("a | b.\nc :- d.\n")
+        assert Analysis(program).components == [[0, 1], [2, 3]]
+
+
+class TestSplitCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(st.booleans(), min_size=2, max_size=3),
+    )
+    def test_union_counts_are_products(self, seed, kinds):
+        rng = random.Random(seed)
+        texts = []
+        answers = completions = 1
+        for i, loopy in enumerate(kinds):
+            if loopy:
+                block = random_program_text(rng, max_atoms=5, max_rules=7)
+            else:
+                block = random_tight_program_text(rng, max_atoms=5, max_rules=7)
+            program = parse_program(block)
+            answers *= count_answer_sets_bruteforce(program)
+            completions *= completion_models_by_definition(program)
+            texts.append(prefixed(block, f"p{i}"))
+        union = parse_program("".join(texts))
+        report = subtractive_count(union)
+        assert report.answer_sets == answers
+        assert report.overcount == completions
+        assert report.surplus == completions - answers
+        # the same subtraction on the unsplit formulas
+        completion = clark_completion(union)
+        surplus = surplus_formula(union, completion)
+        assert count_models(completion.cnf) == completions
+        assert projected_count(surplus.cnf, surplus.projection_out) == report.surplus
+
+    def test_always_false_constraint(self):
+        assert subtractive_count(parse_program(":- .\n")).answer_sets == 0
+        program = parse_program(":- .\n" + LOOPS_TWICE)
+        report = subtractive_count(program)
+        # the loop parts are counted too, so the overcount is the
+        # completion's: zero, as the empty constraint holds in no model
+        assert (report.overcount, report.surplus, report.answer_sets) == (0, 0, 0)
+        assert report.loop_atom_count == 4
+
+    def test_atom_only_in_a_constraint(self):
+        program = parse_program("b.\n:- not a.\n")
+        assert subtractive_count(program).answer_sets == 0
+        for text in ("b.\n:- not a.\n" + LOOPS_TWICE, ":- a.\n" + LOOPS_TWICE):
+            program = parse_program(text)
+            report = subtractive_count(program)
+            assert report.answer_sets == count_answer_sets_bruteforce(program), text
+            assert report.overcount == completion_models_by_definition(program), text
+
+    def test_count_surplus_anyway(self):
+        program = parse_program(pairs_text(2, "t") + LOOPS_TWICE)
+        plain = subtractive_count(program)
+        forced = subtractive_count(program, count_surplus_anyway=True)
+        assert (forced.overcount, forced.surplus, forced.answer_sets) == (
+            plain.overcount,
+            plain.surplus,
+            plain.answer_sets,
+        )
+        assert plain.answer_sets == count_answer_sets_bruteforce(program)
+
+    def test_project_overcount(self):
+        program = parse_program(cycles_text(3) + pairs_text(2, "t"))
+        report = subtractive_count(program, project_overcount=True)
+        assert (report.overcount, report.answer_sets) == (3**3 * 4, 2**3 * 4)
+
+    def test_external_stub_on_two_components(self):
+        program = parse_program(LOOPS_TWICE)
+        builtin = subtractive_count(program)
+        external = subtractive_count(program, stub_config())
+        assert (external.overcount, external.surplus, external.answer_sets) == (
+            builtin.overcount,
+            builtin.surplus,
+            builtin.answer_sets,
+        )
+        assert builtin.answer_sets == count_answer_sets_bruteforce(program)
+        assert external.backend == f"exec:{sys.executable}"
+
+    def test_lying_stub_on_many_parts(self):
+        program = parse_program(LOOPS_TWICE + pairs_text(2, "t"))
+        config = stub_config("--plain-value", "1", "--projected-value", "5")
+        with pytest.raises(IntegrityError, match="in part 1 of 3"):
+            subtractive_count(program, config)
+
+    def test_one_component_keeps_formula_sizes(self, example1, tmp_path):
+        completion = clark_completion(example1)
+        surplus = surplus_formula(example1, completion)
+        assert (completion.cnf.num_vars, completion.cnf.num_clauses) == (6, 15)
+        assert (surplus.cnf.num_vars, surplus.cnf.num_clauses) == (12, 36)
+        out = tmp_path / "enc"
+        subtractive_count(example1, emit_dir=str(out))
+        assert (out / "phi1.cnf").read_text() == completion.to_dimacs(example1)
+        assert (out / "phi2.cnf").read_text() == surplus.to_dimacs(example1)
+
+    def test_emitted_files_hold_the_whole_program(self, tmp_path):
+        program = parse_program(LOOPS_TWICE + pairs_text(1, "t"))
+        out = tmp_path / "enc"
+        subtractive_count(program, emit_dir=str(out))
+        completion = clark_completion(program)
+        assert (out / "phi1.cnf").read_text() == completion.to_dimacs(program)
+        phi2 = surplus_formula(program, completion).to_dimacs(program)
+        assert (out / "phi2.cnf").read_text() == phi2
+
+    def test_many_cycles(self):
+        report = subtractive_count(parse_program(cycles_text(200)))
+        assert report.answer_sets == 2**200
+        assert report.overcount == 3**200
+        assert report.loop_atom_count == 400
+
+    def test_enumeration_agrees(self):
+        program = parse_program(EXAMPLE1 + cycles_text(2) + pairs_text(1, "t"))
+        expected = subtractive_count(program).answer_sets
+        assert expected == 4 * 2
+        assert enumerate_count(program) == (expected, True)
+        assert hybrid_count(program, threshold=3).answer_sets == expected
+
+
+class TestAnalysisOnce:
+    @pytest.fixture
+    def loop_atoms_calls(self, monkeypatch):
+        calls = []
+        original = aspsubcount.depgraph.loop_atoms
+
+        def counted(graph):
+            calls.append(graph)
+            return original(graph)
+
+        for module in (aspsubcount.depgraph, aspsubcount.copyenc, aspsubcount.oracle):
+            monkeypatch.setattr(module, "loop_atoms", counted)
+        return calls
+
+    def test_subtractive(self, loop_atoms_calls):
+        subtractive_count(parse_program(cycles_text(3) + EXAMPLE1))
+        assert len(loop_atoms_calls) == 1
+
+    def test_hybrid_both_paths(self, loop_atoms_calls):
+        program = parse_program(cycles_text(2))
+        assert hybrid_count(program, threshold=100).mode == "enumeration"
+        assert len(loop_atoms_calls) == 1
+        assert hybrid_count(program, threshold=2).mode == "hybrid"
+        assert len(loop_atoms_calls) == 2
