@@ -14,7 +14,6 @@ from .copyenc import (
     CopyProgram,
     SurplusArtifact,
     copy_operation,
-    overcount_formula,
     surplus_formula,
 )
 from .counting import (

@@ -48,6 +48,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="aspsubcount", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -74,7 +84,7 @@ def _build_parser() -> _Parser:
     )
     p_count.add_argument(
         "--threshold",
-        type=int,
+        type=_positive_int,
         default=None,
         help="hybrid switch point (default 10000); cap for --mode enumerate",
     )
@@ -200,7 +210,7 @@ def _cmd_count(args) -> int:
     program = _read_program(args.path)
     config = _backend_config(args)
     if args.mode == "enumerate":
-        report = enumeration_report(program, args.threshold)
+        report = enumeration_report(program, args.threshold, emit_dir=args.emit_cnf)
         if not report.exhausted:
             sys.stderr.write(
                 f"note: stopped at limit {args.threshold}; count is a lower bound\n"

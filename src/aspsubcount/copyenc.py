@@ -105,12 +105,6 @@ class SurplusArtifact:
         }
 
 
-def overcount_formula(program: GroundProgram) -> CompletionArtifact:
-    """The formula whose model count includes every answer set (the
-    completion); counting it is the minuend of the subtraction."""
-    return clark_completion(program)
-
-
 def surplus_formula(
     program: GroundProgram,
     completion: CompletionArtifact | None = None,

@@ -202,6 +202,26 @@ def write_formulas(
     return [path for path, _ in texts]
 
 
+def _emit_formulas(
+    directory: str,
+    program: GroundProgram,
+    analysis: Analysis,
+    completion: CompletionArtifact | None = None,
+    surplus_anyway: bool = False,
+    show_atoms: bool = False,
+) -> list[str]:
+    """Write the files of ``count --emit-cnf``, the same in every mode: the
+    whole program's completion (``completion``, built here when not given)
+    and, when the program has loop atoms or under ``surplus_anyway``, its
+    surplus formula."""
+    if completion is None:
+        completion = clark_completion(program)
+    surplus_art = None
+    if analysis.loops or surplus_anyway:
+        surplus_art = surplus_formula(program, completion, analysis.loops)
+    return write_formulas(directory, program, completion, surplus_art, show_atoms)
+
+
 def _count_part(
     program: GroundProgram,
     completion: CompletionArtifact,
@@ -261,12 +281,13 @@ def subtractive_count(
         surplus_art = surplus_formula(part, completion, loops) if need_surplus else None
         parts.append((part, completion, surplus_art))
     if emit_dir is not None:
-        if len(parts) == 1:
-            write_formulas(emit_dir, *parts[0], project_overcount)
-        else:
-            completion = clark_completion(program)
-            surplus_art = surplus_formula(program, completion, analysis.loops)
-            write_formulas(emit_dir, program, completion, surplus_art, project_overcount)
+        _emit_formulas(
+            emit_dir,
+            program,
+            analysis,
+            surplus_anyway=count_surplus_anyway,
+            show_atoms=project_overcount,
+        )
     encode_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -345,14 +366,18 @@ def enumeration_report(
     program: GroundProgram,
     limit: int | None = None,
     analysis: Analysis | None = None,
+    emit_dir: str | None = None,
 ) -> CountReport:
     """``enumerate_count`` as a report: the encode phase builds the
-    analysis (when not given) and the completion, the count phase
+    analysis (when not given) and the completion, and writes the formulas
+    into ``emit_dir`` as ``subtractive_count`` does; the count phase
     enumerates."""
     t0 = time.perf_counter()
     if analysis is None:
         analysis = Analysis(program)
     completion = clark_completion(program)
+    if emit_dir is not None:
+        _emit_formulas(emit_dir, program, analysis, completion)
     encode_time = time.perf_counter() - t0
     t1 = time.perf_counter()
     count, exhausted = enumerate_count(program, limit, analysis, completion)
@@ -379,17 +404,18 @@ def hybrid_count(
     rerun subtractively. The mode field records the path that produced the
     number: "enumeration" when enumeration finished, "hybrid" when it
     switched. Both paths share one analysis of the program; the times add
-    up both paths' phases."""
+    up both paths' phases. ``emit_dir`` receives the formulas before
+    enumeration starts, whichever path produces the number."""
     if threshold < 1:
         raise ValueError("threshold must be at least 1")
     t0 = time.perf_counter()
     analysis = Analysis(program)
     analysis_time = time.perf_counter() - t0
-    enumerated = enumeration_report(program, threshold, analysis)
+    enumerated = enumeration_report(program, threshold, analysis, emit_dir)
     enumerated.encode_time += analysis_time
     if enumerated.exhausted:
         return enumerated
-    report = subtractive_count(program, config, emit_dir=emit_dir, analysis=analysis)
+    report = subtractive_count(program, config, analysis=analysis)
     report.mode = "hybrid"
     report.encode_time += enumerated.encode_time
     report.count_time += enumerated.count_time

@@ -1,9 +1,16 @@
 """Self-contained SAT routines: unit propagation, solving, exact model
 counting, and projected model counting.
 
+``unit_propagate`` is the syntactic propagation step of the copy check.
+Solving, counting and projected counting share one engine: ``_assign``
+makes a literal true and propagates unit clauses, ``_search`` branches on
+it to find a model, and ``_pcount`` counts the assignments to a set of
+kept variables that extend to a model; a plain count keeps every
+variable.
+
 Counts are plain Python ints, so arbitrarily large totals are exact. The
-counters decompose the clause set into variable-disjoint components and
-multiply the per-component counts, which is what makes families of
+counter decomposes the clause set into variable-disjoint components and
+multiplies the per-component counts, which is what makes families of
 independent subproblems (count 2^k) tractable.
 """
 
@@ -70,15 +77,17 @@ def solve_clauses(
     Returns a total assignment extending ``assumptions`` (unconstrained
     variables default to false), or None if unsatisfiable.
     """
-    assignment: PartialAssignment = dict(assumptions or {})
-    for var in assignment:
+    assumptions = assumptions or {}
+    for var in assumptions:
         if not 1 <= var <= num_vars:
             raise ValueError(f"assumption variable {var} out of range")
-    clause_list = [tuple(c) for c in clauses]
-    if not _dpll(clause_list, assignment):
+    units = [(var if value else -var,) for var, value in assumptions.items()]
+    start = _propagate(units + list(clauses))
+    model = start and _search(*start)
+    if model is None:
         return None
-    for var in range(1, num_vars + 1):
-        assignment.setdefault(var, False)
+    assignment = dict.fromkeys(range(1, num_vars + 1), False)
+    assignment.update((abs(lit), lit > 0) for lit in model)
     return assignment
 
 
@@ -88,75 +97,73 @@ def solve(
     return solve_clauses(formula.clauses, formula.num_vars, assumptions)
 
 
-def _dpll(clauses, assignment: PartialAssignment) -> bool:
-    trail: list[int] = []
+def count_models(formula: CnfFormula) -> int:
+    """Exact number of satisfying assignments over all num_vars variables."""
+    return _count_from(formula.clauses, set(range(1, formula.num_vars + 1)))
 
-    def undo():
-        for var in trail:
-            del assignment[var]
 
-    # propagate to fixed point
+def projected_count(formula: CnfFormula, project_out) -> int:
+    """Number of distinct assignments to the kept variables (those not in
+    ``project_out``) extendable to a model of the formula."""
+    out = set(project_out)
+    for var in out:
+        if not 1 <= var <= formula.num_vars:
+            raise ValueError(f"projected variable {var} out of range")
+    kept = set(range(1, formula.num_vars + 1)) - out
+    return _count_from(formula.clauses, kept)
+
+
+def _assign(clauses, lit: int):
+    """Make ``lit`` true, then the first unit clause left, and so on until
+    no unit clause remains: drop satisfied clauses, strip false literals.
+    Returns (remaining clauses, literals made true), or None on a conflict.
+
+    Stripped clauses are built as lists: tuples of the length of blocking
+    clauses would pile up in the interpreter's tuple free lists.
+    """
+    made = [lit]
     while True:
-        forced = None
-        all_sat = True
-        branch_var = None
+        neg = -lit
+        unit = None
+        out = []
         for clause in clauses:
-            satisfied = False
-            unassigned = None
-            n_open = 0
-            for lit in clause:
-                val = _lit_value(assignment, lit)
-                if val is True:
-                    satisfied = True
-                    break
-                if val is None:
-                    n_open += 1
-                    unassigned = lit
-            if satisfied:
+            if lit in clause:
                 continue
-            if n_open == 0:
-                undo()
-                return False
-            all_sat = False
-            if n_open == 1:
-                forced = unassigned
-                break
-            if branch_var is None:
-                branch_var = abs(unassigned)
-        if forced is not None:
-            assignment[abs(forced)] = forced > 0
-            trail.append(abs(forced))
-            continue
-        if all_sat:
-            return True
-        break
-
-    var = branch_var
-    for value in (True, False):
-        assignment[var] = value
-        if _dpll(clauses, assignment):
-            return True
-        del assignment[var]
-    undo()
-    return False
-
-
-def _reduce(clauses, lit: int):
-    """Assign ``lit`` true: drop satisfied clauses, strip the negation.
-    Returns None if an empty clause results."""
-    out = []
-    neg = -lit
-    for clause in clauses:
-        if lit in clause:
-            continue
-        if neg in clause:
-            kept = tuple(x for x in clause if x != neg)
-            if not kept:
-                return None
-            out.append(kept)
-        else:
+            if neg in clause:
+                clause = [x for x in clause if x != neg]
+                if not clause:
+                    return None
+            if unit is None and len(clause) == 1:
+                unit = clause[0]
             out.append(clause)
-    return out
+        if unit is None:
+            return out, made
+        clauses, lit = out, unit
+        made.append(lit)
+
+
+def _propagate(clauses):
+    """``_assign`` for clauses that may hold unit or empty clauses of their
+    own; None if they propagate to a conflict."""
+    if any(not c for c in clauses):
+        return None
+    unit = next((c[0] for c in clauses if len(c) == 1), None)
+    return (clauses, []) if unit is None else _assign(clauses, unit)
+
+
+def _search(clauses, made):
+    """The literals ``made`` extended to a model of the unit-free
+    ``clauses`` (variables in no literal are free), or None."""
+    if not clauses:
+        return made
+    var = abs(clauses[0][-1])
+    for lit in (var, -var):
+        step = _assign(clauses, lit)
+        if step is not None:
+            model = _search(step[0], made + step[1])
+            if model is not None:
+                return model
+    return None
 
 
 def _components(clauses):
@@ -198,85 +205,37 @@ def _pick_var(clauses, candidates: set[int]) -> int:
     return max(counts, key=lambda v: (counts[v], -v))
 
 
-def count_models(formula: CnfFormula) -> int:
-    """Exact number of satisfying assignments over all num_vars variables."""
-    return _count([tuple(c) for c in formula.clauses], set(range(1, formula.num_vars + 1)))
-
-
-def _count(clauses, free: set[int]) -> int:
-    free = set(free)
-    while True:
-        unit = next((c[0] for c in clauses if len(c) == 1), None)
-        if unit is None:
-            break
-        clauses = _reduce(clauses, unit)
-        if clauses is None:
-            return 0
-        free.discard(abs(unit))
-    if any(not c for c in clauses):
+def _count_from(clauses, kept: set[int]) -> int:
+    """``_pcount`` for clauses that may hold unit or empty clauses."""
+    start = _propagate(clauses)
+    if start is None:
         return 0
-    if not clauses:
-        return 1 << len(free)
+    rest, made = start
+    return _pcount(rest, kept.difference(abs(lit) for lit in made))
+
+
+def _pcount(clauses, kept: set[int]) -> int:
+    """Number of assignments to the ``kept`` variables that extend to a
+    model of the unit-free ``clauses``."""
     total = 1
     constrained: set[int] = set()
     for comp_clauses, comp_vars in _components(clauses):
         constrained |= comp_vars
-        var = _pick_var(comp_clauses, comp_vars)
-        sub = 0
-        for lit in (var, -var):
-            reduced = _reduce(comp_clauses, lit)
-            if reduced is not None:
-                sub += _count(reduced, comp_vars - {var})
-        if sub == 0:
-            return 0
-        total *= sub
-    return total << len(free - constrained)
-
-
-def projected_count(formula: CnfFormula, project_out) -> int:
-    """Number of distinct assignments to the kept variables (those not in
-    ``project_out``) extendable to a model of the formula."""
-    out = set(project_out)
-    for var in out:
-        if not 1 <= var <= formula.num_vars:
-            raise ValueError(f"projected variable {var} out of range")
-    kept = set(range(1, formula.num_vars + 1)) - out
-    return _pcount([tuple(c) for c in formula.clauses], kept)
-
-
-def _pcount(clauses, kept_free: set[int]) -> int:
-    kept_free = set(kept_free)
-    while True:
-        unit = next((c[0] for c in clauses if len(c) == 1), None)
-        if unit is None:
-            break
-        clauses = _reduce(clauses, unit)
-        if clauses is None:
-            return 0
-        kept_free.discard(abs(unit))
-    if any(not c for c in clauses):
-        return 0
-    if not clauses:
-        return 1 << len(kept_free)
-    total = 1
-    constrained: set[int] = set()
-    for comp_clauses, comp_vars in _components(clauses):
-        constrained |= comp_vars
-        comp_kept = comp_vars & kept_free
+        comp_kept = comp_vars & kept
         if not comp_kept:
             # residual constraints touch only projected variables: they
             # contribute a factor of 1 if satisfiable, else kill the branch
-            max_var = max(comp_vars)
-            if solve_clauses(comp_clauses, max_var) is None:
+            if solve_clauses(comp_clauses, max(comp_vars)) is None:
                 return 0
             continue
         var = _pick_var(comp_clauses, comp_kept)
         sub = 0
         for lit in (var, -var):
-            reduced = _reduce(comp_clauses, lit)
-            if reduced is not None:
-                sub += _pcount(reduced, comp_kept - {var})
+            step = _assign(comp_clauses, lit)
+            if step is not None:
+                rest, made = step
+                sub += _pcount(rest, comp_kept.difference(abs(x) for x in made))
         if sub == 0:
             return 0
         total *= sub
-    return total << len(kept_free - constrained)
+    return total << len(kept - constrained)

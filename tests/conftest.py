@@ -56,6 +56,14 @@ def fixture_programs():
 
 STUB = os.path.join(os.path.dirname(__file__), "external_stub.py")
 
+# pyproject's ``pythonpath`` puts the source tree on this process's path
+# only; the child processes (the stub counter, the entry-point test) get it
+# through the environment.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])
+)
+
 
 @pytest.fixture(scope="session")
 def stub_counter():

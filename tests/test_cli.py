@@ -193,6 +193,46 @@ class TestCount:
         assert (out_dir / "phi1.cnf").exists()
         assert (out_dir / "phi2.cnf").exists()
 
+    @pytest.mark.parametrize("mode", ["enumerate", "hybrid"])
+    @pytest.mark.parametrize(
+        "text, files",
+        [
+            ("a | b.\nc | d.\n", ["phi1.cnf"]),
+            (EXAMPLE1, ["phi1.cnf", "phi2.cnf", "phi2.map.json"]),
+        ],
+    )
+    def test_emit_cnf_in_every_mode(self, capsys, program_file, tmp_path, mode, text, files):
+        # hybrid's enumeration finishes below the threshold here
+        path = program_file(text)
+        reference = tmp_path / "subtractive"
+        assert run_cli(capsys, "count", path, "--emit-cnf", str(reference))[0] == 0
+        out_dir = tmp_path / mode
+        code, _, _ = run_cli(
+            capsys, "count", path, "--mode", mode, "--threshold", "50",
+            "--emit-cnf", str(out_dir),
+        )
+        assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == files
+        for name in files:
+            assert (out_dir / name).read_text() == (reference / name).read_text()
+
+    @pytest.mark.parametrize("mode", ["enumerate", "hybrid"])
+    @pytest.mark.parametrize("threshold", ["0", "-3"])
+    def test_threshold_below_one_is_a_usage_error(
+        self, capsys, worked_path, mode, threshold
+    ):
+        code, out, err = run_cli(
+            capsys, "count", worked_path, "--mode", mode, "--threshold", threshold
+        )
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [
+            f"aspsubcount count: error: argument --threshold: "
+            f"must be at least 1, got {int(threshold)}"
+        ]
+
     def test_project_overcount_flag(self, capsys, worked_path):
         code, out, _ = run_cli(capsys, "count", worked_path, "--project-overcount")
         assert code == 0

@@ -10,7 +10,6 @@ from aspsubcount import (
     count_models,
     is_answer_set,
     loop_atoms,
-    overcount_formula,
     parse_program,
     projected_count,
     solve,
@@ -84,15 +83,6 @@ class TestCopyOperation:
         assert cp.tag == "*"
         given[3] = 99
         assert cp.copy_map == {3: 6, 4: 7}
-
-
-class TestOvercountFormula:
-    def test_matches_completion(self, fixture_programs):
-        for program in fixture_programs.values():
-            assert (
-                overcount_formula(program).cnf.clauses
-                == clark_completion(program).cnf.clauses
-            )
 
 
 class TestSurplusWorkedExample:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aspsubcount import (
     CONFLICT,
@@ -220,3 +221,30 @@ class TestProjectedCount:
         f = CnfFormula(3, [(-3, 1), (-3, 2), (3, -1, -2)])
         assert projected_count(f, {3}) == 4
         assert count_models(f) == 4
+
+
+class TestOneEngine:
+    """Solving, counting and projected counting run on one propagation
+    routine; each is checked against truth tables and against the others."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_solve_count_and_projection_agree(self, seed):
+        rng = random.Random(seed)
+        f = random_cnf(rng, max_vars=10, max_clauses=25)
+        assumptions = {
+            v: rng.random() < 0.5
+            for v in range(1, f.num_vars + 1)
+            if rng.random() < 0.3
+        }
+        units = [(v if value else -v,) for v, value in assumptions.items()]
+        model = solve(f, assumptions)
+        if tt_count(CnfFormula(f.num_vars, f.clauses + units)) == 0:
+            assert model is None
+        else:
+            assert model is not None
+            assert sorted(model) == list(range(1, f.num_vars + 1))
+            assert eval_clauses(f.clauses + units, model)
+        assert count_models(f) == projected_count(f, set())
+        everything = set(range(1, f.num_vars + 1))
+        assert projected_count(f, everything) == int(solve(f) is not None)
