@@ -210,7 +210,14 @@ def _cmd_count(args) -> int:
     program = _read_program(args.path)
     config = _backend_config(args)
     if args.mode == "enumerate":
-        report = enumeration_report(program, args.threshold, emit_dir=args.emit_cnf)
+        if args.backend and config.kind == "external":
+            return _usage_error("--mode enumerate runs no model counter; drop --backend")
+        report = enumeration_report(
+            program,
+            args.threshold,
+            emit_dir=args.emit_cnf,
+            project_overcount=args.project_overcount,
+        )
         if not report.exhausted:
             sys.stderr.write(
                 f"note: stopped at limit {args.threshold}; count is a lower bound\n"
@@ -227,6 +234,7 @@ def _cmd_count(args) -> int:
             threshold=args.threshold if args.threshold is not None else 10_000,
             config=config,
             emit_dir=args.emit_cnf,
+            project_overcount=args.project_overcount,
         )
     else:
         report = subtractive_count(
@@ -295,28 +303,20 @@ def _cmd_check(args) -> int:
     def witness_text(witness):
         return "{" + ", ".join(program.atom_names(witness)) + "}"
 
+    def verdict(checked, witness):
+        if not checked:
+            return None
+        names = None if witness is None else program.atom_names(witness)
+        return {"sat": witness is not None, "witness": names}
+
     if args.json:
         _emit_json(
             {
                 "schema": 1,
                 "model_of_program": models_program,
                 "model_of_completion": models_completion,
-                "justification_all": None
-                if not models_program
-                else {
-                    "sat": just_all is not None,
-                    "witness": program.atom_names(just_all)
-                    if just_all is not None
-                    else None,
-                },
-                "justification_loops": None
-                if not models_completion
-                else {
-                    "sat": just_loops is not None,
-                    "witness": program.atom_names(just_loops)
-                    if just_loops is not None
-                    else None,
-                },
+                "justification_all": verdict(models_program, just_all),
+                "justification_loops": verdict(models_completion, just_loops),
                 "copy_check": None if not models_completion else copy_sat,
                 "answer_set": answer,
             }

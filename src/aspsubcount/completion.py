@@ -36,9 +36,9 @@ class CompletionArtifact:
     group_tags: dict[int, str]
     aux_defs: dict[int, tuple[int, ...]]
 
-    def to_dimacs(self, program: GroundProgram) -> str:
+    def to_dimacs(self, program: GroundProgram, show: list[int] | None = None) -> str:
         names = {self.atom_vars[a.id]: a.name for a in program.atoms}
-        return dimacs(self.cnf, atom_names=names)
+        return dimacs(self.cnf, atom_names=names, show=show)
 
 
 def _support_conjunct(rule, atom: int) -> tuple[int, ...] | None:

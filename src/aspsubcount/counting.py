@@ -3,9 +3,9 @@
 The subtractive pipeline splits the program into atom-disjoint parts and,
 for each part, counts models of the completion, counts the surplus
 (completion models that are not answer sets) by projected counting, and
-subtracts; the parts' counts multiply. Enumeration walks completion models
-one by one and keeps the justified ones. The hybrid strategy enumerates up
-to a threshold and falls back to subtraction when the threshold is hit.
+subtracts; the parts' counts multiply. Enumeration keeps the justified
+models of one search over the completion. The hybrid strategy enumerates
+up to a threshold and falls back to subtraction when the threshold is hit.
 """
 
 import contextlib
@@ -14,15 +14,14 @@ import os
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .cnf import dimacs
 from .completion import clark_completion, CompletionArtifact
 from .copyenc import surplus_formula, SurplusArtifact
 from .depgraph import Analysis, split
 from .oracle import copy_check
 from .program import GroundProgram
-from .sat import count_models, projected_count, solve_clauses
+from .sat import count_models, models, projected_count
 
 
 class BackendError(RuntimeError):
@@ -91,19 +90,9 @@ class CountReport:
     exhausted: bool | None = None
 
     def to_json_dict(self) -> dict:
-        payload = {
-            "schema": 1,
-            "overcount": self.overcount,
-            "surplus": self.surplus,
-            "answer_sets": self.answer_sets,
-            "mode": self.mode,
-            "backend": self.backend,
-            "encode_time": self.encode_time,
-            "count_time": self.count_time,
-            "loop_atom_count": self.loop_atom_count,
-        }
-        if self.exhausted is not None:
-            payload["exhausted"] = self.exhausted
+        payload = {"schema": 1, **asdict(self)}
+        if self.exhausted is None:
+            del payload["exhausted"]
         return payload
 
 
@@ -190,8 +179,7 @@ def write_formulas(
     os.makedirs(directory, exist_ok=True)
     phi1_path = os.path.join(directory, "phi1.cnf")
     show = sorted(completion.atom_vars.values()) if show_atoms else None
-    names = {completion.atom_vars[a.id]: a.name for a in program.atoms}
-    texts = [(phi1_path, dimacs(completion.cnf, atom_names=names, show=show))]
+    texts = [(phi1_path, completion.to_dimacs(program, show))]
     if surplus_art is not None:
         texts.append((os.path.join(directory, "phi2.cnf"), surplus_art.to_dimacs(program)))
         mapping = json.dumps(surplus_art.variable_map(program), indent=2, sort_keys=True)
@@ -343,23 +331,14 @@ def enumerate_count(
         completion = clark_completion(program)
     loops = (analysis or Analysis(program)).loops
     n = program.num_atoms
-    clauses = list(completion.cnf.clauses)
-    num_vars = completion.cnf.num_vars
     count = 0
-    while True:
-        model = solve_clauses(clauses, num_vars)
-        if model is None:
-            return count, True
+    for model in models(completion.cnf.clauses, completion.cnf.num_vars):
         interp = frozenset(x for x in range(n) if model[x + 1])
         if not copy_check(program, interp, loops, completion):
             count += 1
             if limit is not None and count >= limit:
                 return count, False
-        if n == 0:
-            return count, True
-        clauses.append(
-            tuple(-(x + 1) if x in interp else x + 1 for x in range(n))
-        )
+    return count, True
 
 
 def enumeration_report(
@@ -367,17 +346,20 @@ def enumeration_report(
     limit: int | None = None,
     analysis: Analysis | None = None,
     emit_dir: str | None = None,
+    project_overcount: bool = False,
 ) -> CountReport:
     """``enumerate_count`` as a report: the encode phase builds the
     analysis (when not given) and the completion, and writes the formulas
-    into ``emit_dir`` as ``subtractive_count`` does; the count phase
-    enumerates."""
+    into ``emit_dir`` as ``subtractive_count`` does under the same
+    ``project_overcount``; the count phase enumerates."""
     t0 = time.perf_counter()
     if analysis is None:
         analysis = Analysis(program)
     completion = clark_completion(program)
     if emit_dir is not None:
-        _emit_formulas(emit_dir, program, analysis, completion)
+        _emit_formulas(
+            emit_dir, program, analysis, completion, show_atoms=project_overcount
+        )
     encode_time = time.perf_counter() - t0
     t1 = time.perf_counter()
     count, exhausted = enumerate_count(program, limit, analysis, completion)
@@ -399,23 +381,29 @@ def hybrid_count(
     threshold: int = 10_000,
     config: BackendConfig | None = None,
     emit_dir: str | None = None,
+    project_overcount: bool = False,
 ) -> CountReport:
     """Enumerate up to ``threshold`` answer sets; if the threshold is hit,
-    rerun subtractively. The mode field records the path that produced the
-    number: "enumeration" when enumeration finished, "hybrid" when it
-    switched. Both paths share one analysis of the program; the times add
-    up both paths' phases. ``emit_dir`` receives the formulas before
-    enumeration starts, whichever path produces the number."""
+    rerun subtractively (under ``project_overcount``). The mode field
+    records the path that produced the number: "enumeration" when
+    enumeration finished, "hybrid" when it switched. Both paths share one
+    analysis of the program; the times add up both paths' phases.
+    ``emit_dir`` receives the formulas before enumeration starts, whichever
+    path produces the number."""
     if threshold < 1:
         raise ValueError("threshold must be at least 1")
     t0 = time.perf_counter()
     analysis = Analysis(program)
     analysis_time = time.perf_counter() - t0
-    enumerated = enumeration_report(program, threshold, analysis, emit_dir)
+    enumerated = enumeration_report(
+        program, threshold, analysis, emit_dir, project_overcount
+    )
     enumerated.encode_time += analysis_time
     if enumerated.exhausted:
         return enumerated
-    report = subtractive_count(program, config, analysis=analysis)
+    report = subtractive_count(
+        program, config, project_overcount=project_overcount, analysis=analysis
+    )
     report.mode = "hybrid"
     report.encode_time += enumerated.encode_time
     report.count_time += enumerated.count_time

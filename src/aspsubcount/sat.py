@@ -1,11 +1,12 @@
-"""Self-contained SAT routines: unit propagation, solving, exact model
-counting, and projected model counting.
+"""Self-contained SAT routines: unit propagation, solving, model
+enumeration, exact model counting, and projected model counting.
 
 ``unit_propagate`` is the syntactic propagation step of the copy check.
-Solving, counting and projected counting share one engine: ``_assign``
-makes a literal true and propagates unit clauses, ``_search`` branches on
-it to find a model, and ``_pcount`` counts the assignments to a set of
-kept variables that extend to a model; a plain count keeps every
+Everything else shares one engine: ``_assign`` makes a literal true and
+propagates unit clauses; ``_search`` branches on it and yields the leaves
+of its decision tree, of which ``solve_clauses`` takes the first and
+``models`` expands every one; ``_pcount`` counts the assignments to a set
+of kept variables that extend to a model, and a plain count keeps every
 variable.
 
 Counts are plain Python ints, so arbitrarily large totals are exact. The
@@ -82,13 +83,25 @@ def solve_clauses(
         if not 1 <= var <= num_vars:
             raise ValueError(f"assumption variable {var} out of range")
     units = [(var if value else -var,) for var, value in assumptions.items()]
-    start = _propagate(units + list(clauses))
-    model = start and _search(*start)
-    if model is None:
-        return None
-    assignment = dict.fromkeys(range(1, num_vars + 1), False)
-    assignment.update((abs(lit), lit > 0) for lit in model)
-    return assignment
+    return next(models(units + list(clauses), num_vars), None)
+
+
+def models(clauses, num_vars: int):
+    """Every model of the clause sequence ``clauses`` over variables
+    1..num_vars, once each, as a total assignment. The first sets the
+    variables its search leaves free to false, as ``solve_clauses`` does;
+    their other values are expanded only after it has been taken."""
+    start = _propagate(clauses)
+    if start is None:
+        return
+    for made in _search(*start):
+        model = dict.fromkeys(range(1, num_vars + 1), False)
+        model.update((abs(lit), lit > 0) for lit in made)
+        yield model
+        fixed = {abs(lit) for lit in made}
+        free = [var for var in model if var not in fixed]
+        for mask in range(1, 1 << len(free)):
+            yield model | {var: bool(mask >> i & 1) for i, var in enumerate(free)}
 
 
 def solve(
@@ -152,18 +165,17 @@ def _propagate(clauses):
 
 
 def _search(clauses, made):
-    """The literals ``made`` extended to a model of the unit-free
-    ``clauses`` (variables in no literal are free), or None."""
+    """The leaves of the search below the unit-free ``clauses``: each is
+    ``made`` extended by literals that satisfy every clause, leaving the
+    other variables free. No two leaves share a model."""
     if not clauses:
-        return made
+        yield made
+        return
     var = abs(clauses[0][-1])
     for lit in (var, -var):
         step = _assign(clauses, lit)
         if step is not None:
-            model = _search(step[0], made + step[1])
-            if model is not None:
-                return model
-    return None
+            yield from _search(step[0], made + step[1])
 
 
 def _components(clauses):

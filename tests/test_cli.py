@@ -202,19 +202,24 @@ class TestCount:
         ],
     )
     def test_emit_cnf_in_every_mode(self, capsys, program_file, tmp_path, mode, text, files):
-        # hybrid's enumeration finishes below the threshold here
+        # hybrid's enumeration finishes below the threshold here; under
+        # --project-overcount phi1.cnf carries a show line in every mode
         path = program_file(text)
-        reference = tmp_path / "subtractive"
-        assert run_cli(capsys, "count", path, "--emit-cnf", str(reference))[0] == 0
-        out_dir = tmp_path / mode
-        code, _, _ = run_cli(
-            capsys, "count", path, "--mode", mode, "--threshold", "50",
-            "--emit-cnf", str(out_dir),
-        )
-        assert code == 0
-        assert sorted(p.name for p in out_dir.iterdir()) == files
-        for name in files:
-            assert (out_dir / name).read_text() == (reference / name).read_text()
+        for flags in ([], ["--project-overcount"]):
+            reference = tmp_path / f"subtractive{len(flags)}"
+            code = run_cli(capsys, "count", path, *flags, "--emit-cnf", str(reference))[0]
+            assert code == 0
+            out_dir = tmp_path / f"{mode}{len(flags)}"
+            code, _, _ = run_cli(
+                capsys, "count", path, "--mode", mode, "--threshold", "50",
+                *flags, "--emit-cnf", str(out_dir),
+            )
+            assert code == 0
+            assert sorted(p.name for p in out_dir.iterdir()) == files
+            for name in files:
+                assert (out_dir / name).read_text() == (reference / name).read_text()
+            phi1 = (out_dir / "phi1.cnf").read_text()
+            assert ("\nc p show " in phi1) == bool(flags)
 
     @pytest.mark.parametrize("mode", ["enumerate", "hybrid"])
     @pytest.mark.parametrize("threshold", ["0", "-3"])
@@ -287,6 +292,24 @@ class TestCountExternal:
         )
         assert code == 1
         assert "backend error" in err
+
+    def test_enumerate_rejects_an_external_backend(self, capsys, worked_path, monkeypatch):
+        code, out, err = run_cli(
+            capsys, "count", worked_path, "--mode", "enumerate",
+            "--backend", "exec:/nonexistent",
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "aspsubcount: error: --mode enumerate runs no model counter; drop --backend"
+        ]
+        # the builtin backend and the environment variable stay accepted
+        monkeypatch.setenv("ASPSUBCOUNT_BACKEND", "exec:/nonexistent")
+        for flags in ([], ["--backend", "builtin"]):
+            code, out, _ = run_cli(
+                capsys, "count", worked_path, "--mode", "enumerate", *flags
+            )
+            assert code == 0
+            assert "answer sets: 1" in out
 
     def test_bad_backend_specs(self, capsys, worked_path):
         code, _, err = run_cli(capsys, "count", worked_path, "--backend", "magic")

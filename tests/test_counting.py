@@ -4,6 +4,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aspsubcount import (
     BackendConfig,
@@ -21,7 +22,11 @@ from aspsubcount import (
 )
 
 from conftest import STUB
-from helpers import random_program_text, random_tight_program_text
+from helpers import (
+    answer_sets_by_definition,
+    random_program_text,
+    random_tight_program_text,
+)
 
 
 def stub_config(*flags, timeout=None):
@@ -163,6 +168,21 @@ class TestEnumerate:
             expected = count_answer_sets_bruteforce(program)
             assert enumerate_count(program) == (expected, True)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        self_loop=st.booleans(),
+        limit=st.integers(1, 4),
+    )
+    def test_limits_match_definition(self, seed, self_loop, limit):
+        # an atom in a self-loop only, like zz, is in no completion clause
+        # and must be enumerated both ways
+        text = random_program_text(random.Random(seed), max_atoms=6)
+        program = parse_program(text + ("zz :- zz.\n" if self_loop else ""))
+        expected = len(answer_sets_by_definition(program))
+        assert enumerate_count(program, limit) == (min(limit, expected), expected < limit)
+        assert enumerate_count(program) == (expected, True)
+
 
 class TestHybrid:
     def test_switches_modes_at_threshold(self, example1):
@@ -189,6 +209,14 @@ class TestHybrid:
                 assert report.answer_sets == expected, (name, threshold)
                 wanted = "enumeration" if expected < threshold else "hybrid"
                 assert report.mode == wanted, (name, threshold)
+
+    def test_fallback_follows_project_overcount(self, example1):
+        # the stub counts a formula without a show line as 999 models
+        config = stub_config("--plain-value", "999")
+        report = hybrid_count(example1, threshold=1, config=config, project_overcount=True)
+        assert report.mode == "hybrid"
+        assert (report.overcount, report.answer_sets) == (2, 1)
+        assert hybrid_count(example1, threshold=1, config=config).overcount == 999
 
 
 class TestOutputParsing:

@@ -15,6 +15,7 @@ from aspsubcount import (
     solve_clauses,
     unit_propagate,
 )
+from aspsubcount.sat import models
 
 from helpers import eval_clauses, random_cnf, tt_count, tt_projected_count
 
@@ -248,3 +249,32 @@ class TestOneEngine:
         assert count_models(f) == projected_count(f, set())
         everything = set(range(1, f.num_vars + 1))
         assert projected_count(f, everything) == int(solve(f) is not None)
+
+
+class TestModels:
+    """``models`` walks the search once and yields every model, each once."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_every_model_once_first_as_solve(self, seed):
+        f = random_cnf(random.Random(seed), max_vars=9, max_clauses=25)
+        found = [tuple(sorted(m.items())) for m in models(f.clauses, f.num_vars)]
+        table = []
+        for bits in range(1 << f.num_vars):
+            model = {v: bool(bits >> (v - 1) & 1) for v in range(1, f.num_vars + 1)}
+            if eval_clauses(f.clauses, model):
+                table.append(tuple(sorted(model.items())))
+        assert len(found) == len(set(found)) == tt_count(f)
+        assert sorted(found) == sorted(table)
+        first = next(models(f.clauses, f.num_vars), None)
+        assert first == solve_clauses(f.clauses, f.num_vars)
+
+    def test_variables_in_no_clause_go_both_ways(self):
+        found = list(models([(1,)], 3))
+        assert found[0] == {1: True, 2: False, 3: False}
+        assert sorted((m[2], m[3]) for m in found) == [
+            (False, False), (False, True), (True, False), (True, True)
+        ]
+        assert all(m[1] for m in found)
+        assert list(models([], 0)) == [{}]
+        assert list(models([(1,), (-1,)], 2)) == []
