@@ -13,7 +13,7 @@ from .completion import CompletionArtifact, clark_completion, completion_model_c
 from .copyenc import copy_operation
 from .depgraph import build_dependency_graph, loop_atoms
 from .program import GroundProgram, Interpretation, Rule, satisfies_program
-from .sat import solve_clauses, unit_propagate, CONFLICT
+from .sat import solve_clauses
 
 BRUTE_FORCE_ATOM_LIMIT = 25
 
@@ -155,10 +155,10 @@ def copy_check(
     loops: frozenset[int] | None = None,
     completion: CompletionArtifact | None = None,
 ) -> bool:
-    """The unit-propagation justification test.
+    """The copy-clause justification test.
 
-    Builds the copy clauses, unit-propagates the interpretation, conjoins
-    the demand that some true loop atom lose its copy, and solves. Requires
+    Builds the copy clauses, conjoins the demand that some true loop atom
+    lose its copy, and solves under the atom values of ``interp``. Requires
     ``interp`` to be a model of the completion. Returns True when
     satisfiable, i.e. exactly when ``interp`` is not an answer set.
     """
@@ -171,9 +171,6 @@ def copy_check(
     cp = copy_operation(program, loops, copies)
     formula = CnfFormula(n + len(ordered), cp.clauses)
     assignment = {x + 1: (x in interp) for x in range(n)}
-    propagated = unit_propagate(formula, assignment)
-    if propagated is CONFLICT:
-        return False
-    clauses = list(propagated.clauses)
-    clauses.append(tuple(-copies[x] for x in ordered if x in interp))
-    return solve_clauses(clauses, formula.num_vars) is not None
+    demand = tuple(-copies[x] for x in ordered if x in interp)
+    clauses = formula.clauses + [demand]
+    return solve_clauses(clauses, formula.num_vars, assignment) is not None

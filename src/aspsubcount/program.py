@@ -254,7 +254,7 @@ def format_rule(program: GroundProgram, rule: Rule) -> str:
     body = [program.name_of(x) for x in sorted(rule.pos_body)]
     body += ["not " + program.name_of(x) for x in sorted(rule.neg_body)]
     if not body:
-        return head + "."
+        return (head or ":-") + "."
     joined = ", ".join(body)
     return (head + " :- " if head else ":- ") + joined + "."
 

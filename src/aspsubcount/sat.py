@@ -12,7 +12,9 @@ variable.
 Counts are plain Python ints, so arbitrarily large totals are exact. The
 counter decomposes the clause set into variable-disjoint components and
 multiplies the per-component counts, which is what makes families of
-independent subproblems (count 2^k) tractable.
+independent subproblems (count 2^k) tractable. Within one count it caches
+each component's count under its residual clause set, so a component that
+the search reaches again along another branch is counted once.
 """
 
 from .cnf import CnfFormula
@@ -179,32 +181,34 @@ def _search(clauses, made):
 
 
 def _components(clauses):
-    """Partition clauses into variable-disjoint groups via union-find.
-    Returns [(clauses, vars)] sorted by smallest variable."""
-    parent: dict[int, int] = {}
-
-    def find(v):
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
+    """Partition clauses into variable-disjoint groups in one pass: each
+    clause joins the groups of its variables, the smaller of two groups
+    merged into the larger. Returns [(clauses, vars)] sorted by smallest
+    variable."""
+    group_of: dict[int, tuple[list, set[int]]] = {}
     for clause in clauses:
+        group = None
         for lit in clause:
-            parent.setdefault(abs(lit), abs(lit))
-        first = find(abs(clause[0]))
-        for lit in clause[1:]:
-            parent[find(abs(lit))] = first
-    groups: dict[int, list] = {}
-    group_vars: dict[int, set[int]] = {}
-    for clause in clauses:
-        root = find(abs(clause[0]))
-        groups.setdefault(root, []).append(clause)
-        group_vars.setdefault(root, set()).update(abs(lit) for lit in clause)
-    keys = sorted(groups, key=lambda r: min(group_vars[r]))
-    return [(groups[k], group_vars[k]) for k in keys]
+            other = group_of.get(abs(lit))
+            if other is None or other is group:
+                continue
+            if group is None:
+                group = other
+                continue
+            if len(other[1]) > len(group[1]):
+                group, other = other, group
+            group[0].extend(other[0])
+            group[1].update(other[1])
+            for var in other[1]:
+                group_of[var] = group
+        if group is None:
+            group = ([], set())
+        group[0].append(clause)
+        for lit in clause:
+            group[1].add(abs(lit))
+            group_of[abs(lit)] = group
+    groups = {id(group): group for group in group_of.values()}
+    return sorted(groups.values(), key=lambda group: min(group[1]))
 
 
 def _pick_var(clauses, candidates: set[int]) -> int:
@@ -218,35 +222,44 @@ def _pick_var(clauses, candidates: set[int]) -> int:
 
 
 def _count_from(clauses, kept: set[int]) -> int:
-    """``_pcount`` for clauses that may hold unit or empty clauses."""
+    """``_pcount`` for clauses that may hold unit or empty clauses, with a
+    component cache of its own."""
     start = _propagate(clauses)
     if start is None:
         return 0
     rest, made = start
-    return _pcount(rest, kept.difference(abs(lit) for lit in made))
+    return _pcount(rest, kept.difference(abs(lit) for lit in made), {})
 
 
-def _pcount(clauses, kept: set[int]) -> int:
+def _pcount(clauses, kept: set[int], cache: dict) -> int:
     """Number of assignments to the ``kept`` variables that extend to a
-    model of the unit-free ``clauses``."""
+    model of the unit-free ``clauses``.
+
+    ``cache`` maps a component's clause set to its count. The clause set
+    fixes the component's kept variables (its variables among those kept at
+    the top), so the cache is sound within one top-level count only."""
     total = 1
     constrained: set[int] = set()
     for comp_clauses, comp_vars in _components(clauses):
         constrained |= comp_vars
-        comp_kept = comp_vars & kept
-        if not comp_kept:
-            # residual constraints touch only projected variables: they
-            # contribute a factor of 1 if satisfiable, else kill the branch
-            if solve_clauses(comp_clauses, max(comp_vars)) is None:
-                return 0
-            continue
-        var = _pick_var(comp_clauses, comp_kept)
-        sub = 0
-        for lit in (var, -var):
-            step = _assign(comp_clauses, lit)
-            if step is not None:
-                rest, made = step
-                sub += _pcount(rest, comp_kept.difference(abs(x) for x in made))
+        key = frozenset(map(tuple, comp_clauses))
+        sub = cache.get(key)
+        if sub is None:
+            comp_kept = comp_vars & kept
+            if not comp_kept:
+                # residual constraints touch only projected variables: a
+                # factor of 1 if satisfiable, else the branch dies
+                sub = int(solve_clauses(comp_clauses, max(comp_vars)) is not None)
+            else:
+                var = _pick_var(comp_clauses, comp_kept)
+                sub = 0
+                for lit in (var, -var):
+                    step = _assign(comp_clauses, lit)
+                    if step is not None:
+                        rest, made = step
+                        left = comp_kept.difference(abs(x) for x in made)
+                        sub += _pcount(rest, left, cache)
+            cache[key] = sub
         if sub == 0:
             return 0
         total *= sub

@@ -1,10 +1,28 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aspsubcount import CnfFormula, dimacs, parse_dimacs
 
 from helpers import random_cnf
+
+
+@st.composite
+def formulas_with_show(draw):
+    """A CNF over up to twelve variables, empty clauses included, and a
+    sorted show list."""
+    n = draw(st.integers(0, 12))
+    variables = st.lists(st.integers(1, max(n, 1)), unique=True, max_size=4 if n else 0)
+    signs = st.lists(st.booleans(), min_size=4, max_size=4)
+    clause = st.builds(
+        lambda vs, positive: tuple(v if p else -v for v, p in zip(vs, positive)),
+        variables,
+        signs,
+    )
+    clauses = draw(st.lists(clause, max_size=20))
+    show = sorted(draw(st.sets(st.integers(1, max(n, 1)), max_size=n)))
+    return CnfFormula(n, clauses), show
 
 
 class TestValidation:
@@ -63,6 +81,15 @@ class TestDimacsText:
             assert parsed.num_vars == f.num_vars
             assert parsed.clauses == f.clauses
             assert parsed_show == show
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=formulas_with_show())
+    def test_round_trip_with_show(self, drawn):
+        f, show = drawn
+        parsed, parsed_show = parse_dimacs(dimacs(f, show=show))
+        assert parsed.num_vars == f.num_vars
+        assert parsed.clauses == f.clauses
+        assert parsed_show == show
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aspsubcount import (
     GroundProgram,
@@ -23,6 +24,16 @@ def rule_names(program, rule):
         frozenset(program.name_of(x) for x in rule.pos_body),
         frozenset(program.name_of(x) for x in rule.neg_body),
     )
+
+
+@st.composite
+def programs(draw):
+    """Ground programs over up to six atoms, empty rules included."""
+    n = draw(st.integers(0, 6))
+    atoms = [Atom(i, f"a{i}") for i in range(n)]
+    ids = st.frozensets(st.integers(0, max(n - 1, 0)), max_size=3 if n else 0)
+    rules = draw(st.lists(st.builds(Rule, ids, ids, ids), max_size=8))
+    return GroundProgram(atoms, rules)
 
 
 class TestParsing:
@@ -142,6 +153,15 @@ class TestRoundTrip:
                 rule_names(q, r) for r in q.rules
             ]
             assert {a.name for a in p.atoms} >= {a.name for a in q.atoms}
+
+    @settings(max_examples=200, deadline=None)
+    @given(program=programs())
+    def test_formatted_programs_parse_back(self, program):
+        reparsed = parse_program(format_program(program))
+        assert [rule_names(program, r) for r in program.rules] == [
+            rule_names(reparsed, r) for r in reparsed.rules
+        ]
+        assert {a.name for a in program.atoms} >= {a.name for a in reparsed.atoms}
 
     def test_parse_is_order_stable(self):
         text = "x :- y, not z.\nw | y.\n"

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,8 @@ from aspsubcount import (
     solve_clauses,
     unit_propagate,
 )
-from aspsubcount.sat import models
+from aspsubcount import sat
+from aspsubcount.sat import _components, models
 
 from helpers import eval_clauses, random_cnf, tt_count, tt_projected_count
 
@@ -278,3 +280,77 @@ class TestModels:
         assert all(m[1] for m in found)
         assert list(models([], 0)) == [{}]
         assert list(models([(1,), (-1,)], 2)) == []
+
+
+class TestComponents:
+    """``_components`` splits a clause set into its connected parts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_groups_partition_the_clauses(self, seed):
+        f = random_cnf(random.Random(seed))
+        clauses = [c for c in f.clauses if c]
+        groups = _components(clauses)
+        placed = [tuple(c) for group, _ in groups for c in group]
+        assert Counter(placed) == Counter(clauses)
+        all_vars = [v for _, group_vars in groups for v in group_vars]
+        assert len(all_vars) == len(set(all_vars))
+        for group, group_vars in groups:
+            assert group_vars == {abs(lit) for c in group for lit in c}
+            reached: set[int] = set()
+            frontier = {abs(group[0][0])}
+            while frontier:
+                reached |= frontier
+                touching = [c for c in group if any(abs(x) in reached for x in c)]
+                frontier = {abs(x) for c in touching for x in c} - reached
+            assert reached == group_vars
+        smallest = [min(group_vars) for _, group_vars in groups]
+        assert smallest == sorted(smallest)
+
+
+def shared_twice(shared, s):
+    """``(s or C) and (-s or C)`` for every clause C of ``shared``: both
+    values of ``s`` leave the same residual."""
+    return [(s,) + tuple(c) for c in shared] + [(-s,) + tuple(c) for c in shared]
+
+
+class TestComponentCache:
+    """A component met again in one count is taken from the cache."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_shared_residuals_count_exactly(self, seed):
+        rng = random.Random(seed)
+        base = random_cnf(rng, max_vars=9, max_clauses=20)
+        shared = list(base.clauses)
+        if base.num_vars >= 2 and rng.random() < 0.3:
+            # all four clauses over two variables: unsatisfiable, but not by
+            # propagation, so the component's zero is counted and cached
+            a, b = rng.sample(range(1, base.num_vars + 1), 2)
+            shared += [(a, b), (a, -b), (-a, b), (-a, -b)]
+        s = base.num_vars + 1
+        f = CnfFormula(s, shared_twice(shared, s))
+        if rng.random() < 0.25:
+            # only s is kept: the shared part is a leaf satisfiability check
+            out = set(range(1, s))
+        else:
+            out = {v for v in range(1, s + 1) if rng.random() < 0.5}
+        assert count_models(f) == tt_count(f)
+        assert projected_count(f, out) == tt_projected_count(f, out)
+
+    def test_shared_component_is_searched_once(self, monkeypatch):
+        shared = [(2, 3), (3, 4), (4, 5), (-2, -5)]
+        f = CnfFormula(5, shared_twice(shared, 1))
+        searched = []
+        pick = sat._pick_var
+
+        def recording_pick(clauses, candidates):
+            searched.append(frozenset(map(tuple, clauses)))
+            return pick(clauses, candidates)
+
+        monkeypatch.setattr(sat, "_pick_var", recording_pick)
+        assert count_models(f) == tt_count(CnfFormula(5, shared))
+        assert searched.count(frozenset(shared)) == 1
+        searched.clear()
+        assert projected_count(f, {5}) == tt_projected_count(f, {5})
+        assert searched.count(frozenset(shared)) == 1
