@@ -46,6 +46,7 @@ from .oracle import (
     ReductRule,
     answer_sets_bruteforce,
     copy_check,
+    copy_checker,
     count_answer_sets_bruteforce,
     gl_reduct,
     is_answer_set,
@@ -66,13 +67,11 @@ from .program import (
     satisfies_program,
 )
 from .sat import (
-    CONFLICT,
     PartialAssignment,
     count_models,
     projected_count,
     solve,
     solve_clauses,
-    unit_propagate,
 )
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ overcount).
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -58,6 +59,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="aspsubcount", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -94,7 +105,7 @@ def _build_parser() -> _Parser:
         help=f"builtin or exec:PATH (default: ${ENV_BACKEND} or builtin)",
     )
     p_count.add_argument(
-        "--timeout", type=float, default=None, help="external counter timeout, seconds"
+        "--timeout", type=_positive_seconds, help="external counter timeout, seconds"
     )
     p_count.add_argument("--emit-cnf", metavar="DIR", default=None)
     p_count.add_argument(
@@ -209,49 +220,31 @@ def _cmd_encode(args) -> int:
 def _cmd_count(args) -> int:
     program = _read_program(args.path)
     config = _backend_config(args)
+    files = {"emit_dir": args.emit_cnf, "project_overcount": args.project_overcount}
     if args.mode == "enumerate":
         if args.backend and config.kind == "external":
             return _usage_error("--mode enumerate runs no model counter; drop --backend")
-        report = enumeration_report(
-            program,
-            args.threshold,
-            emit_dir=args.emit_cnf,
-            project_overcount=args.project_overcount,
-        )
+        report = enumeration_report(program, args.threshold, **files)
         if not report.exhausted:
             sys.stderr.write(
                 f"note: stopped at limit {args.threshold}; count is a lower bound\n"
             )
-        if args.json:
-            _emit_json(report.to_json_dict())
-        else:
-            print(f"mode: enumeration ({'exhausted' if report.exhausted else 'capped'})")
-            print(f"answer sets: {report.answer_sets}")
-        return 0
-    if args.mode == "hybrid":
-        report = hybrid_count(
-            program,
-            threshold=args.threshold if args.threshold is not None else 10_000,
-            config=config,
-            emit_dir=args.emit_cnf,
-            project_overcount=args.project_overcount,
-        )
+    elif args.mode == "hybrid":
+        report = hybrid_count(program, args.threshold or 10_000, config, **files)
     else:
-        report = subtractive_count(
-            program,
-            config,
-            emit_dir=args.emit_cnf,
-            project_overcount=args.project_overcount,
-        )
+        report = subtractive_count(program, config, **files)
     if args.json:
         _emit_json(report.to_json_dict())
-        return 0
-    print(f"mode: {report.mode}")
-    print(f"backend: {report.backend}")
-    print(f"loop atoms: {report.loop_atom_count}")
-    print(f"overcount: {report.overcount}")
-    print(f"surplus: {report.surplus}")
-    print(f"answer sets: {report.answer_sets}")
+    elif args.mode == "enumerate":
+        print(f"mode: enumeration ({'exhausted' if report.exhausted else 'capped'})")
+        print(f"answer sets: {report.answer_sets}")
+    else:
+        print(f"mode: {report.mode}")
+        print(f"backend: {report.backend}")
+        print(f"loop atoms: {report.loop_atom_count}")
+        print(f"overcount: {report.overcount}")
+        print(f"surplus: {report.surplus}")
+        print(f"answer sets: {report.answer_sets}")
     return 0
 
 

@@ -1,11 +1,13 @@
 """Answer-set counting strategies and counter backends.
 
-The subtractive pipeline splits the program into atom-disjoint parts and,
-for each part, counts models of the completion, counts the surplus
-(completion models that are not answer sets) by projected counting, and
-subtracts; the parts' counts multiply. Enumeration keeps the justified
-models of one search over the completion. The hybrid strategy enumerates
-up to a threshold and falls back to subtraction when the threshold is hit.
+Every mode runs one loop over the program's atom-disjoint parts and
+multiplies their counts. A part is either counted by subtraction
+(completion models minus the surplus: the completion models that are not
+answer sets, by projected counting) or enumerated (the justified models
+of one search over its completion). Subtractive mode counts every part and
+enumeration mode enumerates every part; hybrid mode counts tight parts and
+enumerates each loop part up to the threshold, counting it when the
+threshold is hit.
 """
 
 import contextlib
@@ -19,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 from .completion import clark_completion, CompletionArtifact
 from .copyenc import surplus_formula, SurplusArtifact
 from .depgraph import Analysis, split
-from .oracle import copy_check
+from .oracle import copy_checker
 from .program import GroundProgram
 from .sat import count_models, models, projected_count
 
@@ -74,10 +76,13 @@ class BackendConfig:
 
 @dataclass
 class CountReport:
-    """Result of one counting run. In subtractive mode
-    ``answer_sets == overcount - surplus``; enumeration reports the plain
-    count with surplus zero, and whether it ran the model space dry
-    (``exhausted``, None on the subtractive paths)."""
+    """Result of one counting run. In subtractive and hybrid mode
+    ``answer_sets == overcount - surplus``, and the overcount is the product
+    of the parts' completion-model counts. Enumeration reports the plain
+    count with surplus zero, and whether it is below the cap
+    (``exhausted``, None in the other modes). ``encode_time`` covers the
+    analysis, the parts' completions and the emitted files; ``count_time``
+    covers the rest, surplus formulas included."""
 
     overcount: int
     surplus: int
@@ -190,37 +195,22 @@ def write_formulas(
     return [path for path, _ in texts]
 
 
-def _emit_formulas(
-    directory: str,
-    program: GroundProgram,
-    analysis: Analysis,
-    completion: CompletionArtifact | None = None,
-    surplus_anyway: bool = False,
-    show_atoms: bool = False,
-) -> list[str]:
-    """Write the files of ``count --emit-cnf``, the same in every mode: the
-    whole program's completion (``completion``, built here when not given)
-    and, when the program has loop atoms or under ``surplus_anyway``, its
-    surplus formula."""
-    if completion is None:
-        completion = clark_completion(program)
-    surplus_art = None
-    if analysis.loops or surplus_anyway:
-        surplus_art = surplus_formula(program, completion, analysis.loops)
-    return write_formulas(directory, program, completion, surplus_art, show_atoms)
-
-
 def _count_part(
     program: GroundProgram,
+    loops: frozenset[int],
     completion: CompletionArtifact,
-    surplus_art: SurplusArtifact | None,
     config: BackendConfig,
+    surplus_anyway: bool,
     project_overcount: bool,
     tmp_dir: str | None,
 ) -> tuple[int, int]:
-    """Count one part's completion formula and (when built) its surplus
-    formula. The external backend reads DIMACS files written to
-    ``tmp_dir``."""
+    """Count one part's completion formula and, when the part has loop
+    atoms or under ``surplus_anyway``, its surplus formula. Returns
+    (overcount, surplus). The external backend reads DIMACS files written
+    to ``tmp_dir``."""
+    surplus_art = None
+    if loops or surplus_anyway:
+        surplus_art = surplus_formula(program, completion, loops)
     if config.kind == "external":
         paths = write_formulas(tmp_dir, program, completion, surplus_art, project_overcount)
         over = external_projected_count(paths[0], config)
@@ -232,12 +222,116 @@ def _count_part(
         over = projected_count(completion.cnf, completion.aux_vars)
     else:
         over = count_models(completion.cnf)
-    surplus = (
-        projected_count(surplus_art.cnf, surplus_art.projection_out)
-        if surplus_art is not None
-        else 0
-    )
-    return over, surplus
+    if surplus_art is None:
+        return over, 0
+    return over, projected_count(surplus_art.cnf, surplus_art.projection_out)
+
+
+def _enumerate_part(
+    program: GroundProgram,
+    loops: frozenset[int],
+    completion: CompletionArtifact,
+    limit: int | None,
+) -> tuple[int, int, bool]:
+    """Walk one part's completion models until ``limit`` answer sets are
+    found (None: no limit). The copy check runs only where the part has
+    loop atoms. Returns (models walked, answer sets found, whether the
+    models ran out below the limit)."""
+    not_answer_set = copy_checker(program, loops) if loops else None
+    n = program.num_atoms
+    walked = found = 0
+    for model in models(completion.cnf.clauses, completion.cnf.num_vars):
+        walked += 1
+        if not_answer_set and not_answer_set(frozenset(x for x in range(n) if model[x + 1])):
+            continue
+        found += 1
+        if found == limit:
+            return walked, found, False
+    return walked, found, True
+
+
+def _count_by_parts(
+    program: GroundProgram,
+    mode: str,
+    limit: int | None = None,
+    config: BackendConfig | None = None,
+    emit_dir: str | None = None,
+    project_overcount: bool = False,
+    surplus_anyway: bool = False,
+    analysis: Analysis | None = None,
+) -> CountReport:
+    """The counting loop of every mode ("subtractive", "enumeration" or
+    "hybrid"), over the parts of ``split(analysis)``.
+
+    A part is counted by ``_count_part`` under ``config`` in "subtractive"
+    mode, and in "hybrid" mode when it is tight or its enumeration reaches
+    ``limit``; such a loop part is counted after every enumeration. Any
+    other part is enumerated up to ``limit`` answer sets. Either way it
+    gives its completion models and its answer sets, whose products make
+    the report. The loop stops at the first part that makes the reported
+    product zero: the overcount in "subtractive" mode, the answer sets in
+    the others. ``emit_dir`` receives the whole program's formulas.
+    """
+    if limit is not None and limit < 1:
+        raise ValueError(f"{mode} limit must be at least 1")
+    config = config or BackendConfig()
+    t0 = time.perf_counter()
+    analysis = analysis or Analysis(program)
+    if emit_dir is not None:
+        completion = clark_completion(program)
+        surplus_art = None
+        if analysis.loops or surplus_anyway:
+            surplus_art = surplus_formula(program, completion, analysis.loops)
+        write_formulas(emit_dir, program, completion, surplus_art, project_overcount)
+    parts = split(analysis)
+    queue = []
+    for i, (part, loops) in enumerate(parts):
+        count = mode == "subtractive" or (mode == "hybrid" and not loops)
+        queue.append((i, part, loops, clark_completion(part), count))
+    encode_time = time.perf_counter() - t0
+
+    t1 = time.perf_counter()
+    overcount, answer_sets, counted = 1, 1, False
+    if config.kind == "external":
+        scratch = tempfile.TemporaryDirectory(prefix="aspsubcount-")
+    else:
+        scratch = contextlib.nullcontext()
+    with scratch as tmp:
+        for i, part, loops, completion, count in queue:
+            if count:
+                over, surplus = _count_part(
+                    part, loops, completion, config, surplus_anyway, project_overcount,
+                    tmp and os.path.join(tmp, f"part{i}"),
+                )
+                counted = True
+            else:
+                over, found, exhausted = _enumerate_part(part, loops, completion, limit)
+                if not exhausted and mode == "hybrid":
+                    # counted once every other part has had its turn
+                    queue.append((i, part, loops, completion, True))
+                    continue
+                surplus = over - found
+            if surplus > over:
+                where = f" in part {i + 1} of {len(parts)}" if len(parts) > 1 else ""
+                raise IntegrityError(
+                    f"surplus {surplus} exceeds overcount {over}{where}; "
+                    "encoding or backend is inconsistent"
+                )
+            overcount *= over
+            answer_sets *= over - surplus
+            if (overcount if mode == "subtractive" else answer_sets) == 0:
+                break
+    count_time = time.perf_counter() - t1
+
+    backend = config.label() if counted else "builtin"
+    times = (encode_time, count_time, len(analysis.loops))
+    if mode == "subtractive" or (mode == "hybrid" and answer_sets >= limit):
+        return CountReport(
+            overcount, overcount - answer_sets, answer_sets, mode, backend, *times
+        )
+    exhausted = limit is None or answer_sets < limit
+    found = answer_sets if exhausted else limit
+    return CountReport(found, 0, found, "enumeration", backend, *times, exhausted)
 
 
 def subtractive_count(
@@ -248,97 +342,28 @@ def subtractive_count(
     project_overcount: bool = False,
     analysis: Analysis | None = None,
 ) -> CountReport:
-    """Count answer sets as completion models minus surplus.
+    """Count answer sets as completion models minus surplus, part by part.
 
-    The program is split into atom-disjoint parts (``depgraph.split``);
-    each part is counted subtractively and the counts multiply. A part
-    without loop atoms has surplus zero by construction, and its surplus
-    is not counted unless ``count_surplus_anyway`` is set. ``emit_dir``
-    receives the whole program's formulas. ``analysis`` is the program's
-    own, computed here when not given. Raises IntegrityError if the
-    counted surplus of a part exceeds its overcount.
+    A part without loop atoms has surplus zero by construction, and its
+    surplus is not counted unless ``count_surplus_anyway`` is set.
+    ``analysis`` is the program's own, computed here when not given.
+    Raises IntegrityError if the counted surplus of a part exceeds its
+    overcount.
     """
-    config = config or BackendConfig()
-    t0 = time.perf_counter()
-    if analysis is None:
-        analysis = Analysis(program)
-    parts = []
-    for part, loops in split(analysis):
-        completion = clark_completion(part)
-        need_surplus = bool(loops) or count_surplus_anyway
-        surplus_art = surplus_formula(part, completion, loops) if need_surplus else None
-        parts.append((part, completion, surplus_art))
-    if emit_dir is not None:
-        _emit_formulas(
-            emit_dir,
-            program,
-            analysis,
-            surplus_anyway=count_surplus_anyway,
-            show_atoms=project_overcount,
-        )
-    encode_time = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    overcount, answer_sets = 1, 1
-    if config.kind == "external":
-        scratch = tempfile.TemporaryDirectory(prefix="aspsubcount-")
-    else:
-        scratch = contextlib.nullcontext()
-    with scratch as tmp:
-        for i, (part, completion, surplus_art) in enumerate(parts):
-            part_dir = os.path.join(tmp, f"part{i}") if tmp else None
-            over, surplus = _count_part(
-                part, completion, surplus_art, config, project_overcount, part_dir
-            )
-            if surplus > over:
-                where = f" in part {i + 1} of {len(parts)}" if len(parts) > 1 else ""
-                raise IntegrityError(
-                    f"surplus {surplus} exceeds overcount {over}{where}; "
-                    "encoding or backend is inconsistent"
-                )
-            overcount *= over
-            answer_sets *= over - surplus
-    count_time = time.perf_counter() - t1
-
-    return CountReport(
-        overcount=overcount,
-        surplus=overcount - answer_sets,
-        answer_sets=answer_sets,
-        mode="subtractive",
-        backend=config.label(),
-        encode_time=encode_time,
-        count_time=count_time,
-        loop_atom_count=len(analysis.loops),
+    return _count_by_parts(
+        program, "subtractive", None, config, emit_dir, project_overcount,
+        count_surplus_anyway, analysis,
     )
 
 
 def enumerate_count(
-    program: GroundProgram,
-    limit: int | None = None,
-    analysis: Analysis | None = None,
-    completion: CompletionArtifact | None = None,
+    program: GroundProgram, limit: int | None = None, analysis: Analysis | None = None
 ) -> tuple[int, bool]:
-    """Enumerate answer sets via completion models plus the copy check.
-
-    Stops once ``limit`` answer sets are found. Returns (count, exhausted);
-    exhausted is True only when the model space ran dry below the limit.
-    ``limit`` None means enumerate everything. ``analysis`` and
-    ``completion`` are the whole program's, built here when not given.
-    """
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be at least 1")
-    if completion is None:
-        completion = clark_completion(program)
-    loops = (analysis or Analysis(program)).loops
-    n = program.num_atoms
-    count = 0
-    for model in models(completion.cnf.clauses, completion.cnf.num_vars):
-        interp = frozenset(x for x in range(n) if model[x + 1])
-        if not copy_check(program, interp, loops, completion):
-            count += 1
-            if limit is not None and count >= limit:
-                return count, False
-    return count, True
+    """Enumerate answer sets part by part. Returns (count, exhausted): the
+    count is capped at ``limit`` (None: no cap), and exhausted is True only
+    when there are fewer answer sets than the limit."""
+    report = enumeration_report(program, limit, analysis)
+    return report.answer_sets, report.exhausted
 
 
 def enumeration_report(
@@ -348,31 +373,12 @@ def enumeration_report(
     emit_dir: str | None = None,
     project_overcount: bool = False,
 ) -> CountReport:
-    """``enumerate_count`` as a report: the encode phase builds the
-    analysis (when not given) and the completion, and writes the formulas
-    into ``emit_dir`` as ``subtractive_count`` does under the same
-    ``project_overcount``; the count phase enumerates."""
-    t0 = time.perf_counter()
-    if analysis is None:
-        analysis = Analysis(program)
-    completion = clark_completion(program)
-    if emit_dir is not None:
-        _emit_formulas(
-            emit_dir, program, analysis, completion, show_atoms=project_overcount
-        )
-    encode_time = time.perf_counter() - t0
-    t1 = time.perf_counter()
-    count, exhausted = enumerate_count(program, limit, analysis, completion)
-    return CountReport(
-        overcount=count,
-        surplus=0,
-        answer_sets=count,
-        mode="enumeration",
-        backend="builtin",
-        encode_time=encode_time,
-        count_time=time.perf_counter() - t1,
-        loop_atom_count=len(analysis.loops),
-        exhausted=exhausted,
+    """``enumerate_count`` as a report; ``emit_dir`` and
+    ``project_overcount`` act on the emitted files as in
+    ``subtractive_count``."""
+    return _count_by_parts(
+        program, "enumeration", limit, None, emit_dir, project_overcount,
+        analysis=analysis,
     )
 
 
@@ -383,28 +389,10 @@ def hybrid_count(
     emit_dir: str | None = None,
     project_overcount: bool = False,
 ) -> CountReport:
-    """Enumerate up to ``threshold`` answer sets; if the threshold is hit,
-    rerun subtractively (under ``project_overcount``). The mode field
-    records the path that produced the number: "enumeration" when
-    enumeration finished, "hybrid" when it switched. Both paths share one
-    analysis of the program; the times add up both paths' phases.
-    ``emit_dir`` receives the formulas before enumeration starts, whichever
-    path produces the number."""
-    if threshold < 1:
-        raise ValueError("threshold must be at least 1")
-    t0 = time.perf_counter()
-    analysis = Analysis(program)
-    analysis_time = time.perf_counter() - t0
-    enumerated = enumeration_report(
-        program, threshold, analysis, emit_dir, project_overcount
+    """Count tight parts under ``config``; enumerate each loop part up to
+    ``threshold`` answer sets and count it (under ``project_overcount``)
+    when the threshold is hit. The mode is "enumeration" when the answer
+    sets number fewer than the threshold, and "hybrid" otherwise."""
+    return _count_by_parts(
+        program, "hybrid", threshold, config, emit_dir, project_overcount
     )
-    enumerated.encode_time += analysis_time
-    if enumerated.exhausted:
-        return enumerated
-    report = subtractive_count(
-        program, config, project_overcount=project_overcount, analysis=analysis
-    )
-    report.mode = "hybrid"
-    report.encode_time += enumerated.encode_time
-    report.count_time += enumerated.count_time
-    return report

@@ -113,12 +113,11 @@ def _require_completion_model(
     program: GroundProgram,
     interp: Interpretation,
     completion: CompletionArtifact | None,
-) -> CompletionArtifact:
+) -> None:
     if completion is None:
         completion = clark_completion(program)
     if not completion_model_check(completion, interp):
         raise ValueError("interpretation is not a model of the completion")
-    return completion
 
 
 def justification_check_loops(
@@ -149,28 +148,39 @@ def justification_check_loops(
     return frozenset(x for x in range(program.num_atoms) if model[x + 1])
 
 
+def copy_checker(program: GroundProgram, loops: frozenset[int] | None = None):
+    """The copy-clause justification test, prepared once per program.
+
+    Builds the copy clauses and returns a function of one completion model
+    ``interp``: it conjoins the demand that some true loop atom lose its
+    copy and solves under the atom values of ``interp``, returning True
+    when satisfiable, i.e. exactly when ``interp`` is not an answer set.
+    The function does not check that ``interp`` is a completion model.
+    """
+    if loops is None:
+        loops = loop_atoms(build_dependency_graph(program))
+    n = program.num_atoms
+    ordered = sorted(loops)
+    copies = {x: n + 1 + i for i, x in enumerate(ordered)}
+    formula = CnfFormula(n + len(ordered), copy_operation(program, loops, copies).clauses)
+
+    def check(interp: Interpretation) -> bool:
+        assignment = {x + 1: (x in interp) for x in range(n)}
+        demand = tuple(-copies[x] for x in ordered if x in interp)
+        clauses = formula.clauses + [demand]
+        return solve_clauses(clauses, formula.num_vars, assignment) is not None
+
+    return check
+
+
 def copy_check(
     program: GroundProgram,
     interp: Interpretation,
     loops: frozenset[int] | None = None,
     completion: CompletionArtifact | None = None,
 ) -> bool:
-    """The copy-clause justification test.
-
-    Builds the copy clauses, conjoins the demand that some true loop atom
-    lose its copy, and solves under the atom values of ``interp``. Requires
-    ``interp`` to be a model of the completion. Returns True when
-    satisfiable, i.e. exactly when ``interp`` is not an answer set.
-    """
+    """``copy_checker``'s test on one interpretation, which must be a model
+    of the completion. Returns True exactly when ``interp`` is not an
+    answer set."""
     _require_completion_model(program, interp, completion)
-    if loops is None:
-        loops = loop_atoms(build_dependency_graph(program))
-    n = program.num_atoms
-    ordered = sorted(loops)
-    copies = {x: n + 1 + i for i, x in enumerate(ordered)}
-    cp = copy_operation(program, loops, copies)
-    formula = CnfFormula(n + len(ordered), cp.clauses)
-    assignment = {x + 1: (x in interp) for x in range(n)}
-    demand = tuple(-copies[x] for x in ordered if x in interp)
-    clauses = formula.clauses + [demand]
-    return solve_clauses(clauses, formula.num_vars, assignment) is not None
+    return copy_checker(program, loops)(interp)

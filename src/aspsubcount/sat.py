@@ -1,13 +1,11 @@
-"""Self-contained SAT routines: unit propagation, solving, model
-enumeration, exact model counting, and projected model counting.
+"""Self-contained SAT routines: solving, model enumeration, exact model
+counting, and projected model counting.
 
-``unit_propagate`` is the syntactic propagation step of the copy check.
-Everything else shares one engine: ``_assign`` makes a literal true and
-propagates unit clauses; ``_search`` branches on it and yields the leaves
-of its decision tree, of which ``solve_clauses`` takes the first and
-``models`` expands every one; ``_pcount`` counts the assignments to a set
-of kept variables that extend to a model, and a plain count keeps every
-variable.
+They share one engine: ``_assign`` makes a literal true and propagates
+unit clauses; ``_search`` branches on it and yields the leaves of its
+decision tree, of which ``solve_clauses`` takes the first and ``models``
+expands every one; ``_pcount`` counts the assignments to a set of kept
+variables that extend to a model, and a plain count keeps every variable.
 
 Counts are plain Python ints, so arbitrarily large totals are exact. The
 counter decomposes the clause set into variable-disjoint components and
@@ -20,56 +18,6 @@ the search reaches again along another branch is counted once.
 from .cnf import CnfFormula
 
 PartialAssignment = dict[int, bool]
-
-
-class _Conflict:
-    """Sentinel returned by unit_propagate when an empty clause appears."""
-
-    def __repr__(self):
-        return "CONFLICT"
-
-
-CONFLICT = _Conflict()
-
-
-def _lit_value(assignment: PartialAssignment, lit: int):
-    val = assignment.get(abs(lit))
-    if val is None:
-        return None
-    return val if lit > 0 else not val
-
-
-def unit_propagate(formula: CnfFormula, assignment: PartialAssignment):
-    """Syntactic unit propagation to a fixed point.
-
-    Repeats two reductions until neither applies: drop every clause with a
-    literal true under ``assignment``; delete from the remaining clauses
-    every literal that is false under ``assignment`` or whose negation is a
-    unit clause. Unit clauses themselves persist unless satisfied. Returns
-    the reduced formula, or CONFLICT once an empty clause appears.
-    """
-    clauses = [tuple(c) for c in formula.clauses]
-    while True:
-        units = {c[0] for c in clauses if len(c) == 1}
-        changed = False
-        reduced: list[tuple[int, ...]] = []
-        for clause in clauses:
-            if any(_lit_value(assignment, lit) is True for lit in clause):
-                changed = True
-                continue
-            kept = tuple(
-                lit
-                for lit in clause
-                if _lit_value(assignment, lit) is not False and -lit not in units
-            )
-            if len(kept) != len(clause):
-                changed = True
-            if not kept:
-                return CONFLICT
-            reduced.append(kept)
-        clauses = reduced
-        if not changed:
-            return CnfFormula(formula.num_vars, clauses, dict(formula.var_registry))
 
 
 def solve_clauses(

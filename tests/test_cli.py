@@ -311,6 +311,22 @@ class TestCountExternal:
             assert code == 0
             assert "answer sets: 1" in out
 
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1"])
+    def test_timeout_must_be_positive_and_finite(
+        self, capsys, worked_path, wrapper_factory, timeout
+    ):
+        code, out, err = run_cli(
+            capsys, "count", worked_path,
+            "--backend", f"exec:{wrapper_factory()}", "--timeout", timeout,
+        )
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [
+            "aspsubcount count: error: argument --timeout: "
+            f"must be a positive finite number, got {timeout}"
+        ]
+
     def test_bad_backend_specs(self, capsys, worked_path):
         code, _, err = run_cli(capsys, "count", worked_path, "--backend", "magic")
         assert code == 1 and "unknown backend" in err

@@ -5,101 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aspsubcount import (
-    CONFLICT,
     CnfFormula,
-    copy_operation,
     count_models,
-    loop_atoms,
-    build_dependency_graph,
     projected_count,
     solve,
     solve_clauses,
-    unit_propagate,
 )
 from aspsubcount import sat
 from aspsubcount.sat import _components, models
 
 from helpers import eval_clauses, random_cnf, tt_count, tt_projected_count
-
-
-def clause_set(formula):
-    return {frozenset(c) for c in formula.clauses}
-
-
-class TestUnitPropagate:
-    def test_true_literal_drops_clause_false_literal_shrinks(self):
-        # vars: a=1 b=2 c=3
-        f = CnfFormula(3, [(1, 2), (-1, 3)])
-        result = unit_propagate(f, {1: True})
-        assert result.clauses == [(3,)]
-        assert result.num_vars == 3
-
-    def test_false_unit_conflicts(self):
-        f = CnfFormula(1, [(1,)])
-        assert unit_propagate(f, {1: False}) is CONFLICT
-
-    def test_empty_formula_fixed_point(self):
-        f = CnfFormula(2, [])
-        assert unit_propagate(f, {1: True}).clauses == []
-
-    def test_unit_clauses_erase_negations_and_persist(self):
-        # {a}, {-a, c}: the unit removes -a, both units remain
-        f = CnfFormula(3, [(1,), (-1, 3)])
-        result = unit_propagate(f, {})
-        assert result.clauses == [(1,), (3,)]
-
-    def test_opposing_units_conflict(self):
-        f = CnfFormula(1, [(1,), (-1,)])
-        assert unit_propagate(f, {}) is CONFLICT
-
-    def test_input_empty_clause_conflicts(self):
-        f = CnfFormula(1, [(), (1,)])
-        assert unit_propagate(f, {}) is CONFLICT
-
-    def test_idempotent_on_random_formulas(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            f = random_cnf(rng, max_vars=10, max_clauses=20)
-            assignment = {
-                v: rng.random() < 0.5
-                for v in range(1, f.num_vars + 1)
-                if rng.random() < 0.3
-            }
-            once = unit_propagate(f, assignment)
-            if once is CONFLICT:
-                continue
-            again = unit_propagate(once, {})
-            assert again is not CONFLICT
-            assert again.clauses == once.clauses
-
-    def test_worked_example_copy_fixed_points(self, example1):
-        # propagating each candidate model through the copy clauses
-        loops = loop_atoms(build_dependency_graph(example1))
-        copies = {example1.atom_id("q1"): 6, example1.atom_id("w"): 7}
-        cp = copy_operation(example1, loops, copies)
-        f = CnfFormula(7, cp.clauses)
-        m1 = example1.interpretation(["p0", "w", "q0", "q1"])
-        m2 = example1.interpretation(["p1", "w", "q0", "q1"])
-        tau1 = {x + 1: (x in m1) for x in range(5)}
-        tau2 = {x + 1: (x in m2) for x in range(5)}
-        # q1 copy = 6, w copy = 7
-        assert clause_set(unit_propagate(f, tau1)) == {
-            frozenset({6}),
-            frozenset({7}),
-        }
-        assert clause_set(unit_propagate(f, tau2)) == {
-            frozenset({6, -7}),
-            frozenset({-6, 7}),
-        }
-
-    def test_worked_example_fixed_points_decide_the_check(self):
-        # conjoining the copy-negation disjunction flips exactly one of them
-        m1_clauses = [(6,), (7,), (-6, -7)]
-        m2_clauses = [(6, -7), (-6, 7), (-6, -7)]
-        assert solve_clauses(m1_clauses, 7) is None
-        model = solve_clauses(m2_clauses, 7)
-        assert model is not None
-        assert model[6] is False and model[7] is False
 
 
 class TestSolve:
@@ -142,6 +57,17 @@ class TestSolve:
         for _ in range(300):
             f = random_cnf(rng, max_vars=10, max_clauses=25)
             assert (solve(f) is not None) == (count_models(f) > 0)
+
+    def test_worked_example_fixed_points_decide_the_check(self):
+        # the worked example's copy clauses reduced under its two completion
+        # models, plus the demand that some copy go false: the answer set
+        # (first) leaves them unsatisfiable, the other model does not
+        m1_clauses = [(6,), (7,), (-6, -7)]
+        m2_clauses = [(6, -7), (-6, 7), (-6, -7)]
+        assert solve_clauses(m1_clauses, 7) is None
+        model = solve_clauses(m2_clauses, 7)
+        assert model is not None
+        assert model[6] is False and model[7] is False
 
 
 class TestCountModels:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import aspsubcount.copyenc
+import aspsubcount.counting
 import aspsubcount.depgraph
 import aspsubcount.oracle
 from aspsubcount import (
@@ -87,8 +88,9 @@ class TestSplitCounts:
     @given(
         seed=st.integers(0, 2**32 - 1),
         kinds=st.lists(st.booleans(), min_size=2, max_size=3),
+        threshold=st.integers(1, 64),
     )
-    def test_union_counts_are_products(self, seed, kinds):
+    def test_union_counts_are_products(self, seed, kinds, threshold):
         rng = random.Random(seed)
         texts = []
         answers = completions = 1
@@ -111,6 +113,16 @@ class TestSplitCounts:
         surplus = surplus_formula(union, completion)
         assert count_models(completion.cnf) == completions
         assert projected_count(surplus.cnf, surplus.projection_out) == report.surplus
+        # enumeration and hybrid, part by part
+        assert enumerate_count(union) == (answers, True)
+        hybrid = hybrid_count(union, threshold=threshold)
+        assert hybrid.answer_sets == answers
+        if answers < threshold:
+            assert hybrid.mode == "enumeration" and hybrid.exhausted is True
+            assert (hybrid.overcount, hybrid.surplus) == (answers, 0)
+        else:
+            assert hybrid.mode == "hybrid"
+            assert hybrid.overcount == completions
 
     def test_always_false_constraint(self):
         assert subtractive_count(parse_program(":- .\n")).answer_sets == 0
@@ -221,3 +233,44 @@ class TestAnalysisOnce:
         assert len(loop_atoms_calls) == 1
         assert hybrid_count(program, threshold=2).mode == "hybrid"
         assert len(loop_atoms_calls) == 2
+
+
+ZERO_LOOP = "zx :- zy.\nzy :- zx.\n:- not zx.\n"
+
+
+class TestPerPart:
+    """Which parts are enumerated: every completion model that the
+    enumeration walks is counted, with no timing involved."""
+
+    @pytest.fixture
+    def walked(self, monkeypatch):
+        calls = [0]
+        original = aspsubcount.counting.models
+
+        def counted(*args):
+            for model in original(*args):
+                calls[0] += 1
+                yield model
+
+        monkeypatch.setattr(aspsubcount.counting, "models", counted)
+        return calls
+
+    def test_hybrid_enumerates_loop_parts_one_by_one(self, walked):
+        report = hybrid_count(parse_program(cycles_text(12)))
+        assert (report.mode, report.answer_sets) == ("enumeration", 2**12)
+        assert walked[0] == 12 * 3
+
+    def test_hybrid_counts_a_tight_program(self, walked):
+        report = hybrid_count(parse_program(pairs_text(14)))
+        assert (report.mode, report.answer_sets) == ("hybrid", 2**14)
+        assert report.overcount == 2**14
+        assert walked[0] == 0
+
+    def test_zero_part_starts_no_counter(self, walked):
+        # each cycle part reaches the threshold, so it would go to the
+        # failing counter, were it not for the loop part with no answer set
+        program = parse_program(cycles_text(3) + ZERO_LOOP)
+        report = hybrid_count(program, threshold=2, config=stub_config("--fail"))
+        assert (report.mode, report.answer_sets, report.overcount) == ("enumeration", 0, 0)
+        assert report.backend == "builtin"
+        assert walked[0] <= 3 * 3 + 1
