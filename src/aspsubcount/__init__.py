@@ -25,7 +25,6 @@ from .counting import (
     CountReport,
     IntegrityError,
     enumerate_count,
-    enumeration_report,
     external_projected_count,
     hybrid_count,
     parse_counter_output,

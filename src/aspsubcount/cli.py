@@ -20,7 +20,7 @@ from .counting import (
     BackendTimeout,
     BackendError,
     IntegrityError,
-    enumeration_report,
+    enumerate_count,
     hybrid_count,
     subtractive_count,
     write_formulas,
@@ -130,23 +130,28 @@ def _build_parser() -> _Parser:
 
 
 def _read_program(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path) as handle:
-            text = handle.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as handle:
+                text = handle.read()
+    except OSError as exc:
+        raise SystemExit(_usage_error(f"cannot read {path!r}: {exc.strerror}"))
+    except UnicodeDecodeError as exc:
+        raise SystemExit(_usage_error(f"cannot read {path!r}: not {exc.encoding} text"))
     return parse_program(text)
 
 
 def _backend_config(args) -> BackendConfig:
     spec = args.backend or os.environ.get(ENV_BACKEND) or "builtin"
     if spec == "builtin":
-        return BackendConfig(kind="builtin", timeout=args.timeout)
+        return BackendConfig(timeout=args.timeout)
     if spec.startswith("exec:"):
         exe = spec[len("exec:") :]
         if not exe:
             raise SystemExit(_usage_error("empty executable in --backend"))
-        return BackendConfig(kind="external", executable=exe, timeout=args.timeout)
+        return BackendConfig(executable=exe, timeout=args.timeout)
     raise SystemExit(_usage_error(f"unknown backend {spec!r}"))
 
 
@@ -220,19 +225,26 @@ def _cmd_encode(args) -> int:
 def _cmd_count(args) -> int:
     program = _read_program(args.path)
     config = _backend_config(args)
-    files = {"emit_dir": args.emit_cnf, "project_overcount": args.project_overcount}
+    if args.mode == "enumerate" and args.backend and config.executable:
+        return _usage_error("--mode enumerate runs no model counter; drop --backend")
+    if args.emit_cnf is not None:
+        # the whole program's formulas, while counting goes part by part
+        completion = clark_completion(program)
+        loops = Analysis(program).loops
+        surplus = surplus_formula(program, completion, loops) if loops else None
+        write_formulas(args.emit_cnf, program, completion, surplus, args.project_overcount)
     if args.mode == "enumerate":
-        if args.backend and config.kind == "external":
-            return _usage_error("--mode enumerate runs no model counter; drop --backend")
-        report = enumeration_report(program, args.threshold, **files)
+        report = enumerate_count(program, args.threshold)
         if not report.exhausted:
             sys.stderr.write(
                 f"note: stopped at limit {args.threshold}; count is a lower bound\n"
             )
     elif args.mode == "hybrid":
-        report = hybrid_count(program, args.threshold or 10_000, config, **files)
+        report = hybrid_count(
+            program, args.threshold or 10_000, config, args.project_overcount
+        )
     else:
-        report = subtractive_count(program, config, **files)
+        report = subtractive_count(program, config, args.project_overcount)
     if args.json:
         _emit_json(report.to_json_dict())
     elif args.mode == "enumerate":
@@ -350,6 +362,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # counts are exact, and can run past Python's default 4300 digits
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -359,8 +374,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except FileNotFoundError as exc:
-        return _usage_error(f"cannot read {exc.filename!r}")
+    except OSError as exc:
+        # the program was read already, so this is one of the files written
+        target = f" {exc.filename!r}" if exc.filename else ""
+        return _usage_error(f"cannot write{target}: {exc.strerror or exc}")
     except ParseError as exc:
         sys.stderr.write(f"aspsubcount: parse error: {exc}\n")
         return 1

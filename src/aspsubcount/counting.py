@@ -7,7 +7,9 @@ answer sets, by projected counting) or enumerated (the justified models
 of one search over its completion). Subtractive mode counts every part and
 enumeration mode enumerates every part; hybrid mode counts tight parts and
 enumerates each loop part up to the threshold, counting it when the
-threshold is hit.
+threshold is hit. The three entry points, ``subtractive_count``,
+``enumerate_count`` and ``hybrid_count``, each return a ``CountReport``;
+writing the formulas to files is left to the caller (``write_formulas``).
 """
 
 import contextlib
@@ -51,27 +53,18 @@ class IntegrityError(RuntimeError):
 class BackendConfig:
     """How to obtain model counts.
 
-    kind "builtin" uses the in-process counter; "external" runs
-    ``executable`` on a DIMACS file. ``args_template`` entries are passed
-    through, with "{cnf}" replaced by the file path (appended when no entry
-    mentions it).
+    Without an ``executable`` the in-process counter counts; with one, that
+    external counter runs on a DIMACS file. ``args_template`` entries are
+    passed through, with "{cnf}" replaced by the file path (appended when no
+    entry mentions it).
     """
 
-    kind: str = "builtin"
     executable: str | None = None
     args_template: list[str] = field(default_factory=list)
     timeout: float | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("builtin", "external"):
-            raise ValueError(f"unknown backend kind {self.kind!r}")
-        if self.kind == "external" and not self.executable:
-            raise ValueError("external backend needs an executable")
-
     def label(self) -> str:
-        if self.kind == "builtin":
-            return "builtin"
-        return f"exec:{self.executable}"
+        return f"exec:{self.executable}" if self.executable else "builtin"
 
 
 @dataclass
@@ -81,8 +74,8 @@ class CountReport:
     of the parts' completion-model counts. Enumeration reports the plain
     count with surplus zero, and whether it is below the cap
     (``exhausted``, None in the other modes). ``encode_time`` covers the
-    analysis, the parts' completions and the emitted files; ``count_time``
-    covers the rest, surplus formulas included."""
+    analysis and the parts' completions; ``count_time`` covers the rest,
+    surplus formulas included."""
 
     overcount: int
     surplus: int
@@ -106,27 +99,21 @@ def parse_counter_output(text: str) -> int:
 
     Recognized, in order of preference: an ``s mc <N>`` line, a
     ``c s exact arb int <N>`` line, and finally a line that is nothing but
-    an integer (the last such line wins).
+    a count (the last such line wins). A count is ASCII digits only; a line
+    with any other count token (a sign, say) is skipped.
     """
     bare = None
     arb = None
     for raw in text.splitlines():
         parts = raw.split()
-        if len(parts) == 3 and parts[0] == "s" and parts[1] == "mc":
-            try:
-                return int(parts[2])
-            except ValueError:
-                continue
-        if parts[:5] == ["c", "s", "exact", "arb", "int"] and len(parts) == 6:
-            try:
-                arb = int(parts[5])
-            except ValueError:
-                pass
+        if not (parts and parts[-1].isascii() and parts[-1].isdigit()):
+            continue
+        if len(parts) == 3 and parts[:2] == ["s", "mc"]:
+            return int(parts[2])
+        if len(parts) == 6 and parts[:5] == ["c", "s", "exact", "arb", "int"]:
+            arb = int(parts[5])
         if len(parts) == 1:
-            try:
-                bare = int(parts[0])
-            except ValueError:
-                pass
+            bare = int(parts[0])
     if arb is not None:
         return arb
     if bare is not None:
@@ -140,7 +127,7 @@ def external_projected_count(dimacs_path: str, config: BackendConfig) -> int:
     ``c p show`` line; counters without projection support simply count all
     models, which is only sound for formulas whose extra variables are
     defined functionally."""
-    if config.kind != "external":
+    if not config.executable:
         raise ValueError("external_projected_count needs an external backend")
     argv = [config.executable]
     replaced = False
@@ -200,18 +187,14 @@ def _count_part(
     loops: frozenset[int],
     completion: CompletionArtifact,
     config: BackendConfig,
-    surplus_anyway: bool,
     project_overcount: bool,
     tmp_dir: str | None,
 ) -> tuple[int, int]:
     """Count one part's completion formula and, when the part has loop
-    atoms or under ``surplus_anyway``, its surplus formula. Returns
-    (overcount, surplus). The external backend reads DIMACS files written
-    to ``tmp_dir``."""
-    surplus_art = None
-    if loops or surplus_anyway:
-        surplus_art = surplus_formula(program, completion, loops)
-    if config.kind == "external":
+    atoms, its surplus formula. Returns (overcount, surplus). An external
+    counter reads DIMACS files written to ``tmp_dir``."""
+    surplus_art = surplus_formula(program, completion, loops) if loops else None
+    if config.executable:
         paths = write_formulas(tmp_dir, program, completion, surplus_art, project_overcount)
         over = external_projected_count(paths[0], config)
         surplus = (
@@ -255,13 +238,10 @@ def _count_by_parts(
     mode: str,
     limit: int | None = None,
     config: BackendConfig | None = None,
-    emit_dir: str | None = None,
     project_overcount: bool = False,
-    surplus_anyway: bool = False,
-    analysis: Analysis | None = None,
 ) -> CountReport:
     """The counting loop of every mode ("subtractive", "enumeration" or
-    "hybrid"), over the parts of ``split(analysis)``.
+    "hybrid"), over the parts of ``split(Analysis(program))``.
 
     A part is counted by ``_count_part`` under ``config`` in "subtractive"
     mode, and in "hybrid" mode when it is tight or its enumeration reaches
@@ -270,19 +250,13 @@ def _count_by_parts(
     gives its completion models and its answer sets, whose products make
     the report. The loop stops at the first part that makes the reported
     product zero: the overcount in "subtractive" mode, the answer sets in
-    the others. ``emit_dir`` receives the whole program's formulas.
+    the others.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"{mode} limit must be at least 1")
     config = config or BackendConfig()
     t0 = time.perf_counter()
-    analysis = analysis or Analysis(program)
-    if emit_dir is not None:
-        completion = clark_completion(program)
-        surplus_art = None
-        if analysis.loops or surplus_anyway:
-            surplus_art = surplus_formula(program, completion, analysis.loops)
-        write_formulas(emit_dir, program, completion, surplus_art, project_overcount)
+    analysis = Analysis(program)
     parts = split(analysis)
     queue = []
     for i, (part, loops) in enumerate(parts):
@@ -292,7 +266,7 @@ def _count_by_parts(
 
     t1 = time.perf_counter()
     overcount, answer_sets, counted = 1, 1, False
-    if config.kind == "external":
+    if config.executable:
         scratch = tempfile.TemporaryDirectory(prefix="aspsubcount-")
     else:
         scratch = contextlib.nullcontext()
@@ -300,7 +274,7 @@ def _count_by_parts(
         for i, part, loops, completion, count in queue:
             if count:
                 over, surplus = _count_part(
-                    part, loops, completion, config, surplus_anyway, project_overcount,
+                    part, loops, completion, config, project_overcount,
                     tmp and os.path.join(tmp, f"part{i}"),
                 )
                 counted = True
@@ -337,62 +311,32 @@ def _count_by_parts(
 def subtractive_count(
     program: GroundProgram,
     config: BackendConfig | None = None,
-    emit_dir: str | None = None,
-    count_surplus_anyway: bool = False,
     project_overcount: bool = False,
-    analysis: Analysis | None = None,
 ) -> CountReport:
     """Count answer sets as completion models minus surplus, part by part.
 
     A part without loop atoms has surplus zero by construction, and its
-    surplus is not counted unless ``count_surplus_anyway`` is set.
-    ``analysis`` is the program's own, computed here when not given.
-    Raises IntegrityError if the counted surplus of a part exceeds its
-    overcount.
+    surplus is not counted. Raises IntegrityError if the counted surplus of
+    a part exceeds its overcount.
     """
-    return _count_by_parts(
-        program, "subtractive", None, config, emit_dir, project_overcount,
-        count_surplus_anyway, analysis,
-    )
+    return _count_by_parts(program, "subtractive", None, config, project_overcount)
 
 
-def enumerate_count(
-    program: GroundProgram, limit: int | None = None, analysis: Analysis | None = None
-) -> tuple[int, bool]:
-    """Enumerate answer sets part by part. Returns (count, exhausted): the
-    count is capped at ``limit`` (None: no cap), and exhausted is True only
-    when there are fewer answer sets than the limit."""
-    report = enumeration_report(program, limit, analysis)
-    return report.answer_sets, report.exhausted
-
-
-def enumeration_report(
-    program: GroundProgram,
-    limit: int | None = None,
-    analysis: Analysis | None = None,
-    emit_dir: str | None = None,
-    project_overcount: bool = False,
-) -> CountReport:
-    """``enumerate_count`` as a report; ``emit_dir`` and
-    ``project_overcount`` act on the emitted files as in
-    ``subtractive_count``."""
-    return _count_by_parts(
-        program, "enumeration", limit, None, emit_dir, project_overcount,
-        analysis=analysis,
-    )
+def enumerate_count(program: GroundProgram, limit: int | None = None) -> CountReport:
+    """Enumerate answer sets part by part. The report's count is capped at
+    ``limit`` (None: no cap), and ``exhausted`` is True only when there are
+    fewer answer sets than the limit."""
+    return _count_by_parts(program, "enumeration", limit)
 
 
 def hybrid_count(
     program: GroundProgram,
     threshold: int = 10_000,
     config: BackendConfig | None = None,
-    emit_dir: str | None = None,
     project_overcount: bool = False,
 ) -> CountReport:
     """Count tight parts under ``config``; enumerate each loop part up to
     ``threshold`` answer sets and count it (under ``project_overcount``)
     when the threshold is hit. The mode is "enumeration" when the answer
     sets number fewer than the threshold, and "hybrid" otherwise."""
-    return _count_by_parts(
-        program, "hybrid", threshold, config, emit_dir, project_overcount
-    )
+    return _count_by_parts(program, "hybrid", threshold, config, project_overcount)

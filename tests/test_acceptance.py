@@ -163,10 +163,13 @@ def test_acceptance_4_tight_identity():
     bad = []
     for i in range(100):
         program = parse_program(random_tight_program_text(rng))
-        report_obj = subtractive_count(program, count_surplus_anyway=True)
-        completion_count = count_models(clark_completion(program).cnf)
+        report_obj = subtractive_count(program)
+        completion = clark_completion(program)
+        completion_count = count_models(completion.cnf)
+        sur = surplus_formula(program, completion)
         if not (
-            report_obj.surplus == 0
+            projected_count(sur.cnf, sur.projection_out) == 0
+            and report_obj.surplus == 0
             and report_obj.loop_atom_count == 0
             and report_obj.answer_sets == completion_count
             and report_obj.answer_sets == count_answer_sets_bruteforce(program)
@@ -280,7 +283,7 @@ def test_acceptance_8_external_differential(fixture_programs, tmp_path):
         REPORT_LINES.append(line)
         print(line)
         pytest.skip("no external counter available")
-    config = BackendConfig(kind="external", executable=exe, timeout=60.0)
+    config = BackendConfig(executable=exe, timeout=60.0)
     bad = []
     for name, program in fixture_programs.items():
         if program.num_atoms > 12 or not loop_atoms(

@@ -327,6 +327,28 @@ class TestCountExternal:
             f"must be a positive finite number, got {timeout}"
         ]
 
+    def test_negative_count_is_a_backend_error(self, capsys, program_file, wrapper_factory):
+        wrapper = wrapper_factory("--projected-value", "-3")
+        path = program_file("a :- b.\nb :- a.\na | c.\n")
+        code, out, err = run_cli(capsys, "count", path, "--backend", f"exec:{wrapper}")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("aspsubcount: backend error: ")
+
+    def test_counts_past_4300_digits(self, capsys, program_file, tmp_path):
+        big = "1" + "0" * 5000
+        counter = tmp_path / "big-counter"
+        counter.write_text(f'#!/bin/sh\necho "s mc {big}"\n')
+        counter.chmod(0o755)
+        path = program_file("a | b.\n")
+        code, out, err = run_cli(capsys, "count", path, "--backend", f"exec:{counter}")
+        assert (code, err) == (0, "")
+        assert out.rstrip().endswith(f"answer sets: {big}")
+        code, out, _ = run_cli(
+            capsys, "count", path, "--backend", f"exec:{counter}", "--json"
+        )
+        assert code == 0 and f'"answer_sets": {big},' in out
+
     def test_bad_backend_specs(self, capsys, worked_path):
         code, _, err = run_cli(capsys, "count", worked_path, "--backend", "magic")
         assert code == 1 and "unknown backend" in err
@@ -431,6 +453,29 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "analyze", "/nonexistent/program.lp")
         assert code == 1
         assert "cannot read" in err
+
+    def assert_one_line(self, code, out, err, start):
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"aspsubcount: error: {start}")
+
+    def test_directory_as_program(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "count", str(tmp_path))
+        self.assert_one_line(code, out, err, f"cannot read {str(tmp_path)!r}: ")
+
+    def test_program_not_text(self, capsys, tmp_path):
+        path = tmp_path / "binary.lp"
+        path.write_bytes(b"a | b.\n\xff\xfe\n")
+        code, out, err = run_cli(capsys, "count", str(path))
+        self.assert_one_line(code, out, err, f"cannot read {str(path)!r}: ")
+
+    @pytest.mark.parametrize("command", ["count", "encode"])
+    def test_emit_cnf_onto_a_file(self, capsys, worked_path, tmp_path, command):
+        target = tmp_path / "taken"
+        target.write_text("")
+        code, out, err = run_cli(capsys, command, worked_path, "--emit-cnf", str(target))
+        self.assert_one_line(code, out, err, f"cannot write {str(target)!r}: ")
+        assert target.read_text() == ""
 
     def test_parse_error(self, capsys, program_file):
         code, _, err = run_cli(capsys, "count", program_file("a |\n"))

@@ -21,7 +21,9 @@ from aspsubcount import (
     surplus_formula,
 )
 
-from conftest import STUB
+from aspsubcount.cli import main
+
+from conftest import EXAMPLE1, FIXTURES, STUB
 from helpers import (
     answer_sets_by_definition,
     random_program_text,
@@ -29,9 +31,13 @@ from helpers import (
 )
 
 
+def enumerated(program, limit=None):
+    report = enumerate_count(program, limit)
+    return report.answer_sets, report.exhausted
+
+
 def stub_config(*flags, timeout=None):
     return BackendConfig(
-        kind="external",
         executable=sys.executable,
         args_template=[STUB, *flags, "{cnf}"],
         timeout=timeout,
@@ -53,14 +59,6 @@ class TestSubtractive:
         report = subtractive_count(fixture_programs["two_pairs"])
         assert (report.overcount, report.surplus, report.answer_sets) == (4, 0, 4)
         assert report.loop_atom_count == 0
-
-    def test_counting_surplus_anyway_changes_nothing(self, fixture_programs):
-        for name in ("pair", "two_pairs", "negtwo", "fact_chain", "empty"):
-            program = fixture_programs[name]
-            plain = subtractive_count(program)
-            forced = subtractive_count(program, count_surplus_anyway=True)
-            assert forced.surplus == 0, name
-            assert forced.answer_sets == plain.answer_sets, name
 
     def test_projected_overcount_changes_nothing(self, fixture_programs):
         for name, program in fixture_programs.items():
@@ -109,10 +107,18 @@ class TestSubtractive:
         )
 
 
+def emit_cnf(tmp_path, text, *flags):
+    """Run ``count --emit-cnf`` on ``text``; returns the output directory."""
+    path = tmp_path / "program.lp"
+    path.write_text(text)
+    out = tmp_path / "enc"
+    assert main(["count", str(path), *flags, "--emit-cnf", str(out)]) == 0
+    return out
+
+
 class TestEmittedFiles:
     def test_nontight_writes_both_formulas(self, example1, tmp_path):
-        out = tmp_path / "enc"
-        subtractive_count(example1, emit_dir=str(out))
+        out = emit_cnf(tmp_path, EXAMPLE1)
         assert sorted(os.listdir(out)) == ["phi1.cnf", "phi2.cnf", "phi2.map.json"]
         phi2 = (out / "phi2.cnf").read_text()
         assert "c p show 1 2 3 4 5 0" in phi2
@@ -121,41 +127,33 @@ class TestEmittedFiles:
         mapping = json.loads((out / "phi2.map.json").read_text())
         assert mapping == surplus_formula(example1).variable_map(example1)
 
-    def test_tight_writes_only_the_completion(self, fixture_programs, tmp_path):
-        out = tmp_path / "enc"
-        subtractive_count(fixture_programs["two_pairs"], emit_dir=str(out))
+    def test_tight_writes_only_the_completion(self, tmp_path):
+        out = emit_cnf(tmp_path, FIXTURES["two_pairs"])
         assert sorted(os.listdir(out)) == ["phi1.cnf"]
 
-    def test_tight_with_forced_surplus_writes_both(self, fixture_programs, tmp_path):
-        out = tmp_path / "enc"
-        subtractive_count(
-            fixture_programs["two_pairs"],
-            emit_dir=str(out),
-            count_surplus_anyway=True,
-        )
-        assert sorted(os.listdir(out)) == ["phi1.cnf", "phi2.cnf", "phi2.map.json"]
-
-    def test_projected_overcount_adds_show_line(self, example1, tmp_path):
-        out = tmp_path / "enc"
-        subtractive_count(example1, emit_dir=str(out), project_overcount=True)
+    def test_projected_overcount_adds_show_line(self, tmp_path):
+        out = emit_cnf(tmp_path, EXAMPLE1, "--project-overcount")
         assert "c p show 1 2 3 4 5 0" in (out / "phi1.cnf").read_text()
 
 
 class TestEnumerate:
     def test_worked_example(self, example1):
-        assert enumerate_count(example1) == (1, True)
-        assert enumerate_count(example1, limit=1) == (1, False)
+        assert enumerated(example1) == (1, True)
+        assert enumerated(example1, limit=1) == (1, False)
+        report = enumerate_count(example1)
+        assert (report.mode, report.overcount, report.surplus) == ("enumeration", 1, 0)
+        assert report.backend == "builtin"
 
     def test_limit_cuts_off(self, fixture_programs):
         two_pairs = fixture_programs["two_pairs"]
-        assert enumerate_count(two_pairs, limit=2) == (2, False)
-        assert enumerate_count(two_pairs, limit=4) == (4, False)
-        assert enumerate_count(two_pairs, limit=5) == (4, True)
-        assert enumerate_count(two_pairs) == (4, True)
+        assert enumerated(two_pairs, limit=2) == (2, False)
+        assert enumerated(two_pairs, limit=4) == (4, False)
+        assert enumerated(two_pairs, limit=5) == (4, True)
+        assert enumerated(two_pairs) == (4, True)
 
     def test_degenerate_programs(self, fixture_programs):
-        assert enumerate_count(fixture_programs["empty"]) == (1, True)
-        assert enumerate_count(fixture_programs["constraint_unsat"]) == (0, True)
+        assert enumerated(fixture_programs["empty"]) == (1, True)
+        assert enumerated(fixture_programs["constraint_unsat"]) == (0, True)
 
     def test_limit_validation(self, example1):
         with pytest.raises(ValueError):
@@ -166,7 +164,7 @@ class TestEnumerate:
         for _ in range(80):
             program = parse_program(random_program_text(rng, max_atoms=7))
             expected = count_answer_sets_bruteforce(program)
-            assert enumerate_count(program) == (expected, True)
+            assert enumerated(program) == (expected, True)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -180,8 +178,8 @@ class TestEnumerate:
         text = random_program_text(random.Random(seed), max_atoms=6)
         program = parse_program(text + ("zz :- zz.\n" if self_loop else ""))
         expected = len(answer_sets_by_definition(program))
-        assert enumerate_count(program, limit) == (min(limit, expected), expected < limit)
-        assert enumerate_count(program) == (expected, True)
+        assert enumerated(program, limit) == (min(limit, expected), expected < limit)
+        assert enumerated(program) == (expected, True)
 
 
 class TestHybrid:
@@ -241,6 +239,14 @@ class TestOutputParsing:
         assert parse_counter_output("c s exact arb int x\n8\n") == 8
         assert parse_counter_output("c s exact arb int 5 extra\n8\n") == 8
 
+    @pytest.mark.parametrize("token", ["-4", "+5", "\uff15", "1_000"])
+    def test_counts_are_ascii_digits_only(self, token):
+        for line in (f"s mc {token}", f"c s exact arb int {token}", token):
+            with pytest.raises(BackendOutputError):
+                parse_counter_output(line + "\n")
+            assert parse_counter_output(f"{line}\n8\n") == 8
+        assert parse_counter_output(f"3\ns mc {token}\n") == 3
+
     def test_no_count_anywhere(self):
         with pytest.raises(BackendOutputError):
             parse_counter_output("words only\n")
@@ -273,9 +279,7 @@ class TestExternalBackend:
             subtractive_count(example1, stub_config("--fail"))
 
     def test_missing_executable(self, example1):
-        config = BackendConfig(
-            kind="external", executable="/nonexistent/counter-binary"
-        )
+        config = BackendConfig(executable="/nonexistent/counter-binary")
         with pytest.raises(BackendFailure):
             subtractive_count(example1, config)
 
@@ -291,15 +295,8 @@ class TestExternalBackend:
             subtractive_count(example1, config)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BackendConfig(kind="magic")
-        with pytest.raises(ValueError):
-            BackendConfig(kind="external")
         assert BackendConfig().label() == "builtin"
-        assert (
-            BackendConfig(kind="external", executable="/bin/x").label()
-            == "exec:/bin/x"
-        )
+        assert BackendConfig(executable="/bin/x").label() == "exec:/bin/x"
 
     def test_tight_programs_skip_the_surplus_call(self):
         # a stub that lies about projected counts is never consulted on a

@@ -18,7 +18,6 @@ from aspsubcount import (
     clark_completion,
     count_answer_sets_bruteforce,
     count_models,
-    enumerate_count,
     hybrid_count,
     parse_program,
     projected_count,
@@ -26,9 +25,10 @@ from aspsubcount import (
     subtractive_count,
     surplus_formula,
 )
+from aspsubcount.cli import main
 
 from conftest import EXAMPLE1
-from test_counting import stub_config
+from test_counting import emit_cnf, enumerated, stub_config
 from helpers import (
     completion_models_by_definition,
     cycles_text,
@@ -114,7 +114,7 @@ class TestSplitCounts:
         assert count_models(completion.cnf) == completions
         assert projected_count(surplus.cnf, surplus.projection_out) == report.surplus
         # enumeration and hybrid, part by part
-        assert enumerate_count(union) == (answers, True)
+        assert enumerated(union) == (answers, True)
         hybrid = hybrid_count(union, threshold=threshold)
         assert hybrid.answer_sets == answers
         if answers < threshold:
@@ -143,15 +143,12 @@ class TestSplitCounts:
             assert report.overcount == completion_models_by_definition(program), text
 
     def test_count_surplus_anyway(self):
+        # the surplus of a tight part, which counting skips, counted for real
         program = parse_program(pairs_text(2, "t") + LOOPS_TWICE)
-        plain = subtractive_count(program)
-        forced = subtractive_count(program, count_surplus_anyway=True)
-        assert (forced.overcount, forced.surplus, forced.answer_sets) == (
-            plain.overcount,
-            plain.surplus,
-            plain.answer_sets,
-        )
-        assert plain.answer_sets == count_answer_sets_bruteforce(program)
+        [tight] = [part for part, loops in split(Analysis(program)) if not loops]
+        surplus = surplus_formula(tight, clark_completion(tight), frozenset())
+        assert projected_count(surplus.cnf, surplus.projection_out) == 0
+        assert subtractive_count(program).answer_sets == count_answer_sets_bruteforce(program)
 
     def test_project_overcount(self):
         program = parse_program(cycles_text(3) + pairs_text(2, "t"))
@@ -181,15 +178,14 @@ class TestSplitCounts:
         surplus = surplus_formula(example1, completion)
         assert (completion.cnf.num_vars, completion.cnf.num_clauses) == (6, 15)
         assert (surplus.cnf.num_vars, surplus.cnf.num_clauses) == (12, 36)
-        out = tmp_path / "enc"
-        subtractive_count(example1, emit_dir=str(out))
+        out = emit_cnf(tmp_path, EXAMPLE1)
         assert (out / "phi1.cnf").read_text() == completion.to_dimacs(example1)
         assert (out / "phi2.cnf").read_text() == surplus.to_dimacs(example1)
 
     def test_emitted_files_hold_the_whole_program(self, tmp_path):
-        program = parse_program(LOOPS_TWICE + pairs_text(1, "t"))
-        out = tmp_path / "enc"
-        subtractive_count(program, emit_dir=str(out))
+        text = LOOPS_TWICE + pairs_text(1, "t")
+        program = parse_program(text)
+        out = emit_cnf(tmp_path, text)
         completion = clark_completion(program)
         assert (out / "phi1.cnf").read_text() == completion.to_dimacs(program)
         phi2 = surplus_formula(program, completion).to_dimacs(program)
@@ -205,7 +201,7 @@ class TestSplitCounts:
         program = parse_program(EXAMPLE1 + cycles_text(2) + pairs_text(1, "t"))
         expected = subtractive_count(program).answer_sets
         assert expected == 4 * 2
-        assert enumerate_count(program) == (expected, True)
+        assert enumerated(program) == (expected, True)
         assert hybrid_count(program, threshold=3).answer_sets == expected
 
 
@@ -233,6 +229,21 @@ class TestAnalysisOnce:
         assert len(loop_atoms_calls) == 1
         assert hybrid_count(program, threshold=2).mode == "hybrid"
         assert len(loop_atoms_calls) == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--mode", "enumerate"], ["--mode", "hybrid", "--threshold", "2"],
+         ["--mode", "hybrid", "--threshold", "50"]],
+    )
+    def test_count_command(self, loop_atoms_calls, tmp_path, flags):
+        path = tmp_path / "program.lp"
+        path.write_text(cycles_text(2) + EXAMPLE1)
+        assert main(["count", str(path), *flags]) == 0
+        assert len(loop_atoms_calls) == 1
+        # the emitted files take one more analysis, of the whole program
+        out = tmp_path / "enc"
+        assert main(["count", str(path), *flags, "--emit-cnf", str(out)]) == 0
+        assert len(loop_atoms_calls) == 3
 
 
 ZERO_LOOP = "zx :- zy.\nzy :- zx.\n:- not zx.\n"
