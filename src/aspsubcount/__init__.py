@@ -10,12 +10,7 @@ ground truth.
 
 from .cnf import CnfFormula, dimacs, parse_dimacs
 from .completion import CompletionArtifact, clark_completion, completion_model_check
-from .copyenc import (
-    CopyProgram,
-    SurplusArtifact,
-    copy_operation,
-    surplus_formula,
-)
+from .copyenc import SurplusArtifact, copy_operation, surplus_formula
 from .counting import (
     BackendConfig,
     BackendError,

@@ -108,11 +108,6 @@ def _build_parser() -> _Parser:
         "--timeout", type=_positive_seconds, help="external counter timeout, seconds"
     )
     p_count.add_argument("--emit-cnf", metavar="DIR", default=None)
-    p_count.add_argument(
-        "--project-overcount",
-        action="store_true",
-        help="count the completion projected onto atom variables",
-    )
 
     p_oracle = sub.add_parser(
         "oracle", help="brute-force answer sets (small programs only)"
@@ -227,12 +222,14 @@ def _cmd_count(args) -> int:
     config = _backend_config(args)
     if args.mode == "enumerate" and args.backend and config.executable:
         return _usage_error("--mode enumerate runs no model counter; drop --backend")
+    if args.mode == "subtractive" and args.threshold is not None:
+        return _usage_error("--mode subtractive takes no --threshold")
     if args.emit_cnf is not None:
         # the whole program's formulas, while counting goes part by part
         completion = clark_completion(program)
         loops = Analysis(program).loops
         surplus = surplus_formula(program, completion, loops) if loops else None
-        write_formulas(args.emit_cnf, program, completion, surplus, args.project_overcount)
+        write_formulas(args.emit_cnf, program, completion, surplus)
     if args.mode == "enumerate":
         report = enumerate_count(program, args.threshold)
         if not report.exhausted:
@@ -240,11 +237,9 @@ def _cmd_count(args) -> int:
                 f"note: stopped at limit {args.threshold}; count is a lower bound\n"
             )
     elif args.mode == "hybrid":
-        report = hybrid_count(
-            program, args.threshold or 10_000, config, args.project_overcount
-        )
+        report = hybrid_count(program, args.threshold or 10_000, config)
     else:
-        report = subtractive_count(program, config, args.project_overcount)
+        report = subtractive_count(program, config)
     if args.json:
         _emit_json(report.to_json_dict())
     elif args.mode == "enumerate":

@@ -1,6 +1,11 @@
-"""CNF formulas over integer variables 1..num_vars, plus DIMACS text."""
+"""CNF formulas over integer variables 1..num_vars, plus DIMACS text.
 
-from dataclasses import dataclass, field
+The encoders share one variable layout: atom id i is variable i + 1, and
+every variable above the atoms (auxiliaries, copies, witnesses) is
+auxiliary, projected away when a formula is counted onto its atoms.
+"""
+
+from dataclasses import dataclass
 
 
 @dataclass
@@ -8,13 +13,11 @@ class CnfFormula:
     """An immutable-by-convention clause set.
 
     Clauses are tuples of nonzero literals; a positive literal v means
-    variable v is true. The registry maps semantic names (atom names, copy
-    names, auxiliary tags) to variable indices and is injective.
+    variable v is true.
     """
 
     num_vars: int
     clauses: list[tuple[int, ...]]
-    var_registry: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.num_vars < 0:
@@ -29,13 +32,6 @@ class CnfFormula:
                     raise ValueError(f"literal {lit} exceeds num_vars={self.num_vars}")
                 if -lit in lits:
                     raise ValueError(f"tautological clause {clause}")
-        seen = set()
-        for name, var in self.var_registry.items():
-            if not 1 <= var <= self.num_vars:
-                raise ValueError(f"registry entry {name!r} -> {var} out of range")
-            if var in seen:
-                raise ValueError("var_registry is not injective")
-            seen.add(var)
 
     @property
     def num_clauses(self) -> int:

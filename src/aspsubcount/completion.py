@@ -8,10 +8,11 @@ The encoding has three clause groups:
   from some rule that heads it, exclusively with respect to the other head
   atoms of that rule.
 
-Multi-literal support conjuncts get one auxiliary variable each, defined by
-a full biconditional, so every model over the atom variables extends to
-exactly one model of the CNF. Model counts over the CNF therefore equal
-model counts of the completion over the atoms.
+Atom id i is variable i + 1. Multi-literal support conjuncts get one
+auxiliary variable each, above the atoms, defined by a full biconditional,
+so every model over the atom variables extends to exactly one model of the
+CNF. The plain model count of the CNF therefore is the completion's model
+count over the atoms, and no projection is needed.
 """
 
 from dataclasses import dataclass
@@ -24,21 +25,20 @@ from .program import GroundProgram, Interpretation
 class CompletionArtifact:
     """CNF of the completion plus the variable bookkeeping.
 
-    atom_vars maps atom id to CNF variable (id + 1); aux_vars are the
-    Tseitin definitions; group_tags maps clause index to "G1"/"G2"/"G3";
-    aux_defs maps an auxiliary variable to the atom-literal conjunction it
-    abbreviates.
+    The first ``num_atoms`` variables are the atoms; aux_vars are the
+    Tseitin definitions above them; group_tags maps clause index to
+    "G1"/"G2"/"G3"; aux_defs maps an auxiliary variable to the atom-literal
+    conjunction it abbreviates.
     """
 
     cnf: CnfFormula
-    atom_vars: dict[int, int]
+    num_atoms: int
     aux_vars: frozenset[int]
     group_tags: dict[int, str]
     aux_defs: dict[int, tuple[int, ...]]
 
-    def to_dimacs(self, program: GroundProgram, show: list[int] | None = None) -> str:
-        names = {self.atom_vars[a.id]: a.name for a in program.atoms}
-        return dimacs(self.cnf, atom_names=names, show=show)
+    def to_dimacs(self, program: GroundProgram) -> str:
+        return dimacs(self.cnf, atom_names={a.id + 1: a.name for a in program.atoms})
 
 
 def _support_conjunct(rule, atom: int) -> tuple[int, ...] | None:
@@ -57,7 +57,6 @@ def clark_completion(program: GroundProgram) -> CompletionArtifact:
     """Build the completion CNF. Variable order: atoms first (atom id i is
     variable i + 1), auxiliaries after, in emission order."""
     n = program.num_atoms
-    registry = {a.name: a.id + 1 for a in program.atoms}
     clauses: list[tuple[int, ...]] = []
     tags: dict[int, str] = {}
     aux_defs: dict[int, tuple[int, ...]] = {}
@@ -123,7 +122,6 @@ def clark_completion(program: GroundProgram) -> CompletionArtifact:
                 continue
             d = next_var
             next_var += 1
-            registry[f"@d:{program.name_of(a)}:{len(aux_defs)}"] = d
             aux_defs[d] = lits
             for lit in lits:
                 emit((-d, lit), "G3")
@@ -131,10 +129,9 @@ def clark_completion(program: GroundProgram) -> CompletionArtifact:
             disjunction.append(d)
         emit(disjunction, "G3")
 
-    cnf = CnfFormula(next_var - 1, clauses, registry)
     return CompletionArtifact(
-        cnf=cnf,
-        atom_vars={a: a + 1 for a in range(n)},
+        cnf=CnfFormula(next_var - 1, clauses),
+        num_atoms=n,
         aux_vars=frozenset(range(n + 1, next_var)),
         group_tags=tags,
         aux_defs=aux_defs,
@@ -149,10 +146,9 @@ def completion_model_check(
     Auxiliary variables are forced by their definitions, so the extension is
     determined; evaluate every clause under it.
     """
-    num_atoms = len(artifact.atom_vars)
     values = [False] * (artifact.cnf.num_vars + 1)
     for a in interp:
-        if not 0 <= a < num_atoms:
+        if not 0 <= a < artifact.num_atoms:
             raise ValueError(f"atom id {a} out of range")
         values[a + 1] = True
 

@@ -11,9 +11,12 @@ clause families:
 
 The surplus formula conjoins the completion with two independent copies
 (prime and star), orders them pointwise (x' -> x*), and demands strictness
-somewhere (some x with x' false and x* true). Counting its models projected
-onto the atom variables counts exactly the completion models that are not
-answer sets, so subtracting yields the answer-set count.
+somewhere (some x with x' false and x* true). Atom id i is variable i + 1;
+the copies and the strictness witnesses come after the completion's
+variables, and counting the formula's models projected onto the atoms
+(everything above them projected away) counts exactly the completion
+models that are not answer sets, so subtracting yields the answer-set
+count.
 """
 
 from dataclasses import dataclass
@@ -24,30 +27,15 @@ from .depgraph import build_dependency_graph, loop_atoms
 from .program import GroundProgram
 
 
-@dataclass
-class CopyProgram:
-    """Clauses of one copy instance, over atom vars plus the given copies."""
-
-    tag: str
-    copy_map: dict[int, int]
-    type1: list[tuple[int, ...]]
-    type2: list[tuple[int, ...]]
-
-    @property
-    def clauses(self) -> list[tuple[int, ...]]:
-        return self.type1 + self.type2
-
-
 def copy_operation(
     program: GroundProgram,
     loops: frozenset[int],
     copy_map: dict[int, int],
-    tag: str = "'",
-) -> CopyProgram:
-    """Build the copy clauses for the given loop atoms.
+) -> list[tuple[int, ...]]:
+    """The copy clauses for the given loop atoms: type 1, then type 2.
 
     ``copy_map`` assigns each loop atom its copy variable; atom id i itself
-    is variable i + 1. For a tight program (no loop atoms) the result is
+    is variable i + 1. For a tight program (no loop atoms) the list is
     empty. Trivially true implications (a rule whose substituted head meets
     its substituted positive body) are dropped.
     """
@@ -58,8 +46,7 @@ def copy_operation(
     def f(x: int) -> int:
         return copy_map[x] if x in loops else x + 1
 
-    type1 = [(-copy_map[x], x + 1) for x in sorted(loops)]
-    type2 = []
+    clauses = [(-copy_map[x], x + 1) for x in sorted(loops)]
     for rule in program.rules:
         if not rule.head & loops:
             continue
@@ -68,37 +55,34 @@ def copy_operation(
         lits |= {c + 1 for c in rule.neg_body}
         if any(-lit in lits for lit in lits):
             continue
-        type2.append(tuple(sorted(lits, key=abs)))
-    return CopyProgram(tag, dict(copy_map), type1, type2)
+        clauses.append(tuple(sorted(lits, key=abs)))
+    return clauses
 
 
 @dataclass
 class SurplusArtifact:
     """The projected-counting side of the subtraction.
 
-    projection_out holds every non-atom variable (both copies and all
-    auxiliaries); counting models of ``cnf`` projected onto the remaining
-    atom variables counts completion models that are not answer sets.
+    The atoms are variables 1..n; projection_out holds every variable
+    above them (both copies and all auxiliaries). Counting models of
+    ``cnf`` projected onto the atoms counts completion models that are not
+    answer sets.
     """
 
     cnf: CnfFormula
     projection_out: frozenset[int]
-    atom_vars: dict[int, int]
     cv_prime: dict[int, int]
     cv_star: dict[int, int]
     aux_vars: frozenset[int]
 
-    def show_vars(self) -> list[int]:
-        return sorted(set(self.atom_vars.values()))
-
     def to_dimacs(self, program: GroundProgram) -> str:
-        names = {self.atom_vars[a.id]: a.name for a in program.atoms}
-        return dimacs(self.cnf, atom_names=names, show=self.show_vars())
+        names = {a.id + 1: a.name for a in program.atoms}
+        return dimacs(self.cnf, atom_names=names, show=sorted(names))
 
     def variable_map(self, program: GroundProgram) -> dict:
         name = program.name_of
         return {
-            "atoms": {name(a): v for a, v in sorted(self.atom_vars.items())},
+            "atoms": {a.name: a.id + 1 for a in program.atoms},
             "cv_prime": {name(a): v for a, v in sorted(self.cv_prime.items())},
             "cv_star": {name(a): v for a, v in sorted(self.cv_star.items())},
             "aux": sorted(self.aux_vars),
@@ -125,14 +109,9 @@ def surplus_formula(
     prime = {x: base + 1 + i for i, x in enumerate(ordered)}
     star = {x: base + 1 + len(ordered) + i for i, x in enumerate(ordered)}
 
-    registry = dict(completion.cnf.var_registry)
-    for x in ordered:
-        registry[program.name_of(x) + "'"] = prime[x]
-        registry[program.name_of(x) + "*"] = star[x]
-
     clauses = list(completion.cnf.clauses)
-    clauses += copy_operation(program, loops, prime, "'").clauses
-    clauses += copy_operation(program, loops, star, "*").clauses
+    clauses += copy_operation(program, loops, prime)
+    clauses += copy_operation(program, loops, star)
     for x in ordered:
         clauses.append((-prime[x], star[x]))
 
@@ -141,7 +120,6 @@ def surplus_formula(
     for x in ordered:
         e = next_var
         next_var += 1
-        registry[f"@strict:{program.name_of(x)}"] = e
         clauses.append((-e, -prime[x]))
         clauses.append((-e, star[x]))
         clauses.append((e, prime[x], -star[x]))
@@ -150,11 +128,9 @@ def surplus_formula(
 
     num_vars = next_var - 1
     n = program.num_atoms
-    cnf = CnfFormula(num_vars, clauses, registry)
     return SurplusArtifact(
-        cnf=cnf,
+        cnf=CnfFormula(num_vars, clauses),
         projection_out=frozenset(range(n + 1, num_vars + 1)),
-        atom_vars=dict(completion.atom_vars),
         cv_prime=prime,
         cv_star=star,
         aux_vars=completion.aux_vars | frozenset(witness_vars),

@@ -7,9 +7,12 @@ answer sets, by projected counting) or enumerated (the justified models
 of one search over its completion). Subtractive mode counts every part and
 enumeration mode enumerates every part; hybrid mode counts tight parts and
 enumerates each loop part up to the threshold, counting it when the
-threshold is hit. The three entry points, ``subtractive_count``,
-``enumerate_count`` and ``hybrid_count``, each return a ``CountReport``;
-writing the formulas to files is left to the caller (``write_formulas``).
+threshold is hit. A part's overcount is the plain model count of its
+completion, whose auxiliaries are all defined by its atoms; its surplus is
+the count of its surplus formula projected onto its atoms. The three entry
+points, ``subtractive_count``, ``enumerate_count`` and ``hybrid_count``,
+each return a ``CountReport``; writing the formulas to files is left to the
+caller (``write_formulas``).
 """
 
 import contextlib
@@ -144,6 +147,7 @@ def external_projected_count(dimacs_path: str, config: BackendConfig) -> int:
             argv,
             capture_output=True,
             text=True,
+            errors="replace",
             timeout=config.timeout,
         )
     except subprocess.TimeoutExpired as exc:
@@ -162,16 +166,12 @@ def write_formulas(
     program: GroundProgram,
     completion: CompletionArtifact,
     surplus_art: SurplusArtifact | None = None,
-    show_atoms: bool = False,
 ) -> list[str]:
-    """Write ``phi1.cnf`` (the completion, with a show line over the atom
-    variables when ``show_atoms``) and, given the surplus formula,
-    ``phi2.cnf`` and ``phi2.map.json`` into ``directory``. Returns the
-    paths written, in that order."""
+    """Write ``phi1.cnf`` (the completion) and, given the surplus formula,
+    ``phi2.cnf`` (with a show line over the atoms) and ``phi2.map.json``
+    into ``directory``. Returns the paths written, in that order."""
     os.makedirs(directory, exist_ok=True)
-    phi1_path = os.path.join(directory, "phi1.cnf")
-    show = sorted(completion.atom_vars.values()) if show_atoms else None
-    texts = [(phi1_path, completion.to_dimacs(program, show))]
+    texts = [(os.path.join(directory, "phi1.cnf"), completion.to_dimacs(program))]
     if surplus_art is not None:
         texts.append((os.path.join(directory, "phi2.cnf"), surplus_art.to_dimacs(program)))
         mapping = json.dumps(surplus_art.variable_map(program), indent=2, sort_keys=True)
@@ -187,24 +187,21 @@ def _count_part(
     loops: frozenset[int],
     completion: CompletionArtifact,
     config: BackendConfig,
-    project_overcount: bool,
     tmp_dir: str | None,
 ) -> tuple[int, int]:
     """Count one part's completion formula and, when the part has loop
-    atoms, its surplus formula. Returns (overcount, surplus). An external
-    counter reads DIMACS files written to ``tmp_dir``."""
+    atoms, its surplus formula projected onto the atoms. Returns
+    (overcount, surplus). An external counter reads DIMACS files written to
+    ``tmp_dir``."""
     surplus_art = surplus_formula(program, completion, loops) if loops else None
     if config.executable:
-        paths = write_formulas(tmp_dir, program, completion, surplus_art, project_overcount)
+        paths = write_formulas(tmp_dir, program, completion, surplus_art)
         over = external_projected_count(paths[0], config)
         surplus = (
             external_projected_count(paths[1], config) if surplus_art is not None else 0
         )
         return over, surplus
-    if project_overcount:
-        over = projected_count(completion.cnf, completion.aux_vars)
-    else:
-        over = count_models(completion.cnf)
+    over = count_models(completion.cnf)
     if surplus_art is None:
         return over, 0
     return over, projected_count(surplus_art.cnf, surplus_art.projection_out)
@@ -238,7 +235,6 @@ def _count_by_parts(
     mode: str,
     limit: int | None = None,
     config: BackendConfig | None = None,
-    project_overcount: bool = False,
 ) -> CountReport:
     """The counting loop of every mode ("subtractive", "enumeration" or
     "hybrid"), over the parts of ``split(Analysis(program))``.
@@ -274,8 +270,7 @@ def _count_by_parts(
         for i, part, loops, completion, count in queue:
             if count:
                 over, surplus = _count_part(
-                    part, loops, completion, config, project_overcount,
-                    tmp and os.path.join(tmp, f"part{i}"),
+                    part, loops, completion, config, tmp and os.path.join(tmp, f"part{i}")
                 )
                 counted = True
             else:
@@ -309,9 +304,7 @@ def _count_by_parts(
 
 
 def subtractive_count(
-    program: GroundProgram,
-    config: BackendConfig | None = None,
-    project_overcount: bool = False,
+    program: GroundProgram, config: BackendConfig | None = None
 ) -> CountReport:
     """Count answer sets as completion models minus surplus, part by part.
 
@@ -319,7 +312,7 @@ def subtractive_count(
     surplus is not counted. Raises IntegrityError if the counted surplus of
     a part exceeds its overcount.
     """
-    return _count_by_parts(program, "subtractive", None, config, project_overcount)
+    return _count_by_parts(program, "subtractive", None, config)
 
 
 def enumerate_count(program: GroundProgram, limit: int | None = None) -> CountReport:
@@ -333,10 +326,8 @@ def hybrid_count(
     program: GroundProgram,
     threshold: int = 10_000,
     config: BackendConfig | None = None,
-    project_overcount: bool = False,
 ) -> CountReport:
     """Count tight parts under ``config``; enumerate each loop part up to
-    ``threshold`` answer sets and count it (under ``project_overcount``)
-    when the threshold is hit. The mode is "enumeration" when the answer
+    ``threshold`` answer sets and count it when the threshold is hit. The mode is "enumeration" when the answer
     sets number fewer than the threshold, and "hybrid" otherwise."""
-    return _count_by_parts(program, "hybrid", threshold, config, project_overcount)
+    return _count_by_parts(program, "hybrid", threshold, config)

@@ -52,6 +52,26 @@ def _reduct_clauses(reduct: ReductProgram) -> list[tuple[int, ...]]:
     return clauses
 
 
+def _smaller_reduct_model(
+    program: GroundProgram, interp: Interpretation, droppable: frozenset[int]
+) -> frozenset[int] | None:
+    """A model of the reduct of ``program`` by ``interp`` that keeps every
+    atom false in ``interp`` false and every true atom outside
+    ``droppable`` true, and makes some atom of ``droppable`` false; the
+    set of its true atoms, or None when there is none."""
+    clauses = _reduct_clauses(gl_reduct(program, interp))
+    for x in range(program.num_atoms):
+        if x not in interp:
+            clauses.append((-(x + 1),))
+        elif x not in droppable:
+            clauses.append((x + 1,))
+    clauses.append(tuple(-(x + 1) for x in sorted(droppable)))
+    model = solve_clauses(clauses, program.num_atoms)
+    if model is None:
+        return None
+    return frozenset(x for x in interp if model[x + 1])
+
+
 def justification_check_all(
     program: GroundProgram, interp: Interpretation
 ) -> frozenset[int] | None:
@@ -64,15 +84,7 @@ def justification_check_all(
     """
     if not satisfies_program(interp, program):
         raise ValueError("interpretation is not a model of the program")
-    clauses = _reduct_clauses(gl_reduct(program, interp))
-    for x in range(program.num_atoms):
-        if x not in interp:
-            clauses.append((-(x + 1),))
-    clauses.append(tuple(-(x + 1) for x in sorted(interp)))
-    model = solve_clauses(clauses, program.num_atoms)
-    if model is None:
-        return None
-    return frozenset(x for x in interp if model[x + 1])
+    return _smaller_reduct_model(program, interp, interp)
 
 
 def is_answer_set(program: GroundProgram, interp: Interpretation) -> bool:
@@ -135,17 +147,7 @@ def justification_check_loops(
     _require_completion_model(program, interp, completion)
     if loops is None:
         loops = loop_atoms(build_dependency_graph(program))
-    clauses = _reduct_clauses(gl_reduct(program, interp))
-    for x in range(program.num_atoms):
-        if x not in interp:
-            clauses.append((-(x + 1),))
-        elif x not in loops:
-            clauses.append((x + 1,))
-    clauses.append(tuple(-(x + 1) for x in sorted(interp & loops)))
-    model = solve_clauses(clauses, program.num_atoms)
-    if model is None:
-        return None
-    return frozenset(x for x in range(program.num_atoms) if model[x + 1])
+    return _smaller_reduct_model(program, interp, interp & loops)
 
 
 def copy_checker(program: GroundProgram, loops: frozenset[int] | None = None):
@@ -162,7 +164,7 @@ def copy_checker(program: GroundProgram, loops: frozenset[int] | None = None):
     n = program.num_atoms
     ordered = sorted(loops)
     copies = {x: n + 1 + i for i, x in enumerate(ordered)}
-    formula = CnfFormula(n + len(ordered), copy_operation(program, loops, copies).clauses)
+    formula = CnfFormula(n + len(ordered), copy_operation(program, loops, copies))
 
     def check(interp: Interpretation) -> bool:
         assignment = {x + 1: (x in interp) for x in range(n)}

@@ -87,13 +87,9 @@ def test_acceptance_2_worked_example(example1):
     loops = loop_atoms(build_dependency_graph(example1))
     loop_names = sorted(example1.name_of(x) for x in loops)
 
-    cp = copy_operation(example1, loops, {3: 7, 4: 8})
-    copy_ok = cp.type1 == [(-7, 4), (-8, 5)] and cp.type2 == [
-        (3, 7),
-        (7, -8),
-        (-1, 8),
-        (-2, -7, 8),
-    ]
+    type1 = [(-7, 4), (-8, 5)]
+    type2 = [(3, 7), (7, -8), (-1, 8), (-2, -7, 8)]
+    copy_ok = copy_operation(example1, loops, {3: 7, 4: 8}) == type1 + type2
 
     m1 = example1.interpretation(["p0", "q0", "q1", "w"])
     m2 = example1.interpretation(["p1", "q0", "q1", "w"])

@@ -202,24 +202,21 @@ class TestCount:
         ],
     )
     def test_emit_cnf_in_every_mode(self, capsys, program_file, tmp_path, mode, text, files):
-        # hybrid's enumeration finishes below the threshold here; under
-        # --project-overcount phi1.cnf carries a show line in every mode
+        # hybrid's enumeration finishes below the threshold here
         path = program_file(text)
-        for flags in ([], ["--project-overcount"]):
-            reference = tmp_path / f"subtractive{len(flags)}"
-            code = run_cli(capsys, "count", path, *flags, "--emit-cnf", str(reference))[0]
-            assert code == 0
-            out_dir = tmp_path / f"{mode}{len(flags)}"
-            code, _, _ = run_cli(
-                capsys, "count", path, "--mode", mode, "--threshold", "50",
-                *flags, "--emit-cnf", str(out_dir),
-            )
-            assert code == 0
-            assert sorted(p.name for p in out_dir.iterdir()) == files
-            for name in files:
-                assert (out_dir / name).read_text() == (reference / name).read_text()
-            phi1 = (out_dir / "phi1.cnf").read_text()
-            assert ("\nc p show " in phi1) == bool(flags)
+        reference = tmp_path / "subtractive"
+        code = run_cli(capsys, "count", path, "--emit-cnf", str(reference))[0]
+        assert code == 0
+        out_dir = tmp_path / mode
+        code, _, _ = run_cli(
+            capsys, "count", path, "--mode", mode, "--threshold", "50",
+            "--emit-cnf", str(out_dir),
+        )
+        assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == files
+        for name in files:
+            assert (out_dir / name).read_text() == (reference / name).read_text()
+        assert "\nc p show " not in (out_dir / "phi1.cnf").read_text()
 
     @pytest.mark.parametrize("mode", ["enumerate", "hybrid"])
     @pytest.mark.parametrize("threshold", ["0", "-3"])
@@ -239,9 +236,27 @@ class TestCount:
         ]
 
     def test_project_overcount_flag(self, capsys, worked_path):
-        code, out, _ = run_cli(capsys, "count", worked_path, "--project-overcount")
-        assert code == 0
-        assert "answer sets: 1" in out
+        # no such flag: the completion's auxiliaries are all defined, so
+        # projecting them away changes no count
+        code, out, err = run_cli(capsys, "count", worked_path, "--project-overcount")
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [
+            "aspsubcount: error: unrecognized arguments: --project-overcount"
+        ]
+
+    def test_threshold_needs_a_mode_that_enumerates(self, capsys, worked_path):
+        code, out, err = run_cli(capsys, "count", worked_path, "--threshold", "5")
+        assert code == 1
+        assert out == ""
+        assert err == "aspsubcount: error: --mode subtractive takes no --threshold\n"
+        code, out, _ = run_cli(
+            capsys, "count", worked_path, "--mode", "subtractive", "--threshold", "5"
+        )
+        assert code == 1
+        assert out == ""
 
 
 class TestCountExternal:
@@ -348,6 +363,15 @@ class TestCountExternal:
             capsys, "count", path, "--backend", f"exec:{counter}", "--json"
         )
         assert code == 0 and f'"answer_sets": {big},' in out
+
+    def test_counter_output_not_text(self, capsys, program_file, tmp_path):
+        counter = tmp_path / "bytes-counter"
+        counter.write_text("#!/bin/sh\nprintf '\\377\\376 s mc 3\\n'\n")
+        counter.chmod(0o755)
+        path = program_file("a | b.\n")
+        code, out, err = run_cli(capsys, "count", path, "--backend", f"exec:{counter}")
+        assert (code, out) == (1, "")
+        assert err == "aspsubcount: backend error: no model count found in counter output\n"
 
     def test_bad_backend_specs(self, capsys, worked_path):
         code, _, err = run_cli(capsys, "count", worked_path, "--backend", "magic")

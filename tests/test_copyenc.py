@@ -34,67 +34,59 @@ class TestCopyOperation:
         # loop atoms q1 (id 3, var 4) and w (id 4, var 5); copies 6 and 7
         loops = program_loops(example1)
         assert loops == frozenset({3, 4})
-        cp = copy_operation(example1, loops, {3: 6, 4: 7})
-        assert cp.type1 == [(-6, 4), (-7, 5)]
-        assert cp.type2 == [(3, 6), (6, -7), (-1, 7), (-2, -6, 7)]
-        assert cp.clauses == cp.type1 + cp.type2
+        clauses = copy_operation(example1, loops, {3: 6, 4: 7})
+        type1 = [(-6, 4), (-7, 5)]
+        type2 = [(3, 6), (6, -7), (-1, 7), (-2, -6, 7)]
+        assert clauses == type1 + type2
 
     def test_constraint_contributes_nothing(self, example1):
         # the headless rule never meets the loop atoms
-        cp = copy_operation(example1, program_loops(example1), {3: 6, 4: 7})
-        assert len(cp.type2) == 4
+        clauses = copy_operation(example1, program_loops(example1), {3: 6, 4: 7})
+        assert len(clauses) == 2 + 4  # two type 1 clauses, four type 2
 
     def test_tight_program_is_empty(self):
         p = parse_program("a1 | b1.\na2 | b2.\n")
-        cp = copy_operation(p, frozenset(), {})
-        assert cp.type1 == [] and cp.type2 == []
+        assert copy_operation(p, frozenset(), {}) == []
 
     def test_disjunctive_loop_rule(self):
         p = parse_program("x | y :- z.\nz :- x.\nq | z.\n")
         loops = program_loops(p)
         assert loops == frozenset({0, 2})  # x and z
-        cp = copy_operation(p, loops, {0: 5, 2: 6})
-        assert cp.type1 == [(-5, 1), (-6, 3)]
+        type1 = [(-5, 1), (-6, 3)]
         # y (var 2) and q (var 4) keep their own variables
-        assert cp.type2 == [(2, 5, -6), (-5, 6), (4, 6)]
+        type2 = [(2, 5, -6), (-5, 6), (4, 6)]
+        assert copy_operation(p, loops, {0: 5, 2: 6}) == type1 + type2
 
     def test_self_loop_rule_becomes_tautology(self):
         p = parse_program("a :- a.\n")
-        cp = copy_operation(p, frozenset({0}), {0: 2})
-        assert cp.type1 == [(-2, 1)]
-        assert cp.type2 == []
+        # the type 1 clause only; the type 2 clause a' -> a' is dropped
+        assert copy_operation(p, frozenset({0}), {0: 2}) == [(-2, 1)]
 
     def test_negative_body_is_not_substituted(self):
         p = parse_program("a :- b, not a.\nb :- a.\n")
         loops = program_loops(p)
         assert loops == frozenset({0, 1})
-        cp = copy_operation(p, loops, {0: 3, 1: 4})
+        clauses = copy_operation(p, loops, {0: 3, 1: 4})
+        assert clauses[:2] == [(-3, 1), (-4, 2)]  # type 1
         # head a -> 3, pos body b -> 4, neg body a keeps var 1
-        assert (1, 3, -4) in cp.type2
-        assert (-3, 4) in cp.type2
+        assert (1, 3, -4) in clauses[2:]
+        assert (-3, 4) in clauses[2:]
 
     def test_missing_copy_variable(self, example1):
         with pytest.raises(ValueError):
             copy_operation(example1, program_loops(example1), {3: 6})
 
-    def test_tag_and_map_are_stored(self, example1):
-        given = {3: 6, 4: 7}
-        cp = copy_operation(example1, program_loops(example1), given, tag="*")
-        assert cp.tag == "*"
-        given[3] = 99
-        assert cp.copy_map == {3: 6, 4: 7}
-
 
 class TestSurplusWorkedExample:
     def test_variable_layout(self, example1):
         sur = surplus_formula(example1)
+        # atoms are variables 1..5; everything above them is projected away
         assert sur.cnf.num_vars == 12
-        assert sur.atom_vars == {0: 1, 1: 2, 2: 3, 3: 4, 4: 5}
         assert sur.cv_prime == {3: 7, 4: 8}
         assert sur.cv_star == {3: 9, 4: 10}
         assert sur.aux_vars == frozenset({6, 11, 12})
         assert sur.projection_out == frozenset(range(6, 13))
-        assert sur.show_vars() == [1, 2, 3, 4, 5]
+        assert "\nc p show 1 2 3 4 5 0\n" in sur.to_dimacs(example1)
 
     def test_ordering_and_strictness_clauses(self, example1):
         sur = surplus_formula(example1)
@@ -112,9 +104,7 @@ class TestSurplusWorkedExample:
     def test_unique_surplus_model_is_the_unfounded_one(self, example1):
         sur = surplus_formula(example1)
         m2 = example1.interpretation(["p1", "q0", "q1", "w"])
-        assumptions = {
-            var: (atom in m2) for atom, var in sur.atom_vars.items()
-        }
+        assumptions = {x + 1: (x in m2) for x in range(example1.num_atoms)}
         model = solve(sur.cnf, assumptions)
         assert model is not None
         # the witness sets both loop atoms strictly below the model copy
@@ -123,9 +113,7 @@ class TestSurplusWorkedExample:
         assert model[11] is True and model[12] is True
 
         m1 = example1.interpretation(["p0", "q0", "q1", "w"])
-        assumptions = {
-            var: (atom in m1) for atom, var in sur.atom_vars.items()
-        }
+        assumptions = {x + 1: (x in m1) for x in range(example1.num_atoms)}
         assert solve(sur.cnf, assumptions) is None
 
     def test_exactly_one_total_model(self, example1):
@@ -182,7 +170,7 @@ class TestSurplusProperties:
                     strict = strict or (s and not p)
                 assert strict, name
                 interp = frozenset(
-                    a for a, var in sur.atom_vars.items() if assignment[var]
+                    x for x in range(program.num_atoms) if assignment[x + 1]
                 )
                 seen.add(interp)
                 assert direct_completion_holds(program, interp), name

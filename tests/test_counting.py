@@ -60,13 +60,6 @@ class TestSubtractive:
         assert (report.overcount, report.surplus, report.answer_sets) == (4, 0, 4)
         assert report.loop_atom_count == 0
 
-    def test_projected_overcount_changes_nothing(self, fixture_programs):
-        for name, program in fixture_programs.items():
-            plain = subtractive_count(program)
-            projected = subtractive_count(program, project_overcount=True)
-            assert projected.overcount == plain.overcount, name
-            assert projected.answer_sets == plain.answer_sets, name
-
     def test_degenerate_programs(self, fixture_programs):
         assert subtractive_count(fixture_programs["empty"]).answer_sets == 1
         assert subtractive_count(fixture_programs["constraint_unsat"]).answer_sets == 0
@@ -130,10 +123,6 @@ class TestEmittedFiles:
     def test_tight_writes_only_the_completion(self, tmp_path):
         out = emit_cnf(tmp_path, FIXTURES["two_pairs"])
         assert sorted(os.listdir(out)) == ["phi1.cnf"]
-
-    def test_projected_overcount_adds_show_line(self, tmp_path):
-        out = emit_cnf(tmp_path, EXAMPLE1, "--project-overcount")
-        assert "c p show 1 2 3 4 5 0" in (out / "phi1.cnf").read_text()
 
 
 class TestEnumerate:
@@ -207,14 +196,6 @@ class TestHybrid:
                 assert report.answer_sets == expected, (name, threshold)
                 wanted = "enumeration" if expected < threshold else "hybrid"
                 assert report.mode == wanted, (name, threshold)
-
-    def test_fallback_follows_project_overcount(self, example1):
-        # the stub counts a formula without a show line as 999 models
-        config = stub_config("--plain-value", "999")
-        report = hybrid_count(example1, threshold=1, config=config, project_overcount=True)
-        assert report.mode == "hybrid"
-        assert (report.overcount, report.answer_sets) == (2, 1)
-        assert hybrid_count(example1, threshold=1, config=config).overcount == 999
 
 
 class TestOutputParsing:

@@ -1,10 +1,13 @@
 """README's "Library" section names the public API; every name it
-backticks must exist, so the documented API cannot drift from the code."""
+backticks must exist, so the documented API cannot drift from the code.
+Likewise every command-line flag README names must be accepted."""
 
+import argparse
 import os
 import re
 
 import aspsubcount
+from aspsubcount import cli
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -31,3 +34,19 @@ def test_library_names_resolve():
         match = re.fullmatch(r"([A-Za-z_]\w*(?:\.\w+)*)(\(.*\))?", span)
         assert match, f"`{span}` is not an identifier"
         assert resolves(match.group(1)), f"`{span}` is not in aspsubcount"
+
+
+def test_readme_flags_are_accepted():
+    text = open(README).read()
+    # the Install section's flags belong to pip, not to aspsubcount
+    text = re.sub(r"\n## Install\n.*?(?=\n## )", "", text, flags=re.S)
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
+    assert "--threshold" in flags
+    [subparsers] = [
+        action for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    accepted = set()
+    for subparser in subparsers.choices.values():
+        accepted |= set(subparser._option_string_actions)
+    assert sorted(flags - accepted) == []

@@ -150,11 +150,6 @@ class TestSplitCounts:
         assert projected_count(surplus.cnf, surplus.projection_out) == 0
         assert subtractive_count(program).answer_sets == count_answer_sets_bruteforce(program)
 
-    def test_project_overcount(self):
-        program = parse_program(cycles_text(3) + pairs_text(2, "t"))
-        report = subtractive_count(program, project_overcount=True)
-        assert (report.overcount, report.answer_sets) == (3**3 * 4, 2**3 * 4)
-
     def test_external_stub_on_two_components(self):
         program = parse_program(LOOPS_TWICE)
         builtin = subtractive_count(program)

@@ -1,9 +1,13 @@
 """The benchmark's tracer wraps functions by name; each one must still
-exist, or ``bench/run.py --trace 1`` cannot install."""
+exist, or ``bench/run.py --trace 1`` cannot install. A short traced run
+checks the rest: the tracer reads sizes off the encoders' results."""
 
 import importlib
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -18,3 +22,18 @@ def test_traced_functions_resolve():
     for module_name, func_name in tracing.TRACED:
         module = importlib.import_module(f"aspsubcount.{module_name}")
         assert callable(getattr(module, func_name, None)), f"{module_name}.{func_name}"
+
+
+def test_traced_run_reads_formula_sizes():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(BENCH, "run.py"), "--workload", "loops-split",
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    metrics = result["metrics"]
+    assert metrics["completion.phi1_vars"]["value"] > 0
+    assert metrics["copyenc.phi2_vars"]["value"] > 0
