@@ -166,14 +166,17 @@ def write_formulas(
     program: GroundProgram,
     completion: CompletionArtifact,
     surplus_art: SurplusArtifact | None = None,
+    variable_map: bool = True,
 ) -> list[str]:
     """Write ``phi1.cnf`` (the completion) and, given the surplus formula,
-    ``phi2.cnf`` (with a show line over the atoms) and ``phi2.map.json``
-    into ``directory``. Returns the paths written, in that order."""
+    ``phi2.cnf`` (with a show line over the atoms) and, if ``variable_map``,
+    ``phi2.map.json`` into ``directory``. Returns the paths written, in
+    that order."""
     os.makedirs(directory, exist_ok=True)
     texts = [(os.path.join(directory, "phi1.cnf"), completion.to_dimacs(program))]
     if surplus_art is not None:
         texts.append((os.path.join(directory, "phi2.cnf"), surplus_art.to_dimacs(program)))
+    if surplus_art is not None and variable_map:
         mapping = json.dumps(surplus_art.variable_map(program), indent=2, sort_keys=True)
         texts.append((os.path.join(directory, "phi2.map.json"), mapping + "\n"))
     for path, text in texts:
@@ -195,12 +198,9 @@ def _count_part(
     ``tmp_dir``."""
     surplus_art = surplus_formula(program, completion, loops) if loops else None
     if config.executable:
-        paths = write_formulas(tmp_dir, program, completion, surplus_art)
-        over = external_projected_count(paths[0], config)
-        surplus = (
-            external_projected_count(paths[1], config) if surplus_art is not None else 0
-        )
-        return over, surplus
+        paths = write_formulas(tmp_dir, program, completion, surplus_art, variable_map=False)
+        counts = [external_projected_count(path, config) for path in paths]
+        return counts[0], sum(counts[1:])  # no phi2.cnf: surplus 0
     over = count_models(completion.cnf)
     if surplus_art is None:
         return over, 0

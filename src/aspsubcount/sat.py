@@ -2,10 +2,11 @@
 counting, and projected model counting.
 
 They share one engine: ``_assign`` makes a literal true and propagates
-unit clauses; ``_search`` branches on it and yields the leaves of its
-decision tree, of which ``solve_clauses`` takes the first and ``models``
-expands every one; ``_pcount`` counts the assignments to a set of kept
-variables that extend to a model, and a plain count keeps every variable.
+unit clauses, each pass applying every literal made true so far;
+``_search`` branches on it and yields the leaves of its decision tree, of
+which ``solve_clauses`` takes the first and ``models`` expands every one;
+``_pcount`` counts the assignments to a set of kept variables that extend
+to a model, and a plain count keeps every variable.
 
 Counts are plain Python ints, so arbitrarily large totals are exact. The
 counter decomposes the clause set into variable-disjoint components and
@@ -77,32 +78,39 @@ def projected_count(formula: CnfFormula, project_out) -> int:
 
 
 def _assign(clauses, lit: int):
-    """Make ``lit`` true, then the first unit clause left, and so on until
-    no unit clause remains: drop satisfied clauses, strip false literals.
-    Returns (remaining clauses, literals made true), or None on a conflict.
+    """Make ``lit`` true and propagate unit clauses: drop satisfied clauses,
+    strip false literals, make each unit's literal true. Returns (remaining
+    clauses in their order, literals made true), or None on a conflict.
+
+    A pass applies every literal made true so far, its own units' included,
+    and drops each unit it applies. After a pass that made a literal true
+    the next runs the other way, so a chain of implications takes a few
+    passes whichever way it runs, not one pass per link.
 
     Stripped clauses are built as lists: tuples of the length of blocking
     clauses would pile up in the interpreter's tuple free lists.
     """
-    made = [lit]
+    made, true, false, forward = [lit], {lit}, {-lit}, True
     while True:
-        neg = -lit
-        unit = None
-        out = []
-        for clause in clauses:
-            if lit in clause:
+        before, out = len(made), []
+        for clause in clauses if forward else reversed(clauses):
+            if not true.isdisjoint(clause):
                 continue
-            if neg in clause:
-                clause = [x for x in clause if x != neg]
+            if not false.isdisjoint(clause):
+                clause = [x for x in clause if x not in false]
                 if not clause:
                     return None
-            if unit is None and len(clause) == 1:
-                unit = clause[0]
-            out.append(clause)
-        if unit is None:
+            if len(clause) == 1:
+                made.append(clause[0])
+                true.add(clause[0])
+                false.add(-clause[0])
+            else:
+                out.append(clause)
+        if not forward:
+            out.reverse()
+        if len(made) == before:
             return out, made
-        clauses, lit = out, unit
-        made.append(lit)
+        clauses, forward = out, not forward
 
 
 def _propagate(clauses):

@@ -3,6 +3,7 @@ engine, and prints the result in a configurable wire format. Used to
 exercise the subprocess adapter end to end without a third-party binary."""
 
 import argparse
+import os
 import sys
 import time
 
@@ -18,7 +19,17 @@ def main() -> int:
     ap.add_argument("--garbage", action="store_true")
     ap.add_argument("--plain-value", type=int, default=None)
     ap.add_argument("--projected-value", type=int, default=None)
+    ap.add_argument(
+        "--list-dir",
+        metavar="LOG",
+        help="append the sorted names in the input's directory to LOG, one line per call",
+    )
     args = ap.parse_args()
+
+    if args.list_dir:
+        names = sorted(os.listdir(os.path.dirname(os.path.abspath(args.cnf))))
+        with open(args.list_dir, "a") as log:
+            log.write(" ".join(names) + "\n")
 
     if args.sleep:
         time.sleep(args.sleep)

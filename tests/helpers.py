@@ -236,6 +236,16 @@ def cycles_text(k: int, p: str = "") -> str:
     )
 
 
+def chain_text(n: int) -> str:
+    """``x0 | y0.`` and ``x_{i+1} :- x_i. x_{i+1} | z_{i+1}.`` for i < n:
+    n+2 answer sets and completion models, tight. Once x_i holds, every
+    later x is implied, one link at a time."""
+    lines = ["x0 | y0.\n"]
+    for i in range(n):
+        lines.append(f"x{i + 1} :- x{i}.\nx{i + 1} | z{i + 1}.\n")
+    return "".join(lines)
+
+
 def prefixed(text: str, p: str) -> str:
     """Rename the ``a<i>`` atoms of a random program text to ``<p>a<i>``, so
     that blocks with distinct prefixes are atom-disjoint."""
@@ -249,3 +259,38 @@ def completion_models_by_definition(program) -> int:
         direct_completion_holds(program, interp)
         for interp in all_interpretations(program.num_atoms)
     )
+
+
+def reference_assign(clauses, lit: int):
+    """Unit propagation one unit per pass: make ``lit`` true, then the
+    first unit clause left, and so on until no unit clause remains, with a
+    pass over every clause per literal. Returns (remaining clauses,
+    literals made true) or None on a conflict, as ``sat._assign`` does."""
+    made = [lit]
+    while True:
+        neg = -lit
+        unit = None
+        out = []
+        for clause in clauses:
+            if lit in clause:
+                continue
+            if neg in clause:
+                clause = [x for x in clause if x != neg]
+                if not clause:
+                    return None
+            if unit is None and len(clause) == 1:
+                unit = clause[0]
+            out.append(clause)
+        if unit is None:
+            return out, made
+        clauses, lit = out, unit
+        made.append(lit)
+
+
+def reference_propagate(clauses):
+    """``reference_assign`` for clauses that may hold unit or empty clauses
+    of their own, as ``sat._propagate`` takes them."""
+    if any(not c for c in clauses):
+        return None
+    unit = next((c[0] for c in clauses if len(c) == 1), None)
+    return (clauses, []) if unit is None else reference_assign(clauses, unit)

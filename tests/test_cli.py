@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ from aspsubcount import subtractive_count
 from aspsubcount.cli import main
 
 from conftest import EXAMPLE1
+from helpers import chain_text
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +127,20 @@ class TestCount:
         assert "overcount: 2" in out
         assert "surplus: 1" in out
         assert out.rstrip().endswith("answer sets: 1")
+
+    @pytest.mark.parametrize("order", ["forward", "reversed", "shuffled"])
+    def test_chain_in_any_rule_order(self, capsys, program_file, order):
+        # each x_i implies the next; the rule order decides which way the
+        # implications run through the completion's clause list
+        lines = chain_text(200).splitlines(keepends=True)
+        if order == "reversed":
+            lines.reverse()
+        elif order == "shuffled":
+            random.Random(200).shuffle(lines)
+        code, out, _ = run_cli(capsys, "count", program_file("".join(lines)))
+        assert code == 0
+        assert "overcount: 202" in out
+        assert out.rstrip().endswith("answer sets: 202")
 
     def test_json_matches_library(self, capsys, worked_path, example1):
         code, out, _ = run_cli(capsys, "count", worked_path, "--json")

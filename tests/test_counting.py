@@ -279,6 +279,18 @@ class TestExternalBackend:
         assert BackendConfig().label() == "builtin"
         assert BackendConfig(executable="/bin/x").label() == "exec:/bin/x"
 
+    def test_counter_sees_only_the_cnf_files(self, tmp_path):
+        # a loop part (two calls), then a tight program (one call)
+        log = tmp_path / "listing"
+        for text, listing in (
+            ("a :- b.\nb :- a.\na | c.\n", ["phi1.cnf phi2.cnf"] * 2),
+            (FIXTURES["two_pairs"], ["phi1.cnf"]),
+        ):
+            log.write_text("")
+            config = stub_config("--list-dir", str(log))
+            subtractive_count(parse_program(text), config)
+            assert log.read_text().splitlines() == listing
+
     def test_tight_programs_skip_the_surplus_call(self):
         # a stub that lies about projected counts is never consulted on a
         # tight program, so the lie cannot reach the report

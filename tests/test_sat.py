@@ -14,7 +14,14 @@ from aspsubcount import (
 from aspsubcount import sat
 from aspsubcount.sat import _components, models
 
-from helpers import eval_clauses, random_cnf, tt_count, tt_projected_count
+from helpers import (
+    eval_clauses,
+    random_cnf,
+    reference_assign,
+    reference_propagate,
+    tt_count,
+    tt_projected_count,
+)
 
 
 class TestSolve:
@@ -206,6 +213,65 @@ class TestModels:
         assert all(m[1] for m in found)
         assert list(models([], 0)) == [{}]
         assert list(models([(1,), (-1,)], 2)) == []
+
+
+def propagation_input(rng: random.Random):
+    """Clauses drawn as ``random_cnf`` draws them (unit clauses and the odd
+    empty clause included), often with an implication chain over the
+    variables spliced in, in forward or reversed clause order; and a
+    literal to make true, often the one that sets the chain off."""
+    f = random_cnf(rng, max_vars=rng.choice([6, 16, 40]), max_clauses=rng.choice([10, 40, 80]))
+    clauses = list(f.clauses)
+    order = rng.sample(range(1, f.num_vars + 1), f.num_vars)
+    lit = rng.choice(order) * rng.choice([1, -1])
+    if rng.random() < 0.6:
+        chain = [(-a if rng.random() < 0.9 else a, b) for a, b in zip(order, order[1:])]
+        if rng.random() < 0.5:
+            chain.reverse()
+        at = rng.randint(0, len(clauses))
+        clauses[at:at] = chain
+        if rng.random() < 0.5:
+            lit = order[0]
+    return clauses, lit
+
+
+def assert_same_propagation(got, want):
+    """Same residual clauses in the same order, the same literals made true
+    (each once), and a conflict exactly when ``want`` has one."""
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got[0] == want[0]
+    assert len(got[1]) == len(set(got[1]))
+    assert set(got[1]) == set(want[1])
+
+
+class TestPropagation:
+    """``_assign`` and ``_propagate`` return what one-unit-per-pass
+    propagation returns, whichever way implications run through the list."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_one_unit_per_pass(self, seed):
+        clauses, lit = propagation_input(random.Random(seed))
+        assert_same_propagation(sat._assign(clauses, lit), reference_assign(clauses, lit))
+        assert_same_propagation(sat._propagate(clauses), reference_propagate(clauses))
+
+    def test_chain_in_either_order(self):
+        # 1 -> 2 -> ... -> n, and a clause per variable that the chain strips
+        n = 300
+        links = [(-v, v + 1) for v in range(1, n)]
+        stripped = [(-v, n + v, 2 * n + v) for v in range(1, n + 1)]
+        left = [[n + v, 2 * n + v] for v in range(1, n + 1)]
+        for clauses, expected in (
+            (links + stripped, left),
+            (stripped[::-1] + links[::-1], left[::-1]),
+        ):
+            rest, made = sat._assign(clauses, 1)
+            assert sorted(made) == list(range(1, n + 1))
+            assert rest == expected
+        assert sat._assign(links + [(-n,)], 1) is None
 
 
 class TestComponents:
