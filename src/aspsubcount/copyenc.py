@@ -9,14 +9,14 @@ clause families:
   implication with every loop atom in the head or positive body replaced by
   its copy (negative body atoms are never replaced).
 
-The surplus formula conjoins the completion with two independent copies
-(prime and star), orders them pointwise (x' -> x*), and demands strictness
-somewhere (some x with x' false and x* true). Atom id i is variable i + 1;
-the copies and the strictness witnesses come after the completion's
-variables, and counting the formula's models projected onto the atoms
-(everything above them projected away) counts exactly the completion
-models that are not answer sets, so subtracting yields the answer-set
-count.
+The surplus formula conjoins the completion with one copy (prime) and
+demands that it lie strictly below the atoms somewhere: a witness e_x
+implies x and not x' for each loop atom x, and some witness holds. Atom id
+i is variable i + 1; the copies and the witnesses come after the
+completion's variables, and counting the formula's models projected onto
+the atoms (everything above them projected away) counts exactly the
+completion models that are not answer sets, so subtracting yields the
+answer-set count.
 """
 
 from dataclasses import dataclass
@@ -64,15 +64,14 @@ class SurplusArtifact:
     """The projected-counting side of the subtraction.
 
     The atoms are variables 1..n; projection_out holds every variable
-    above them (both copies and all auxiliaries). Counting models of
-    ``cnf`` projected onto the atoms counts completion models that are not
-    answer sets.
+    above them (the prime copies, the witnesses and the completion's
+    auxiliaries). Counting models of ``cnf`` projected onto the atoms
+    counts completion models that are not answer sets.
     """
 
     cnf: CnfFormula
     projection_out: frozenset[int]
     cv_prime: dict[int, int]
-    cv_star: dict[int, int]
     aux_vars: frozenset[int]
 
     def to_dimacs(self, program: GroundProgram) -> str:
@@ -84,7 +83,6 @@ class SurplusArtifact:
         return {
             "atoms": {a.name: a.id + 1 for a in program.atoms},
             "cv_prime": {name(a): v for a, v in sorted(self.cv_prime.items())},
-            "cv_star": {name(a): v for a, v in sorted(self.cv_star.items())},
             "aux": sorted(self.aux_vars),
         }
 
@@ -97,7 +95,7 @@ def surplus_formula(
     """Build the subtrahend formula. ``loops`` are the program's loop
     atoms, computed here when not given.
 
-    For a tight program the strictness disjunction is empty, so the formula
+    For a tight program the witness disjunction is empty, so the formula
     contains an empty clause and is unsatisfiable (surplus zero).
     """
     if completion is None:
@@ -107,31 +105,20 @@ def surplus_formula(
     ordered = sorted(loops)
     base = completion.cnf.num_vars
     prime = {x: base + 1 + i for i, x in enumerate(ordered)}
-    star = {x: base + 1 + len(ordered) + i for i, x in enumerate(ordered)}
+    witness = {x: base + 1 + len(ordered) + i for i, x in enumerate(ordered)}
 
     clauses = list(completion.cnf.clauses)
     clauses += copy_operation(program, loops, prime)
-    clauses += copy_operation(program, loops, star)
     for x in ordered:
-        clauses.append((-prime[x], star[x]))
+        clauses.append((-witness[x], -prime[x]))
+        clauses.append((-witness[x], x + 1))
+    clauses.append(tuple(witness[x] for x in ordered))
 
-    next_var = base + 2 * len(ordered) + 1
-    witness_vars = []
-    for x in ordered:
-        e = next_var
-        next_var += 1
-        clauses.append((-e, -prime[x]))
-        clauses.append((-e, star[x]))
-        clauses.append((e, prime[x], -star[x]))
-        witness_vars.append(e)
-    clauses.append(tuple(witness_vars))
-
-    num_vars = next_var - 1
+    num_vars = base + 2 * len(ordered)
     n = program.num_atoms
     return SurplusArtifact(
         cnf=CnfFormula(num_vars, clauses),
         projection_out=frozenset(range(n + 1, num_vars + 1)),
         cv_prime=prime,
-        cv_star=star,
-        aux_vars=completion.aux_vars | frozenset(witness_vars),
+        aux_vars=completion.aux_vars | frozenset(witness.values()),
     )

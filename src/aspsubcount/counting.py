@@ -328,6 +328,7 @@ def hybrid_count(
     config: BackendConfig | None = None,
 ) -> CountReport:
     """Count tight parts under ``config``; enumerate each loop part up to
-    ``threshold`` answer sets and count it when the threshold is hit. The mode is "enumeration" when the answer
-    sets number fewer than the threshold, and "hybrid" otherwise."""
+    ``threshold`` answer sets and count it when the threshold is hit. The
+    mode is "enumeration" when the answer sets number fewer than the
+    threshold, and "hybrid" otherwise."""
     return _count_by_parts(program, "hybrid", threshold, config)

@@ -11,7 +11,15 @@ import re
 
 import numpy as np
 
-from aspsubcount import CnfFormula, gl_reduct, satisfies_program
+from aspsubcount import (
+    CnfFormula,
+    build_dependency_graph,
+    clark_completion,
+    copy_operation,
+    gl_reduct,
+    loop_atoms,
+    satisfies_program,
+)
 
 
 def tt_count(cnf: CnfFormula) -> int:
@@ -294,3 +302,83 @@ def reference_propagate(clauses):
         return None
     unit = next((c[0] for c in clauses if len(c) == 1), None)
     return (clauses, []) if unit is None else reference_assign(clauses, unit)
+
+
+def two_copy_surplus_formula(program) -> tuple[CnfFormula, frozenset]:
+    """The surplus formula with two copies of the loop atoms, prime and
+    star: the completion, both copies' copy clauses, the ordering x' -> x*
+    and a witness e_x <-> (not x' and x*) per loop atom, joined in one
+    disjunction. ``surplus_formula`` builds one copy instead and takes the
+    star copy to be the atoms themselves. Returns the formula and the
+    variables projected away (all above the atoms)."""
+    completion = clark_completion(program)
+    ordered = sorted(loop_atoms(build_dependency_graph(program)))
+    k = len(ordered)
+    base = completion.cnf.num_vars
+    prime = {x: base + 1 + i for i, x in enumerate(ordered)}
+    star = {x: base + 1 + k + i for i, x in enumerate(ordered)}
+    witness = {x: base + 1 + 2 * k + i for i, x in enumerate(ordered)}
+    clauses = list(completion.cnf.clauses)
+    clauses += copy_operation(program, frozenset(ordered), prime)
+    clauses += copy_operation(program, frozenset(ordered), star)
+    for x in ordered:
+        clauses.append((-prime[x], star[x]))
+        clauses.append((-witness[x], -prime[x]))
+        clauses.append((-witness[x], star[x]))
+        clauses.append((witness[x], prime[x], -star[x]))
+    clauses.append(tuple(witness[x] for x in ordered))
+    num_vars = base + 3 * k
+    return (
+        CnfFormula(num_vars, clauses),
+        frozenset(range(program.num_atoms + 1, num_vars + 1)),
+    )
+
+
+def random_qbf(
+    rng: random.Random, num_x: int, num_y: int, num_terms: int, width: int
+) -> tuple[int, int, list]:
+    """A random formula  exists X forall Y: DNF  as (num_x, num_y, terms).
+    Variables 0..num_x-1 are X, the next num_y are Y; a term is a tuple of
+    (variable, polarity) pairs over ``width`` distinct variables."""
+    terms = []
+    for _ in range(num_terms):
+        variables = rng.sample(range(num_x + num_y), width)
+        terms.append(tuple((v, rng.random() < 0.5) for v in variables))
+    return num_x, num_y, terms
+
+
+def qbf_saturation_text(qbf) -> str:
+    """The saturation encoding of an exists-forall QBF (Eiter & Gottlob
+    1995): ``x | nx.`` and ``y | ny.`` per variable, ``y :- w.`` and
+    ``ny :- w.`` per Y variable, ``w :- <term>.`` per DNF term and
+    ``:- not w.``. Its answer sets correspond one to one to the X
+    assignments under which every Y assignment satisfies the DNF."""
+    num_x, num_y, terms = qbf
+
+    def atom(v: int, positive: bool) -> str:
+        name = f"x{v}" if v < num_x else f"y{v - num_x}"
+        return name if positive else "n" + name
+
+    lines = [f"{atom(v, True)} | {atom(v, False)}.\n" for v in range(num_x + num_y)]
+    for v in range(num_x, num_x + num_y):
+        lines.append(f"{atom(v, True)} :- w.\n{atom(v, False)} :- w.\n")
+    for term in terms:
+        lines.append("w :- " + ", ".join(atom(v, pol) for v, pol in term) + ".\n")
+    lines.append(":- not w.\n")
+    return "".join(lines)
+
+
+def qbf_count(qbf) -> int:
+    """Number of X assignments under which every Y assignment satisfies
+    the DNF, by evaluating the formula directly. No ASP involved."""
+    num_x, num_y, terms = qbf
+    count = 0
+    for xs in range(1 << num_x):
+        count += all(
+            any(
+                all(((xs | ys << num_x) >> v & 1) == pol for v, pol in term)
+                for term in terms
+            )
+            for ys in range(1 << num_y)
+        )
+    return count

@@ -218,7 +218,7 @@ def test_acceptance_6_encoding_size():
         loops = loop_atoms(build_dependency_graph(program))
         if (
             sur.cnf.num_vars - len(sur.aux_vars)
-            != program.num_atoms + 2 * len(loops)
+            != program.num_atoms + len(loops)
         ):
             exact_vars = False
     ok = max_ratio <= 12 and exact_vars

@@ -93,7 +93,7 @@ class TestEncode:
         phi2 = (out_dir / "phi2.cnf").read_text()
         assert "p cnf 6 15" in phi1
         assert "c p show" not in phi1
-        assert "p cnf 12 36" in phi2
+        assert "p cnf 10 26" in phi2
         assert "c p show 1 2 3 4 5 0" in phi2
         assert "c atom w 5" in phi2
         mapping = json.loads((out_dir / "phi2.map.json").read_text())
@@ -109,7 +109,7 @@ class TestEncode:
         assert payload["schema"] == 1
         assert payload["atoms"] == 5
         assert payload["phi1_vars"] == 6
-        assert payload["phi2_vars"] == 12
+        assert payload["phi2_vars"] == 10
 
     def test_emit_dir_is_required(self, capsys, worked_path):
         code, _, err = run_cli(capsys, "encode", worked_path)

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aspsubcount import (
     build_dependency_graph,
@@ -19,9 +20,11 @@ from aspsubcount import (
 from helpers import (
     all_interpretations,
     answer_sets_by_definition,
+    completion_models_by_definition,
     direct_completion_holds,
     eval_clauses,
     random_program_text,
+    two_copy_surplus_formula,
 )
 
 
@@ -81,21 +84,23 @@ class TestSurplusWorkedExample:
     def test_variable_layout(self, example1):
         sur = surplus_formula(example1)
         # atoms are variables 1..5; everything above them is projected away
-        assert sur.cnf.num_vars == 12
+        assert sur.cnf.num_vars == 10
         assert sur.cv_prime == {3: 7, 4: 8}
-        assert sur.cv_star == {3: 9, 4: 10}
-        assert sur.aux_vars == frozenset({6, 11, 12})
-        assert sur.projection_out == frozenset(range(6, 13))
+        assert sur.aux_vars == frozenset({6, 9, 10})
+        assert sur.projection_out == frozenset(range(6, 11))
         assert "\nc p show 1 2 3 4 5 0\n" in sur.to_dimacs(example1)
 
-    def test_ordering_and_strictness_clauses(self, example1):
+    def test_strictness_clauses(self, example1):
         sur = surplus_formula(example1)
-        clauses = set(sur.cnf.clauses)
-        assert (-7, 9) in clauses and (-8, 10) in clauses
-        # strictness witness for q1: 11 <-> (not 7 and 9)
-        assert {(-11, -7), (-11, 9), (11, 7, -9)} <= clauses
-        assert sur.cnf.clauses[-1] == (11, 12)
-        assert sur.cnf.num_clauses == 36
+        comp = clark_completion(example1)
+        loops = program_loops(example1)
+        # the completion, one copy, then the witnesses: 9 for q1 (var 4)
+        # and 10 for w (var 5), each implying its atom and not its copy
+        witness = [(-9, -7), (-9, 4), (-10, -8), (-10, 5), (9, 10)]
+        assert sur.cnf.clauses == (
+            comp.cnf.clauses + copy_operation(example1, loops, sur.cv_prime) + witness
+        )
+        assert sur.cnf.num_clauses == 26
 
     def test_projected_count_is_one(self, example1):
         sur = surplus_formula(example1)
@@ -107,18 +112,30 @@ class TestSurplusWorkedExample:
         assumptions = {x + 1: (x in m2) for x in range(example1.num_atoms)}
         model = solve(sur.cnf, assumptions)
         assert model is not None
-        # the witness sets both loop atoms strictly below the model copy
-        assert model[7] is False and model[9] is True
-        assert model[8] is False and model[10] is True
-        assert model[11] is True and model[12] is True
+        # over the variables above the atoms, exactly these models extend
+        # m2: the completion auxiliary 6 true, both copies false, and any
+        # nonempty set of witnesses
+        extensions = set()
+        for bits in itertools.product([False, True], repeat=5):
+            full = {**assumptions, **dict(zip(range(6, 11), bits))}
+            if eval_clauses(sur.cnf.clauses, full):
+                extensions.add(bits)
+        assert extensions == {
+            (True, False, False, True, False),
+            (True, False, False, False, True),
+            (True, False, False, True, True),
+        }
 
         m1 = example1.interpretation(["p0", "q0", "q1", "w"])
         assumptions = {x + 1: (x in m1) for x in range(example1.num_atoms)}
         assert solve(sur.cnf, assumptions) is None
 
-    def test_exactly_one_total_model(self, example1):
+    def test_exactly_one_model_over_atoms_and_copies(self, example1):
+        # the witnesses are one-sided, so the one model over the atoms and
+        # the copies extends to one total model per nonempty witness set
         sur = surplus_formula(example1)
-        assert count_models(sur.cnf) == 1
+        assert projected_count(sur.cnf, sur.aux_vars) == 1
+        assert count_models(sur.cnf) == 3
 
     def test_explicit_completion_argument(self, example1):
         comp = clark_completion(example1)
@@ -132,7 +149,7 @@ class TestSurplusProperties:
         for name in ("pair", "two_pairs", "negtwo", "fact_chain", "empty"):
             sur = surplus_formula(fixture_programs[name])
             assert () in sur.cnf.clauses, name
-            assert sur.cv_prime == {} and sur.cv_star == {}
+            assert sur.cv_prime == {}
             assert projected_count(sur.cnf, sur.projection_out) == 0, name
 
     def test_variable_arithmetic(self):
@@ -143,15 +160,16 @@ class TestSurplusProperties:
             loops = program_loops(program)
             assert (
                 sur.cnf.num_vars - len(sur.aux_vars)
-                == program.num_atoms + 2 * len(loops)
+                == program.num_atoms + len(loops)
             )
             assert sur.projection_out == frozenset(
                 range(program.num_atoms + 1, sur.cnf.num_vars + 1)
             )
 
     def test_total_models_respect_copy_order(self, fixture_programs):
-        # every total model keeps prime pointwise at most star, strictly
-        # below somewhere, and projects to a completion non-answer-set
+        # every total model keeps prime pointwise at most the atoms,
+        # strictly below somewhere, and projects to a completion
+        # non-answer-set
         for name in ("worked", "selfloop", "posloop2", "mixloop"):
             program = fixture_programs[name]
             sur = surplus_formula(program)
@@ -165,7 +183,7 @@ class TestSurplusProperties:
                     continue
                 strict = False
                 for x in loops:
-                    p, s = assignment[sur.cv_prime[x]], assignment[sur.cv_star[x]]
+                    p, s = assignment[sur.cv_prime[x]], assignment[x + 1]
                     assert p <= s, name
                     strict = strict or (s and not p)
                 assert strict, name
@@ -191,6 +209,19 @@ class TestSurplusProperties:
             )
             assert projected_count(sur.cnf, sur.projection_out) == expected
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), force_loop=st.booleans())
+    def test_one_copy_counts_as_two_copies(self, seed, force_loop):
+        text = random_program_text(random.Random(seed), max_atoms=7, force_loop=force_loop)
+        program = parse_program(text)
+        sur = surplus_formula(program)
+        reference, project_out = two_copy_surplus_formula(program)
+        expected = completion_models_by_definition(program) - len(
+            answer_sets_by_definition(program)
+        )
+        assert projected_count(reference, project_out) == expected
+        assert projected_count(sur.cnf, sur.projection_out) == expected
+
     def test_dimacs_and_map_are_deterministic(self, example1):
         a = surplus_formula(example1)
         b = surplus_formula(example1)
@@ -198,6 +229,5 @@ class TestSurplusProperties:
         assert a.variable_map(example1) == {
             "atoms": {"p0": 1, "p1": 2, "q0": 3, "q1": 4, "w": 5},
             "cv_prime": {"q1": 7, "w": 8},
-            "cv_star": {"q1": 9, "w": 10},
-            "aux": [6, 11, 12],
+            "aux": [6, 9, 10],
         }

@@ -26,7 +26,10 @@ from aspsubcount.cli import main
 from conftest import EXAMPLE1, FIXTURES, STUB
 from helpers import (
     answer_sets_by_definition,
+    qbf_count,
+    qbf_saturation_text,
     random_program_text,
+    random_qbf,
     random_tight_program_text,
 )
 
@@ -115,7 +118,7 @@ class TestEmittedFiles:
         assert sorted(os.listdir(out)) == ["phi1.cnf", "phi2.cnf", "phi2.map.json"]
         phi2 = (out / "phi2.cnf").read_text()
         assert "c p show 1 2 3 4 5 0" in phi2
-        assert "p cnf 12 36" in phi2
+        assert "p cnf 10 26" in phi2
         assert "c p show" not in (out / "phi1.cnf").read_text()
         mapping = json.loads((out / "phi2.map.json").read_text())
         assert mapping == surplus_formula(example1).variable_map(example1)
@@ -196,6 +199,27 @@ class TestHybrid:
                 assert report.answer_sets == expected, (name, threshold)
                 wanted = "enumeration" if expected < threshold else "hybrid"
                 assert report.mode == wanted, (name, threshold)
+
+
+class TestQbfSaturation:
+    """Disjunctive programs with head cycles: the saturation encoding of
+    exists-forall QBFs, whose answer sets are counted by evaluating the QBF
+    directly."""
+
+    def test_every_mode_counts_the_qbf(self):
+        rng = random.Random(1995)
+        counts = []
+        for _ in range(40):
+            qbf = random_qbf(rng, num_x=5, num_y=3, num_terms=14, width=3)
+            expected = qbf_count(qbf)
+            counts.append(expected)
+            program = parse_program(qbf_saturation_text(qbf))
+            assert subtractive_count(program).answer_sets == expected
+            assert enumerate_count(program).answer_sets == expected
+            assert hybrid_count(program).answer_sets == expected
+            assert hybrid_count(program, threshold=4).answer_sets == expected
+        # neither every X assignment nor none of them succeeds
+        assert min(counts) < 12 and max(counts) > 20
 
 
 class TestOutputParsing:

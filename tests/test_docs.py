@@ -1,13 +1,14 @@
 """README's "Library" section names the public API; every name it
 backticks must exist, so the documented API cannot drift from the code.
-Likewise every command-line flag README names must be accepted."""
+Likewise every command-line flag README names must be accepted, and every
+key of the emitted variable map must be named in "Emitted files"."""
 
 import argparse
 import os
 import re
 
 import aspsubcount
-from aspsubcount import cli
+from aspsubcount import cli, surplus_formula
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -50,3 +51,12 @@ def test_readme_flags_are_accepted():
     for subparser in subparsers.choices.values():
         accepted |= set(subparser._option_string_actions)
     assert sorted(flags - accepted) == []
+
+
+def test_variable_map_keys_are_documented(example1):
+    text = open(README).read()
+    section = text.split("\n## Emitted files\n", 1)[1].split("\n## ", 1)[0]
+    keys = surplus_formula(example1).variable_map(example1)
+    assert len(keys) >= 3
+    for key in keys:
+        assert f"`{key}`" in section, f"phi2.map.json key {key!r} is not in README"
