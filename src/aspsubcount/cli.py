@@ -3,8 +3,8 @@
 Subcommands: analyze, encode, count, oracle, check. Programs are read from
 a file path or from standard input when the path is ``-``. Exit codes:
 0 success, 1 usage/input/backend failure (also recursion too deep or out of
-memory), 2 external-counter timeout, 3 integrity failure (surplus exceeded
-overcount).
+memory), 2 counter timeout (external or builtin), 3 integrity failure
+(surplus exceeded overcount).
 """
 
 import argparse
@@ -35,6 +35,7 @@ from .oracle import (
     justification_check_loops,
 )
 from .program import ParseError, lint, parse_program, satisfies_program
+from .sat import SearchTimeout, time_limit
 
 ENV_BACKEND = "ASPSUBCOUNT_BACKEND"
 
@@ -105,7 +106,11 @@ def _build_parser() -> _Parser:
         help=f"builtin or exec:PATH (default: ${ENV_BACKEND} or builtin)",
     )
     p_count.add_argument(
-        "--timeout", type=_positive_seconds, help="external counter timeout, seconds"
+        "--timeout",
+        type=_positive_seconds,
+        metavar="S",
+        help="stop the builtin counter S seconds after counting starts, "
+        "and each external counter call after S seconds (exit 2)",
     )
     p_count.add_argument("--emit-cnf", metavar="DIR", default=None)
 
@@ -230,16 +235,17 @@ def _cmd_count(args) -> int:
         loops = Analysis(program).loops
         surplus = surplus_formula(program, completion, loops) if loops else None
         write_formulas(args.emit_cnf, program, completion, surplus)
-    if args.mode == "enumerate":
-        report = enumerate_count(program, args.threshold)
-        if not report.exhausted:
-            sys.stderr.write(
-                f"note: stopped at limit {args.threshold}; count is a lower bound\n"
-            )
-    elif args.mode == "hybrid":
-        report = hybrid_count(program, args.threshold or 10_000, config)
-    else:
-        report = subtractive_count(program, config)
+    with time_limit(args.timeout):
+        if args.mode == "enumerate":
+            report = enumerate_count(program, args.threshold)
+            if not report.exhausted:
+                sys.stderr.write(
+                    f"note: stopped at limit {args.threshold}; count is a lower bound\n"
+                )
+        elif args.mode == "hybrid":
+            report = hybrid_count(program, args.threshold or 10_000, config)
+        else:
+            report = subtractive_count(program, config)
     if args.json:
         _emit_json(report.to_json_dict())
     elif args.mode == "enumerate":
@@ -376,7 +382,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"aspsubcount: parse error: {exc}\n")
         return 1
-    except BackendTimeout as exc:
+    except (BackendTimeout, SearchTimeout) as exc:
         sys.stderr.write(f"aspsubcount: {exc}\n")
         return 2
     except IntegrityError as exc:

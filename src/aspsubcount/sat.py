@@ -1,24 +1,73 @@
 """Self-contained SAT routines: solving, model enumeration, exact model
 counting, and projected model counting.
 
-They share one engine: ``_assign`` makes a literal true and propagates
-unit clauses, each pass applying every literal made true so far;
-``_search`` branches on it and yields the leaves of its decision tree, of
-which ``solve_clauses`` takes the first and ``models`` expands every one;
-``_pcount`` counts the assignments to a set of kept variables that extend
-to a model, and a plain count keeps every variable.
+They share one engine, ``_Trail``: one assignment array indexed by
+literal, and a trail of the literals made true, undone on backtrack.
+Occurrence lists per literal are built once per call, and each clause
+keeps a count of its true literals and of its literals not yet false, so
+making a literal true touches only the clauses that hold it or its
+negation, and unit clauses are found from the counts. No clause list is
+copied during the search.
 
-Counts are plain Python ints, so arbitrarily large totals are exact. The
-counter decomposes the clause set into variable-disjoint components and
-multiplies the per-component counts, which is what makes families of
-independent subproblems (count 2^k) tractable. Within one count it caches
-each component's count under its residual clause set, so a component that
-the search reaches again along another branch is counted once.
+``_Trail.leaves`` walks the decision tree (the last free literal of the
+first clause not yet satisfied, true first) and stops at each leaf, where
+every clause is satisfied: ``solve_clauses`` takes the first leaf and
+``models`` expands every one. ``_Trail.count`` counts the assignments to
+a set of kept variables that extend to a model, and a plain count keeps
+every variable. It splits the clauses not yet satisfied into components
+over the free variables, multiplies their counts, and branches on the kept
+variable with the most occurrences in a component (the smallest on ties).
+A component without kept variables is a leaf satisfiability check.
+
+Counts are plain Python ints, so arbitrarily large totals are exact. Every
+search runs on an explicit stack, so its depth is not bound by Python's
+recursion limit. Within one count, each component's count is cached under
+the exact key of its clause ids and variables, so a component that the
+search reaches again along another branch is counted once; the cache is
+emptied when it grows past ``CACHE_BYTES``. Inside ``time_limit`` every
+search checks a clock every 64 steps and raises ``SearchTimeout`` once the
+limit has passed.
 """
+
+import time
+from array import array
+from contextlib import contextmanager
+from itertools import chain
 
 from .cnf import CnfFormula
 
 PartialAssignment = dict[int, bool]
+
+# the size past which a count empties its component cache: each entry is
+# taken to cost its key's bytes plus CACHE_ENTRY_BYTES for the tuple, the two
+# bytes objects and the dict slot
+CACHE_BYTES = 1 << 24
+CACHE_ENTRY_BYTES = 200
+
+# (time.monotonic() deadline, seconds) while inside time_limit, else None
+_deadline = None
+
+
+class SearchTimeout(RuntimeError):
+    """A search ran past the limit set by ``time_limit``."""
+
+
+@contextmanager
+def time_limit(seconds: float | None):
+    """Make every search started in the block raise ``SearchTimeout`` once
+    ``seconds`` have passed from entering it (None: no limit)."""
+    global _deadline
+    saved = _deadline
+    _deadline = None if seconds is None else (time.monotonic() + seconds, seconds)
+    try:
+        yield
+    finally:
+        _deadline = saved
+
+
+def _check_clock():
+    if _deadline is not None and time.monotonic() > _deadline[0]:
+        raise SearchTimeout(f"builtin counter timed out after {_deadline[1]}s")
 
 
 def solve_clauses(
@@ -33,25 +82,27 @@ def solve_clauses(
     for var in assumptions:
         if not 1 <= var <= num_vars:
             raise ValueError(f"assumption variable {var} out of range")
-    units = [(var if value else -var,) for var, value in assumptions.items()]
-    return next(models(units + list(clauses), num_vars), None)
+    units = [var if value else -var for var, value in assumptions.items()]
+    return next(models(clauses, num_vars, units), None)
 
 
-def models(clauses, num_vars: int):
+def models(clauses, num_vars: int, units=()):
     """Every model of the clause sequence ``clauses`` over variables
-    1..num_vars, once each, as a total assignment. The first sets the
-    variables its search leaves free to false, as ``solve_clauses`` does;
-    their other values are expanded only after it has been taken."""
-    start = _propagate(clauses)
-    if start is None:
+    1..num_vars that makes the literals ``units`` true, once each, as a
+    total assignment. The first sets the variables its search leaves free
+    to false, as ``solve_clauses`` does; their other values are expanded
+    only after it has been taken."""
+    engine = _started(clauses, num_vars, units)
+    if engine is None:
         return
-    for made in _search(*start):
-        model = dict.fromkeys(range(1, num_vars + 1), False)
-        model.update((abs(lit), lit > 0) for lit in made)
+    value, span = engine.value, range(1, num_vars + 1)
+    for _ in engine.leaves(range(len(engine.clauses))):
+        model = {var: value[var] > 0 for var in span}
+        _check_clock()
         yield model
-        fixed = {abs(lit) for lit in made}
-        free = [var for var in model if var not in fixed]
+        free = [var for var in span if not value[var]]
         for mask in range(1, 1 << len(free)):
+            _check_clock()
             yield model | {var: bool(mask >> i & 1) for i, var in enumerate(free)}
 
 
@@ -63,7 +114,7 @@ def solve(
 
 def count_models(formula: CnfFormula) -> int:
     """Exact number of satisfying assignments over all num_vars variables."""
-    return _count_from(formula.clauses, set(range(1, formula.num_vars + 1)))
+    return _count_from(formula.clauses, formula.num_vars, ())
 
 
 def projected_count(formula: CnfFormula, project_out) -> int:
@@ -73,150 +124,265 @@ def projected_count(formula: CnfFormula, project_out) -> int:
     for var in out:
         if not 1 <= var <= formula.num_vars:
             raise ValueError(f"projected variable {var} out of range")
-    kept = set(range(1, formula.num_vars + 1)) - out
-    return _count_from(formula.clauses, kept)
+    return _count_from(formula.clauses, formula.num_vars, out)
 
 
-def _assign(clauses, lit: int):
-    """Make ``lit`` true and propagate unit clauses: drop satisfied clauses,
-    strip false literals, make each unit's literal true. Returns (remaining
-    clauses in their order, literals made true), or None on a conflict.
-
-    A pass applies every literal made true so far, its own units' included,
-    and drops each unit it applies. After a pass that made a literal true
-    the next runs the other way, so a chain of implications takes a few
-    passes whichever way it runs, not one pass per link.
-
-    Stripped clauses are built as lists: tuples of the length of blocking
-    clauses would pile up in the interpreter's tuple free lists.
-    """
-    made, true, false, forward = [lit], {lit}, {-lit}, True
-    while True:
-        before, out = len(made), []
-        for clause in clauses if forward else reversed(clauses):
-            if not true.isdisjoint(clause):
-                continue
-            if not false.isdisjoint(clause):
-                clause = [x for x in clause if x not in false]
-                if not clause:
-                    return None
-            if len(clause) == 1:
-                made.append(clause[0])
-                true.add(clause[0])
-                false.add(-clause[0])
-            else:
-                out.append(clause)
-        if not forward:
-            out.reverse()
-        if len(made) == before:
-            return out, made
-        clauses, forward = out, not forward
-
-
-def _propagate(clauses):
-    """``_assign`` for clauses that may hold unit or empty clauses of their
-    own; None if they propagate to a conflict."""
-    if any(not c for c in clauses):
-        return None
-    unit = next((c[0] for c in clauses if len(c) == 1), None)
-    return (clauses, []) if unit is None else _assign(clauses, unit)
-
-
-def _search(clauses, made):
-    """The leaves of the search below the unit-free ``clauses``: each is
-    ``made`` extended by literals that satisfy every clause, leaving the
-    other variables free. No two leaves share a model."""
-    if not clauses:
-        yield made
-        return
-    var = abs(clauses[0][-1])
-    for lit in (var, -var):
-        step = _assign(clauses, lit)
-        if step is not None:
-            yield from _search(step[0], made + step[1])
-
-
-def _components(clauses):
-    """Partition clauses into variable-disjoint groups in one pass: each
-    clause joins the groups of its variables, the smaller of two groups
-    merged into the larger. Returns [(clauses, vars)] sorted by smallest
-    variable."""
-    group_of: dict[int, tuple[list, set[int]]] = {}
-    for clause in clauses:
-        group = None
-        for lit in clause:
-            other = group_of.get(abs(lit))
-            if other is None or other is group:
-                continue
-            if group is None:
-                group = other
-                continue
-            if len(other[1]) > len(group[1]):
-                group, other = other, group
-            group[0].extend(other[0])
-            group[1].update(other[1])
-            for var in other[1]:
-                group_of[var] = group
-        if group is None:
-            group = ([], set())
-        group[0].append(clause)
-        for lit in clause:
-            group[1].add(abs(lit))
-            group_of[abs(lit)] = group
-    groups = {id(group): group for group in group_of.values()}
-    return sorted(groups.values(), key=lambda group: min(group[1]))
-
-
-def _pick_var(clauses, candidates: set[int]) -> int:
-    counts: dict[int, int] = {}
-    for clause in clauses:
-        for lit in clause:
-            var = abs(lit)
-            if var in candidates:
-                counts[var] = counts.get(var, 0) + 1
-    return max(counts, key=lambda v: (counts[v], -v))
-
-
-def _count_from(clauses, kept: set[int]) -> int:
-    """``_pcount`` for clauses that may hold unit or empty clauses, with a
-    component cache of its own."""
-    start = _propagate(clauses)
-    if start is None:
+def _count_from(clauses, num_vars: int, out) -> int:
+    engine = _started(clauses, num_vars)
+    if engine is None:
         return 0
-    rest, made = start
-    return _pcount(rest, kept.difference(abs(lit) for lit in made), {})
+    kept = bytearray([1]) * (2 * engine.num_vars + 1)
+    for var in out:
+        kept[var] = kept[-var] = 0
+    return engine.count(kept)
 
 
-def _pcount(clauses, kept: set[int], cache: dict) -> int:
-    """Number of assignments to the ``kept`` variables that extend to a
-    model of the unit-free ``clauses``.
+def _started(clauses, num_vars: int, units=()):
+    """A ``_Trail`` over ``clauses`` with ``units`` and the literals of
+    unit clauses made true and propagated; None if a clause is empty or
+    propagation conflicts."""
+    clauses = list(clauses)
+    if not all(clauses):
+        return None
+    engine = _Trail(clauses, num_vars)
+    if engine.assign(list(units) + [c[0] for c in clauses if len(c) == 1]):
+        return engine
+    return None
 
-    ``cache`` maps a component's clause set to its count. The clause set
-    fixes the component's kept variables (its variables among those kept at
-    the top), so the cache is sound within one top-level count only."""
-    total = 1
-    constrained: set[int] = set()
-    for comp_clauses, comp_vars in _components(clauses):
-        constrained |= comp_vars
-        key = frozenset(map(tuple, comp_clauses))
-        sub = cache.get(key)
-        if sub is None:
-            comp_kept = comp_vars & kept
-            if not comp_kept:
-                # residual constraints touch only projected variables: a
-                # factor of 1 if satisfiable, else the branch dies
-                sub = int(solve_clauses(comp_clauses, max(comp_vars)) is not None)
+
+class _Trail:
+    """A clause list with one assignment, kept on a trail.
+
+    ``value[lit]`` is 1 when ``lit`` is true, -1 when false and 0 when its
+    variable is free; a literal indexes the per-literal lists directly,
+    negative ones from the end. ``ntrue[c]`` counts the true literals of
+    clause ``c`` and ``nfree[c]`` its literals not yet false, so ``c`` is
+    satisfied when ``ntrue[c]`` is nonzero and unit when it is zero and
+    ``nfree[c]`` is one. The marks that ``split`` uses are allocated on its
+    first call.
+    """
+
+    __slots__ = (
+        "clauses", "num_vars", "occ", "value", "ntrue", "nfree", "trail",
+        "seen_v", "seen_c", "stamp",
+    )
+
+    def __init__(self, clauses: list, num_vars: int):
+        self.clauses = clauses
+        num_vars = max(num_vars, max(map(abs, chain.from_iterable(clauses)), default=0))
+        self.num_vars = num_vars
+        self.occ = occ = [[] for _ in range(2 * num_vars + 1)]
+        for c, clause in enumerate(clauses):
+            for lit in clause:
+                occ[lit].append(c)
+        self.value = [0] * (2 * num_vars + 1)
+        self.ntrue = [0] * len(clauses)
+        self.nfree = list(map(len, clauses))
+        self.trail = []
+        self.seen_c = None
+
+    def assign(self, queue: list) -> bool:
+        """Make the literals of ``queue`` true in turn, appending each unit
+        literal that follows, until none is left. Returns False on a
+        conflict; what was made true stays on the trail either way."""
+        clauses, occ, value = self.clauses, self.occ, self.value
+        ntrue, nfree, trail = self.ntrue, self.nfree, self.trail
+        for lit in queue:
+            state = value[lit]
+            if state:
+                if state < 0:
+                    return False
+                continue
+            value[lit] = 1
+            value[-lit] = -1
+            trail.append(lit)
+            for c in occ[lit]:
+                ntrue[c] += 1
+            conflict = False
+            for c in occ[-lit]:
+                left = nfree[c] - 1
+                nfree[c] = left
+                if left < 2 and not ntrue[c]:
+                    if not left:
+                        conflict = True
+                        continue
+                    for x in clauses[c]:
+                        if not value[x]:
+                            queue.append(x)
+                            break
+            if conflict:
+                return False
+        return True
+
+    def undo(self, mark: int) -> None:
+        """Free every literal made true after the trail had ``mark``
+        entries."""
+        occ, value, ntrue, nfree, trail = (
+            self.occ, self.value, self.ntrue, self.nfree, self.trail
+        )
+        for lit in trail[mark:]:
+            value[lit] = value[-lit] = 0
+            for c in occ[lit]:
+                ntrue[c] -= 1
+            for c in occ[-lit]:
+                nfree[c] += 1
+        del trail[mark:]
+
+    def leaves(self, ids):
+        """Search the clauses ``ids`` (ascending): branch on the last free
+        literal of the first clause not yet satisfied, true first. Yields
+        at each leaf, with every clause of ``ids`` satisfied and the leaf's
+        assignment on the trail. No two leaves share a model. The caller
+        undoes the trail afterwards."""
+        ntrue, value, clauses, trail = self.ntrue, self.value, self.clauses, self.trail
+        deadline, steps = _deadline, 0
+        stack = []  # (trail mark, variable, position) per open decision
+        pos, end = 0, len(ids)
+        while True:
+            while pos < end and ntrue[ids[pos]]:
+                pos += 1
+            if pos == end:
+                yield True
+                ok = False
             else:
-                var = _pick_var(comp_clauses, comp_kept)
-                sub = 0
-                for lit in (var, -var):
-                    step = _assign(comp_clauses, lit)
-                    if step is not None:
-                        rest, made = step
-                        left = comp_kept.difference(abs(x) for x in made)
-                        sub += _pcount(rest, left, cache)
-            cache[key] = sub
-        if sub == 0:
-            return 0
-        total *= sub
-    return total << len(kept - constrained)
+                steps += 1
+                if deadline is not None and not steps & 63:
+                    _check_clock()
+                for lit in reversed(clauses[ids[pos]]):
+                    if not value[lit]:
+                        break
+                var = lit if lit > 0 else -lit
+                stack.append((len(trail), var, pos))
+                ok = self.assign([var])
+            while not ok:
+                if not stack:
+                    return
+                mark, var, pos = stack.pop()
+                self.undo(mark)
+                ok = self.assign([-var])
+
+    def satisfiable(self, ids) -> bool:
+        mark = len(self.trail)
+        found = any(self.leaves(ids))
+        self.undo(mark)
+        return found
+
+    def count(self, kept: bytearray) -> int:
+        """Number of assignments to the free variables with ``kept[v]`` set
+        that extend the trail to a model.
+
+        Each stack entry is a component being branched on, as the list [key,
+        kept variable count, variables, the decision literal of the branch
+        being taken, trail mark, sum of the branches done, and its parent's
+        components, the index of the next of them and their product so
+        far]."""
+        trail = self.trail
+        deadline, steps = _deadline, 0
+        cache, cache_bytes = {}, 0
+        every = range(1, self.num_vars + 1)
+        comps = self.split(every, kept, False)
+        free = sum(kept[v] for v in every if not self.value[v])
+        product = 1 << (free - sum(comp[1] for comp in comps))
+        index = 0
+        stack = []
+        while True:
+            steps += 1
+            if deadline is not None and not steps & 63:
+                _check_clock()
+            if product and index < len(comps):
+                key, nkept, var, items = comps[index]
+                index += 1
+                sub = cache.get(key)  # a key of None is never stored
+                if sub is None and not nkept:
+                    sub = int(self.satisfiable(items))
+                    if key is not None:
+                        cache[key] = sub
+                if sub is not None:
+                    product *= sub
+                    continue
+                node = [key, nkept, items, var, len(trail), 0, comps, index, product]
+                stack.append(node)
+            else:
+                if not stack:
+                    return product
+                node = stack[-1]
+                self.undo(node[4])
+                node[5] += product
+                if node[3] > 0:
+                    node[3] = -node[3]
+                else:
+                    stack.pop()
+                    key, total = node[0], node[5]
+                    if key is not None:
+                        if cache_bytes > CACHE_BYTES:
+                            cache.clear()
+                            cache_bytes = 0
+                        cache[key] = total
+                        cache_bytes += CACHE_ENTRY_BYTES + len(key[0]) + len(key[1])
+                    comps, index, product = node[6], node[7], node[8] * total
+                    continue
+            # take the branch node[3] of the component on top of the stack;
+            # what it makes true lies in the component
+            mark, index = node[4], 0
+            if not self.assign([node[3]]):
+                comps, product = (), 0
+            elif len(trail) - mark == len(node[2]):
+                comps, product = (), 1
+            else:
+                left = node[1] - sum(map(kept.__getitem__, trail[mark:]))
+                comps = self.split(node[2], kept, True)
+                product = 1 << (left - sum(comp[1] for comp in comps))
+
+    def split(self, seeds, kept, keyed: bool) -> list:
+        """The components of the clauses not yet satisfied that hold a free
+        variable among ``seeds`` (ascending), in order of their smallest
+        variable. Free variables in no such clause are left out.
+
+        Each component is (key, kept variable count, decision variable,
+        items). The key is the bytes of its sorted clause ids and of its
+        sorted variables, or None without ``keyed``. The decision variable
+        is the kept variable with the most occurrences in its clauses, the
+        smallest on ties. Items are its sorted variables, or its sorted
+        clause ids when it has no kept variable."""
+        if self.seen_c is None:
+            self.seen_v, self.seen_c = [0] * len(self.value), [0] * len(self.clauses)
+            self.stamp = 0
+        value, ntrue, clauses, occ = self.value, self.ntrue, self.clauses, self.occ
+        seen_v, seen_c = self.seen_v, self.seen_c  # by literal and by clause
+        self.stamp = stamp = self.stamp + 1
+        comps = []
+        for seed in seeds:
+            if value[seed] or seen_v[seed] == stamp:
+                continue
+            seen_v[seed] = seen_v[-seed] = stamp
+            vs, cs = [seed], []
+            var = best = nkept = 0
+            for v in vs:
+                k = 0
+                for occs in (occ[v], occ[-v]):
+                    for c in occs:
+                        if ntrue[c]:
+                            continue
+                        k += 1
+                        if seen_c[c] != stamp:
+                            seen_c[c] = stamp
+                            cs.append(c)
+                            for lit in clauses[c]:
+                                if seen_v[lit] != stamp and not value[lit]:
+                                    seen_v[lit] = seen_v[-lit] = stamp
+                                    vs.append(lit if lit > 0 else -lit)
+                if kept[v]:
+                    nkept += 1
+                    if k > best or k == best and v < var:
+                        var, best = v, k
+            if not cs:
+                continue
+            cs.sort()
+            vs.sort()
+            if keyed:
+                key = (array("i", cs).tobytes(), array("i", vs).tobytes())
+                items = memoryview(key[1] if nkept else key[0]).cast("i")
+            else:
+                key, items = None, array("i", vs if nkept else cs)
+            comps.append((key, nkept, var, items))
+        return comps

@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -141,6 +142,21 @@ class TestCount:
         assert code == 0
         assert "overcount: 202" in out
         assert out.rstrip().endswith("answer sets: 202")
+
+    @pytest.mark.parametrize("mode", ["subtractive", "enumerate"])
+    def test_builtin_timeout_exit_code(self, capsys, program_file, mode):
+        # counting chain-2000 takes seconds, and enumerating 2^40 answer
+        # sets takes forever; the limit stops either search
+        if mode == "subtractive":
+            path = program_file(chain_text(2000))
+        else:
+            path = program_file("".join(f"a{i} | b{i}.\n" for i in range(40)))
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "count", path, "--mode", mode, "--timeout", "0.2")
+        assert time.monotonic() - start < 3
+        assert code == 2
+        assert out == ""
+        assert err == "aspsubcount: builtin counter timed out after 0.2s\n"
 
     def test_json_matches_library(self, capsys, worked_path, example1):
         code, out, _ = run_cli(capsys, "count", worked_path, "--json")

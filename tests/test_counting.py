@@ -26,6 +26,7 @@ from aspsubcount.cli import main
 from conftest import EXAMPLE1, FIXTURES, STUB
 from helpers import (
     answer_sets_by_definition,
+    chain_text,
     qbf_count,
     qbf_saturation_text,
     random_program_text,
@@ -92,6 +93,23 @@ class TestSubtractive:
         assert payload["overcount"] == 2 and payload["surplus"] == 1
         assert payload["mode"] == "subtractive"
         json.dumps(payload)  # must be serializable as-is
+
+    def test_deep_search_needs_no_recursion(self):
+        # the count branches about n/2 levels deep on a chain; with the
+        # limit a hundred frames above the caller's, a search that recursed
+        # per level would raise RecursionError
+        n = 400
+        program = parse_program(chain_text(n))
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            report = subtractive_count(program)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert report.answer_sets == report.overcount == n + 2
 
     def test_deterministic_counts(self, example1):
         a = subtractive_count(example1)

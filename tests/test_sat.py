@@ -1,4 +1,6 @@
 import random
+import time
+from array import array
 from collections import Counter
 
 import pytest
@@ -12,7 +14,7 @@ from aspsubcount import (
     solve_clauses,
 )
 from aspsubcount import sat
-from aspsubcount.sat import _components, models
+from aspsubcount.sat import models
 
 from helpers import (
     eval_clauses,
@@ -215,6 +217,40 @@ class TestModels:
         assert list(models([(1,), (-1,)], 2)) == []
 
 
+def pigeonhole(pigeons: int, holes: int) -> CnfFormula:
+    """Every pigeon in a hole and no two in one: unsatisfiable when there
+    are more pigeons, and hard for a search that only propagates units."""
+    var = lambda i, j: i * holes + j + 1  # noqa: E731
+    clauses = [tuple(var(i, j) for j in range(holes)) for i in range(pigeons)]
+    clauses += [
+        (-var(i, j), -var(k, j))
+        for j in range(holes) for i in range(pigeons) for k in range(i + 1, pigeons)
+    ]
+    return CnfFormula(pigeons * holes, clauses)
+
+
+class TestTimeLimit:
+    """Inside ``time_limit`` every search stops soon after the limit."""
+
+    def test_searches_stop_at_the_limit(self):
+        # each of these searches takes seconds on ten pigeons in nine holes
+        f = pigeonhole(10, 9)
+        searches = [
+            lambda: solve(f),
+            lambda: next(models(f.clauses, f.num_vars), None),
+            lambda: count_models(f),
+            # the part without kept variables is a leaf satisfiability check
+            lambda: projected_count(f, range(2, f.num_vars + 1)),
+        ]
+        for search in searches:
+            start = time.monotonic()
+            with pytest.raises(sat.SearchTimeout), sat.time_limit(0.05):
+                search()
+            assert time.monotonic() - start < 2
+        # outside the block the limit is gone: this count takes longer
+        assert count_models(pigeonhole(8, 7)) == 0
+
+
 def propagation_input(rng: random.Random):
     """Clauses drawn as ``random_cnf`` draws them (unit clauses and the odd
     empty clause included), often with an implication chain over the
@@ -235,6 +271,27 @@ def propagation_input(rng: random.Random):
     return clauses, lit
 
 
+def trail_state(clauses, lits):
+    """Make ``lits`` true on a fresh engine over ``clauses`` and propagate
+    (``lits`` None: as ``_started`` starts a search). Returns (the clauses
+    not yet satisfied with their false literals stripped, in their order;
+    the trail) or None on a conflict, as ``reference_assign`` returns
+    them."""
+    if lits is None:
+        engine = sat._started(clauses, 0)
+    else:
+        engine = sat._Trail(clauses, max(map(abs, lits)))
+        engine = engine if engine.assign(list(lits)) else None
+    if engine is None:
+        return None
+    rest = [
+        [x for x in clause if not engine.value[x]]
+        for c, clause in enumerate(clauses)
+        if not engine.ntrue[c]
+    ]
+    return rest, engine.trail
+
+
 def assert_same_propagation(got, want):
     """Same residual clauses in the same order, the same literals made true
     (each once), and a conflict exactly when ``want`` has one."""
@@ -242,21 +299,36 @@ def assert_same_propagation(got, want):
         assert got is None
         return
     assert got is not None
-    assert got[0] == want[0]
+    assert [list(c) for c in got[0]] == [list(c) for c in want[0]]
     assert len(got[1]) == len(set(got[1]))
     assert set(got[1]) == set(want[1])
 
 
 class TestPropagation:
-    """``_assign`` and ``_propagate`` return what one-unit-per-pass
-    propagation returns, whichever way implications run through the list."""
+    """The engine's propagation reaches the fixpoint of one-unit-per-pass
+    propagation, whichever way implications run through the list; undoing
+    it restores every count."""
 
     @settings(max_examples=500, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_matches_one_unit_per_pass(self, seed):
         clauses, lit = propagation_input(random.Random(seed))
-        assert_same_propagation(sat._assign(clauses, lit), reference_assign(clauses, lit))
-        assert_same_propagation(sat._propagate(clauses), reference_propagate(clauses))
+        units = [c[0] for c in clauses if len(c) == 1]
+        assert_same_propagation(
+            trail_state(clauses, [lit] + units), reference_assign(clauses, lit)
+        )
+        assert_same_propagation(trail_state(clauses, None), reference_propagate(clauses))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_undo_restores_the_counts(self, seed):
+        clauses, lit = propagation_input(random.Random(seed))
+        engine = sat._Trail(clauses, abs(lit))
+        before = (list(engine.value), list(engine.ntrue), list(engine.nfree))
+        engine.assign([lit])
+        engine.undo(0)
+        assert engine.trail == []
+        assert (engine.value, engine.ntrue, engine.nfree) == before
 
     def test_chain_in_either_order(self):
         # 1 -> 2 -> ... -> n, and a clause per variable that the chain strips
@@ -268,42 +340,83 @@ class TestPropagation:
             (links + stripped, left),
             (stripped[::-1] + links[::-1], left[::-1]),
         ):
-            rest, made = sat._assign(clauses, 1)
+            rest, made = trail_state(clauses, [1])
             assert sorted(made) == list(range(1, n + 1))
             assert rest == expected
-        assert sat._assign(links + [(-n,)], 1) is None
+        assert trail_state(links + [(-n,)], [1]) is None
+
+
+def component_input(rng: random.Random):
+    """An engine over random clauses with a few literals made true (the
+    clauses of any conflict dropped), and a random set of kept variables."""
+    f = random_cnf(rng)
+    clauses = [c for c in f.clauses if c]
+    engine = sat._Trail(clauses, f.num_vars)
+    for var in rng.sample(range(1, f.num_vars + 1), rng.randint(0, f.num_vars // 2)):
+        mark = len(engine.trail)
+        if not engine.assign([var if rng.random() < 0.5 else -var]):
+            engine.undo(mark)
+    kept = bytearray(2 * f.num_vars + 1)
+    for var in range(1, f.num_vars + 1):
+        kept[var] = kept[-var] = rng.random() < 0.7
+    return engine, kept
 
 
 class TestComponents:
-    """``_components`` splits a clause set into its connected parts."""
+    """``_Trail.split`` partitions the clauses not yet satisfied into their
+    connected parts over the free variables, and picks each part's
+    decision variable."""
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_groups_partition_the_clauses(self, seed):
-        f = random_cnf(random.Random(seed))
-        clauses = [c for c in f.clauses if c]
-        groups = _components(clauses)
-        placed = [tuple(c) for group, _ in groups for c in group]
-        assert Counter(placed) == Counter(clauses)
-        all_vars = [v for _, group_vars in groups for v in group_vars]
-        assert len(all_vars) == len(set(all_vars))
-        for group, group_vars in groups:
-            assert group_vars == {abs(lit) for c in group for lit in c}
-            reached: set[int] = set()
-            frontier = {abs(group[0][0])}
+        engine, kept = component_input(random.Random(seed))
+        value = engine.value
+        live = [c for c, clause in enumerate(engine.clauses) if not engine.ntrue[c]]
+        free_vars_of = {c: {abs(x) for x in engine.clauses[c] if not value[x]} for c in live}
+        comps = engine.split(range(1, engine.num_vars + 1), kept, True)
+        groups = []
+        for key, nkept, var, items in comps:
+            ids = list(array("i", key[0]))
+            group_vars = list(array("i", key[1]))
+            assert ids == sorted(ids) and group_vars == sorted(group_vars)
+            assert list(items) == (group_vars if nkept else ids)
+            assert set(group_vars) == set().union(*(free_vars_of[c] for c in ids))
+            kept_vars = [v for v in group_vars if kept[v]]
+            assert nkept == len(kept_vars)
+            if kept_vars:
+                occurrences = Counter(
+                    abs(x) for c in ids for x in engine.clauses[c] if not value[x]
+                )
+                assert var == max(kept_vars, key=lambda v: (occurrences[v], -v))
+            reached, frontier = set(), {group_vars[0]}
             while frontier:
                 reached |= frontier
-                touching = [c for c in group if any(abs(x) in reached for x in c)]
-                frontier = {abs(x) for c in touching for x in c} - reached
-            assert reached == group_vars
-        smallest = [min(group_vars) for _, group_vars in groups]
+                touching = [c for c in ids if free_vars_of[c] & reached]
+                frontier = set().union(*(free_vars_of[c] for c in touching)) - reached
+            assert reached == set(group_vars)
+            groups.append((ids, group_vars))
+        placed = [c for ids, _ in groups for c in ids]
+        assert Counter(placed) == Counter(live)
+        all_vars = [v for _, group_vars in groups for v in group_vars]
+        assert len(all_vars) == len(set(all_vars))
+        smallest = [group_vars[0] for _, group_vars in groups]
         assert smallest == sorted(smallest)
 
 
-def shared_twice(shared, s):
-    """``(s or C) and (-s or C)`` for every clause C of ``shared``: both
-    values of ``s`` leave the same residual."""
-    return [(s,) + tuple(c) for c in shared] + [(-s,) + tuple(c) for c in shared]
+def met_twice(shared, s: int, us: list[int]):
+    """``shared`` joined to a variable ``s`` by ``(s or u) and (-s or u)``
+    for each variable u of ``us``, the first of which also joins a clause
+    with the first variable of ``shared``. Either value of ``s`` makes
+    every u true and leaves the clauses of ``shared`` as they are, with the
+    same clause ids, so a count that branches on ``s`` meets that
+    component twice."""
+    clauses = list(shared)
+    for u in us:
+        clauses += [(s, u), (-s, u)]
+    if shared:
+        clauses.append((us[0], abs(shared[0][0])))
+    return clauses
 
 
 class TestComponentCache:
@@ -314,35 +427,50 @@ class TestComponentCache:
     def test_shared_residuals_count_exactly(self, seed):
         rng = random.Random(seed)
         base = random_cnf(rng, max_vars=9, max_clauses=20)
-        shared = list(base.clauses)
+        shared = [c for c in base.clauses if c]
         if base.num_vars >= 2 and rng.random() < 0.3:
             # all four clauses over two variables: unsatisfiable, but not by
             # propagation, so the component's zero is counted and cached
             a, b = rng.sample(range(1, base.num_vars + 1), 2)
             shared += [(a, b), (a, -b), (-a, b), (-a, -b)]
         s = base.num_vars + 1
-        f = CnfFormula(s, shared_twice(shared, s))
+        us = list(range(s + 1, s + 6))
+        f = CnfFormula(s + 5, met_twice(shared, s, us))
         if rng.random() < 0.25:
             # only s is kept: the shared part is a leaf satisfiability check
-            out = set(range(1, s))
+            out = set(range(1, f.num_vars + 1)) - {s}
         else:
-            out = {v for v in range(1, s + 1) if rng.random() < 0.5}
+            out = set(us) | {v for v in range(1, s) if rng.random() < 0.3}
         assert count_models(f) == tt_count(f)
         assert projected_count(f, out) == tt_projected_count(f, out)
 
+    def test_counts_stay_exact_when_the_cache_is_emptied(self, monkeypatch):
+        # a budget of zero bytes empties the cache before every store
+        monkeypatch.setattr(sat, "CACHE_BYTES", 0)
+        rng = random.Random(19)
+        for _ in range(200):
+            base = random_cnf(rng, max_vars=9, max_clauses=20)
+            s = base.num_vars + 1
+            shared = [c for c in base.clauses if c]
+            f = CnfFormula(s + 3, met_twice(shared, s, [s + 1, s + 2, s + 3]))
+            out = {v for v in range(1, s + 4) if rng.random() < 0.4}
+            assert projected_count(f, out) == tt_projected_count(f, out)
+
     def test_shared_component_is_searched_once(self, monkeypatch):
         shared = [(2, 3), (3, 4), (4, 5), (-2, -5)]
-        f = CnfFormula(5, shared_twice(shared, 1))
+        f = CnfFormula(7, met_twice(shared, 1, [6, 7]))
         searched = []
-        pick = sat._pick_var
+        split = sat._Trail.split
 
-        def recording_pick(clauses, candidates):
-            searched.append(frozenset(map(tuple, clauses)))
-            return pick(clauses, candidates)
+        def recording_split(engine, seeds, kept, keyed):
+            searched.append(tuple(seeds))
+            return split(engine, seeds, kept, keyed)
 
-        monkeypatch.setattr(sat, "_pick_var", recording_pick)
-        assert count_models(f) == tt_count(CnfFormula(5, shared))
-        assert searched.count(frozenset(shared)) == 1
-        searched.clear()
-        assert projected_count(f, {5}) == tt_projected_count(f, {5})
-        assert searched.count(frozenset(shared)) == 1
+        monkeypatch.setattr(sat._Trail, "split", recording_split)
+        # the kept variable 1 has the most occurrences, so the count branches
+        # on it first; each search of the shared part splits its two
+        # branches' clauses
+        for out in ({6, 7}, {5, 6, 7}):
+            searched.clear()
+            assert projected_count(f, out) == tt_projected_count(f, out)
+            assert searched.count((2, 3, 4, 5)) == 2
