@@ -16,7 +16,9 @@ every clause is satisfied: ``solve_clauses`` takes the first leaf and
 a set of kept variables that extend to a model, and a plain count keeps
 every variable. It splits the clauses not yet satisfied into components
 over the free variables, multiplies their counts, and branches on the kept
-variable with the most occurrences in a component (the smallest on ties).
+variable of highest Jeroslow-Wang score in a component: the sum over the
+clauses not yet satisfied that hold it, of either sign, of 2^-n for a
+clause with n literals not yet false (the smallest variable on ties).
 A component without kept variables is a leaf satisfiability check.
 
 Counts are plain Python ints, so arbitrarily large totals are exact. Every
@@ -43,6 +45,10 @@ PartialAssignment = dict[int, bool]
 # bytes objects and the dict slot
 CACHE_BYTES = 1 << 24
 CACHE_ENTRY_BYTES = 200
+
+# a clause with this many literals not yet false, or more, weighs 1 in the
+# decision score
+WEIGHT_CAP = 24
 
 # (time.monotonic() deadline, seconds) while inside time_limit, else None
 _deadline = None
@@ -158,13 +164,13 @@ class _Trail:
     negative ones from the end. ``ntrue[c]`` counts the true literals of
     clause ``c`` and ``nfree[c]`` its literals not yet false, so ``c`` is
     satisfied when ``ntrue[c]`` is nonzero and unit when it is zero and
-    ``nfree[c]`` is one. The marks that ``split`` uses are allocated on its
-    first call.
+    ``nfree[c]`` is one. The marks and clause weights that ``split`` uses
+    are allocated on its first call.
     """
 
     __slots__ = (
         "clauses", "num_vars", "occ", "value", "ntrue", "nfree", "trail",
-        "seen_v", "seen_c", "stamp",
+        "seen_v", "seen_c", "weight", "stamp",
     )
 
     def __init__(self, clauses: list, num_vars: int):
@@ -341,14 +347,19 @@ class _Trail:
         Each component is (key, kept variable count, decision variable,
         items). The key is the bytes of its sorted clause ids and of its
         sorted variables, or None without ``keyed``. The decision variable
-        is the kept variable with the most occurrences in its clauses, the
-        smallest on ties. Items are its sorted variables, or its sorted
-        clause ids when it has no kept variable."""
+        is the kept variable with the highest score, the smallest on ties:
+        each of its clauses adds ``weight[n]``, exactly 2^(WEIGHT_CAP - n)
+        for a clause with n literals not yet false (n capped at WEIGHT_CAP).
+        Items are its sorted variables, or its sorted clause ids when it has
+        no kept variable."""
         if self.seen_c is None:
             self.seen_v, self.seen_c = [0] * len(self.value), [0] * len(self.clauses)
+            longest = max(map(len, self.clauses), default=0)
+            self.weight = [1 << max(WEIGHT_CAP - n, 0) for n in range(longest + 1)]
             self.stamp = 0
         value, ntrue, clauses, occ = self.value, self.ntrue, self.clauses, self.occ
         seen_v, seen_c = self.seen_v, self.seen_c  # by literal and by clause
+        nfree, weight = self.nfree, self.weight
         self.stamp = stamp = self.stamp + 1
         comps = []
         for seed in seeds:
@@ -363,7 +374,7 @@ class _Trail:
                     for c in occs:
                         if ntrue[c]:
                             continue
-                        k += 1
+                        k += weight[nfree[c]]
                         if seen_c[c] != stamp:
                             seen_c[c] = stamp
                             cs.append(c)

@@ -254,6 +254,28 @@ def chain_text(n: int) -> str:
     return "".join(lines)
 
 
+def reach_text(rng: random.Random, n: int, m: int) -> str:
+    """Reachability from node 0 over m distinct directed edges on nodes
+    0..n-1 (n - 1 <= m), a random spanning tree plus random further edges,
+    so the underlying undirected graph is connected: ``in_u_v | out_u_v.``
+    and ``r_v :- r_u, in_u_v.`` per edge (u, v), and the fact ``r0.``.
+    Every choice of edges has exactly one answer set, so there are 2^m."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = []
+    for i in range(1, n):
+        u, v = order[i], order[rng.randrange(i)]
+        edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    rest = [(u, v) for u in range(n) for v in range(n) if u != v]
+    rest = [edge for edge in rest if edge not in edges]
+    edges += rng.sample(rest, m - len(edges))
+    rng.shuffle(edges)
+    lines = ["r0.\n"]
+    for u, v in edges:
+        lines.append(f"in_{u}_{v} | out_{u}_{v}.\nr{v} :- r{u}, in_{u}_{v}.\n")
+    return "".join(lines)
+
+
 def prefixed(text: str, p: str) -> str:
     """Rename the ``a<i>`` atoms of a random program text to ``<p>a<i>``, so
     that blocks with distinct prefixes are atom-disjoint."""

@@ -32,6 +32,7 @@ from helpers import (
     random_program_text,
     random_qbf,
     random_tight_program_text,
+    reach_text,
 )
 
 
@@ -238,6 +239,24 @@ class TestQbfSaturation:
             assert hybrid_count(program, threshold=4).answer_sets == expected
         # neither every X assignment nor none of them succeeds
         assert min(counts) < 12 and max(counts) > 20
+
+
+class TestReachability:
+    """Disjunctive programs over one connected graph, whose positive cycles
+    leave nothing to split: every choice of edges has one answer set."""
+
+    def test_every_mode_counts_two_to_the_edges(self):
+        surpluses = []
+        for seed in range(3):
+            program = parse_program(reach_text(random.Random(seed), 6, 9))
+            report = subtractive_count(program)
+            assert report.answer_sets == report.overcount - report.surplus == 2**9
+            surpluses.append(report.surplus)
+            assert enumerated(program) == (2**9, True)
+            assert hybrid_count(program).answer_sets == 2**9
+            assert hybrid_count(program, threshold=64).answer_sets == 2**9
+        # some graph has a directed cycle, so a surplus is counted
+        assert max(surpluses) > 0
 
 
 class TestOutputParsing:

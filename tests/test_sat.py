@@ -362,10 +362,24 @@ def component_input(rng: random.Random):
     return engine, kept
 
 
+def jeroslow_wang(clauses, value, ids) -> Counter:
+    """Per variable, the sum over the clauses ``ids`` of 2^(WEIGHT_CAP - n)
+    for each free literal of it, where n (at most WEIGHT_CAP) counts the
+    clause's literals not yet false."""
+    score = Counter()
+    for c in ids:
+        n = min(sum(value[x] >= 0 for x in clauses[c]), sat.WEIGHT_CAP)
+        for x in clauses[c]:
+            if not value[x]:
+                score[abs(x)] += 1 << (sat.WEIGHT_CAP - n)
+    return score
+
+
 class TestComponents:
     """``_Trail.split`` partitions the clauses not yet satisfied into their
     connected parts over the free variables, and picks each part's
-    decision variable."""
+    decision variable: the kept one of highest Jeroslow-Wang score, the
+    smallest on ties."""
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -385,10 +399,8 @@ class TestComponents:
             kept_vars = [v for v in group_vars if kept[v]]
             assert nkept == len(kept_vars)
             if kept_vars:
-                occurrences = Counter(
-                    abs(x) for c in ids for x in engine.clauses[c] if not value[x]
-                )
-                assert var == max(kept_vars, key=lambda v: (occurrences[v], -v))
+                score = jeroslow_wang(engine.clauses, value, ids)
+                assert var == max(kept_vars, key=lambda v: (score[v], -v))
             reached, frontier = set(), {group_vars[0]}
             while frontier:
                 reached |= frontier
@@ -402,6 +414,25 @@ class TestComponents:
         assert len(all_vars) == len(set(all_vars))
         smallest = [group_vars[0] for _, group_vars in groups]
         assert smallest == sorted(smallest)
+
+    def test_short_clauses_outweigh_more_occurrences(self):
+        # variable 1 occurs in three 4-literal clauses (score 3 * 2^-4) and
+        # variable 2 in two binary ones (2 * 2^-2), every other variable in
+        # at most two clauses: the most occurrences would pick 1, the
+        # weighted score picks 2
+        clauses = [(1, 3, 4, 5), (1, 6, 7, 8), (1, -3, -6, 9), (2, 4), (-2, 7)]
+        engine = sat._Trail(clauses, 9)
+        kept = bytearray([1]) * 19
+        [(_, nkept, var, _)] = engine.split(range(1, 10), kept, False)
+        assert (nkept, var) == (9, 2)
+
+    def test_clauses_longer_than_the_weight_cap(self):
+        n = sat.WEIGHT_CAP + 6
+        f = CnfFormula(n, [tuple(range(1, n + 1)), (-1, -2)])
+        # every assignment but the all-false one and the 2^(n-2) with 1 and 2 true
+        assert count_models(f) == 3 * 2 ** (n - 2) - 1
+        # keeping 1..20, the long clause can always be satisfied above 20
+        assert projected_count(f, range(21, n + 1)) == 3 * 2**18
 
 
 def met_twice(shared, s: int, us: list[int]):
@@ -467,9 +498,9 @@ class TestComponentCache:
             return split(engine, seeds, kept, keyed)
 
         monkeypatch.setattr(sat._Trail, "split", recording_split)
-        # the kept variable 1 has the most occurrences, so the count branches
-        # on it first; each search of the shared part splits its two
-        # branches' clauses
+        # the kept variable 1 is in the most clauses, all binary, so it has
+        # the highest score and the count branches on it first; each search
+        # of the shared part splits its two branches' clauses
         for out in ({6, 7}, {5, 6, 7}):
             searched.clear()
             assert projected_count(f, out) == tt_projected_count(f, out)
