@@ -30,7 +30,6 @@ from .depgraph import (
     Analysis,
     DependencyGraph,
     build_dependency_graph,
-    is_tight,
     loop_atoms,
     split,
 )

@@ -8,6 +8,7 @@ memory), 2 counter timeout (external or builtin), 3 integrity failure
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -30,7 +31,6 @@ from .oracle import (
     BRUTE_FORCE_ATOM_LIMIT,
     answer_sets_bruteforce,
     copy_check,
-    is_answer_set,
     justification_check_all,
     justification_check_loops,
 )
@@ -70,7 +70,9 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and kept for the process."""
     parser = _Parser(prog="aspsubcount", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -304,7 +306,7 @@ def _cmd_check(args) -> int:
     if models_completion:
         just_loops = justification_check_loops(program, interp, loops, completion)
         copy_sat = copy_check(program, interp, loops, completion)
-    answer = is_answer_set(program, interp)
+    answer = models_program and just_all is None
 
     def witness_text(witness):
         return "{" + ", ".join(program.atom_names(witness)) + "}"

@@ -1,7 +1,7 @@
-"""Positive dependency graph, loop atoms, tightness, and the split of a
-program into atom-disjoint parts."""
+"""Positive dependency graph, loop atoms, and the split of a program into
+atom-disjoint parts. A program is tight when it has no loop atoms."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .program import Atom, GroundProgram, Rule
@@ -17,14 +17,6 @@ class DependencyGraph:
 
     num_nodes: int
     edges: set[tuple[int, int]]
-    successors: dict[int, list[int]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.successors:
-            succ: dict[int, list[int]] = {v: [] for v in range(self.num_nodes)}
-            for y, x in sorted(self.edges):
-                succ[y].append(x)
-            self.successors = succ
 
 
 def build_dependency_graph(program: GroundProgram) -> DependencyGraph:
@@ -37,7 +29,10 @@ def build_dependency_graph(program: GroundProgram) -> DependencyGraph:
 
 
 def _sccs(graph: DependencyGraph):
-    """Tarjan's algorithm, iterative. Yields each SCC as a list of nodes."""
+    """Tarjan's algorithm, iterative. Returns each SCC as a list of nodes."""
+    successors: list[list[int]] = [[] for _ in range(graph.num_nodes)]
+    for y, x in sorted(graph.edges):
+        successors[y].append(x)
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -48,7 +43,7 @@ def _sccs(graph: DependencyGraph):
     for root in range(graph.num_nodes):
         if root in index:
             continue
-        work = [(root, iter(graph.successors[root]))]
+        work = [(root, iter(successors[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -62,7 +57,7 @@ def _sccs(graph: DependencyGraph):
                     counter += 1
                     stack.append(nxt)
                     on_stack.add(nxt)
-                    work.append((nxt, iter(graph.successors[nxt])))
+                    work.append((nxt, iter(successors[nxt])))
                     advanced = True
                     break
                 if nxt in on_stack:
@@ -96,10 +91,6 @@ def loop_atoms(graph: DependencyGraph) -> frozenset[int]:
         if y == x:
             loops.add(x)
     return frozenset(loops)
-
-
-def is_tight(program: GroundProgram) -> bool:
-    return not loop_atoms(build_dependency_graph(program))
 
 
 class Analysis:

@@ -4,14 +4,18 @@ A program is a list of rules ``a1 | ... | ak :- b1, ..., bm, not c1, ..., not cn
 over propositional atoms. Facts drop the body, constraints drop the head.
 Atoms are referenced by integer id everywhere; ids are assigned by first
 textual occurrence during parsing.
+
+Lexical rules: one rule per line, and ``%`` starts a comment that runs to
+the end of the line. Tokens are identifiers ``[A-Za-z_][A-Za-z0-9_]*`` and
+the marks ``:-``, ``|``, ``,`` and ``.``; blanks (space, tab, CR) between
+them are skipped, and any other character is a parse error. ``not`` is
+reserved: it marks a negated body atom and is never an atom itself.
 """
 
+import re
 from dataclasses import dataclass, field
 
 Interpretation = frozenset[int]
-
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
 
 
 class ParseError(ValueError):
@@ -124,104 +128,66 @@ def lint(program: GroundProgram) -> list[str]:
     return warnings
 
 
-class _Tokens:
-    """Single-line tokenizer. Token kinds: ident, ':-', '|', ',', '.'."""
-
-    def __init__(self, text: str, line_no: int):
-        self.toks: list[tuple[str, str, int]] = []  # (kind, value, column)
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch in " \t\r":
-                i += 1
-                continue
-            col = i + 1
-            if ch in _IDENT_START:
-                j = i + 1
-                while j < len(text) and text[j] in _IDENT_CONT:
-                    j += 1
-                self.toks.append(("ident", text[i:j], col))
-                i = j
-            elif text.startswith(":-", i):
-                self.toks.append((":-", ":-", col))
-                i += 2
-            elif ch in "|,.":
-                self.toks.append((ch, ch, col))
-                i += 1
-            else:
-                raise ParseError(f"unexpected character {ch!r}", line_no, col)
-        self.line_no = line_no
-        self.end_col = len(text) + 1
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    def fail(self, message: str):
-        tok = self.peek()
-        col = tok[2] if tok is not None else self.end_col
-        raise ParseError(message, self.line_no, col)
+# One token per match: an identifier (group 1), a mark (group 2), a run of
+# blanks (no group; skipped) or any other character (group 3; an error).
+# Blanks are an alternative of their own rather than a prefix of the others,
+# so no match backtracks over them and a scan is linear in the line.
+_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|(:-|[|,.])|[ \t\r]+|(.)", re.S)
 
 
-def _expect_atom(toks: _Tokens, context: str) -> str:
-    tok = toks.peek()
-    if tok is None or tok[0] != "ident":
-        toks.fail(f"expected atom {context}")
-    if tok[1] == "not":
-        toks.fail(f"'not' is a reserved word, not an atom {context}")
-    toks.next()
-    return tok[1]
-
-
-def _parse_rule(toks: _Tokens, intern) -> Rule:
+def _parse_rule(line: str, line_no: int, intern) -> Rule:
+    """The rule on one line, comment removed; the line is not blank."""
+    toks: list[tuple[str, int, bool]] = []  # (text, column, is identifier)
+    for m in _TOKEN.finditer(line):
+        kind = m.lastindex
+        if kind:
+            if kind == 3:
+                message = f"unexpected character {m[3]!r}"
+                raise ParseError(message, line_no, m.start() + 1)
+            toks.append((m[0], m.start() + 1, kind == 1))
+    toks.append(("", len(line) + 1, False))  # end of line
     head: list[int] = []
     pos_body: list[int] = []
     neg_body: list[int] = []
+    i = 0
 
-    tok = toks.peek()
-    if tok is None:
-        toks.fail("empty rule")
-    if tok[0] == "ident":
-        while True:
-            head.append(intern(_expect_atom(toks, "in head")))
-            tok = toks.peek()
-            if tok is not None and tok[0] == "|":
-                toks.next()
-                continue
-            break
+    def fail(message: str):
+        raise ParseError(message, line_no, toks[i][1])
 
-    tok = toks.peek()
-    if tok is not None and tok[0] == ":-":
-        toks.next()
-        tok = toks.peek()
-        if tok is not None and tok[0] == "ident":
+    def atom(context: str) -> int:
+        nonlocal i
+        text, _, ident = toks[i]
+        if not ident:
+            fail(f"expected atom {context}")
+        if text == "not":
+            fail(f"'not' is a reserved word, not an atom {context}")
+        i += 1
+        return intern(text)
+
+    if toks[0][2]:
+        head.append(atom("in head"))
+        while toks[i][0] == "|":
+            i += 1
+            head.append(atom("in head"))
+    if toks[i][0] == ":-":
+        i += 1
+        if toks[i][2]:
             while True:
-                tok = toks.peek()
-                if tok is not None and tok[0] == "ident" and tok[1] == "not":
-                    toks.next()
-                    neg_body.append(intern(_expect_atom(toks, "after 'not'")))
+                if toks[i][0] == "not":
+                    i += 1
+                    neg_body.append(atom("after 'not'"))
                 else:
-                    pos_body.append(intern(_expect_atom(toks, "in body")))
-                tok = toks.peek()
-                if tok is not None and tok[0] == ",":
-                    toks.next()
-                    continue
-                break
+                    pos_body.append(atom("in body"))
+                if toks[i][0] != ",":
+                    break
+                i += 1
     elif not head:
-        toks.fail("expected atom or ':-'")
-
-    tok = toks.peek()
-    if tok is None or tok[0] != ".":
-        toks.fail("expected '.'")
-    toks.next()
-    if toks.peek() is not None:
-        toks.fail("one rule per line")
+        fail("expected atom or ':-'")
+    if toks[i][0] != ".":
+        fail("expected '.'")
+    i += 1
+    if toks[i][0]:
+        fail("one rule per line")
     return Rule(frozenset(head), frozenset(pos_body), frozenset(neg_body))
 
 
@@ -245,7 +211,7 @@ def parse_program(text: str) -> GroundProgram:
         line = raw.split("%", 1)[0]
         if not line.strip():
             continue
-        rules.append(_parse_rule(_Tokens(line, line_no), intern))
+        rules.append(_parse_rule(line, line_no, intern))
     return GroundProgram(atoms, rules)
 
 

@@ -2,8 +2,8 @@
 
 Everything here recomputes ground truth by a different route than the code
 under test: truth tables for counting, DFS reachability for cycles, direct
-implication evaluation for the completion, and subset enumeration for
-answer-set minimality.
+implication evaluation for the completion, subset enumeration for
+answer-set minimality, and the former hand-written tokenizer for parsing.
 """
 
 import random
@@ -12,7 +12,11 @@ import re
 import numpy as np
 
 from aspsubcount import (
+    Atom,
     CnfFormula,
+    GroundProgram,
+    ParseError,
+    Rule,
     build_dependency_graph,
     clark_completion,
     copy_operation,
@@ -97,10 +101,13 @@ def direct_completion_holds(program, interp) -> bool:
 
 def cyclic_atoms_dfs(graph) -> frozenset:
     """Atoms on a directed cycle, by plain reachability from successors."""
+    successors = {v: [] for v in range(graph.num_nodes)}
+    for y, x in graph.edges:
+        successors[y].append(x)
     out = set()
     for start in range(graph.num_nodes):
         seen = set()
-        stack = list(graph.successors[start])
+        stack = list(successors[start])
         while stack:
             node = stack.pop()
             if node == start:
@@ -109,7 +116,7 @@ def cyclic_atoms_dfs(graph) -> frozenset:
             if node in seen:
                 continue
             seen.add(node)
-            stack.extend(graph.successors[node])
+            stack.extend(successors[node])
     return frozenset(out)
 
 
@@ -404,3 +411,131 @@ def qbf_count(qbf) -> int:
             for ys in range(1 << num_y)
         )
     return count
+
+
+_REF_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_REF_IDENT_CONT = _REF_IDENT_START | set("0123456789")
+
+
+class _ReferenceTokens:
+    """The former character-by-character tokenizer of one line, kept as the
+    reference for the parser. Token kinds: ident, ':-', '|', ',', '.'."""
+
+    def __init__(self, text: str, line_no: int):
+        self.toks: list[tuple[str, str, int]] = []  # (kind, value, column)
+        i = 0
+        while i < len(text):
+            ch = text[i]
+            if ch in " \t\r":
+                i += 1
+                continue
+            col = i + 1
+            if ch in _REF_IDENT_START:
+                j = i + 1
+                while j < len(text) and text[j] in _REF_IDENT_CONT:
+                    j += 1
+                self.toks.append(("ident", text[i:j], col))
+                i = j
+            elif text.startswith(":-", i):
+                self.toks.append((":-", ":-", col))
+                i += 2
+            elif ch in "|,.":
+                self.toks.append((ch, ch, col))
+                i += 1
+            else:
+                raise ParseError(f"unexpected character {ch!r}", line_no, col)
+        self.line_no = line_no
+        self.end_col = len(text) + 1
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is not None:
+            self.pos += 1
+        return tok
+
+    def fail(self, message: str):
+        tok = self.peek()
+        col = tok[2] if tok is not None else self.end_col
+        raise ParseError(message, self.line_no, col)
+
+
+def _reference_atom(toks: _ReferenceTokens, context: str) -> str:
+    tok = toks.peek()
+    if tok is None or tok[0] != "ident":
+        toks.fail(f"expected atom {context}")
+    if tok[1] == "not":
+        toks.fail(f"'not' is a reserved word, not an atom {context}")
+    toks.next()
+    return tok[1]
+
+
+def _reference_rule(toks: _ReferenceTokens, intern) -> Rule:
+    head: list[int] = []
+    pos_body: list[int] = []
+    neg_body: list[int] = []
+
+    tok = toks.peek()
+    if tok is None:
+        toks.fail("empty rule")
+    if tok[0] == "ident":
+        while True:
+            head.append(intern(_reference_atom(toks, "in head")))
+            tok = toks.peek()
+            if tok is not None and tok[0] == "|":
+                toks.next()
+                continue
+            break
+
+    tok = toks.peek()
+    if tok is not None and tok[0] == ":-":
+        toks.next()
+        tok = toks.peek()
+        if tok is not None and tok[0] == "ident":
+            while True:
+                tok = toks.peek()
+                if tok is not None and tok[0] == "ident" and tok[1] == "not":
+                    toks.next()
+                    neg_body.append(intern(_reference_atom(toks, "after 'not'")))
+                else:
+                    pos_body.append(intern(_reference_atom(toks, "in body")))
+                tok = toks.peek()
+                if tok is not None and tok[0] == ",":
+                    toks.next()
+                    continue
+                break
+    elif not head:
+        toks.fail("expected atom or ':-'")
+
+    tok = toks.peek()
+    if tok is None or tok[0] != ".":
+        toks.fail("expected '.'")
+    toks.next()
+    if toks.peek() is not None:
+        toks.fail("one rule per line")
+    return Rule(frozenset(head), frozenset(pos_body), frozenset(neg_body))
+
+
+def reference_parse_program(text: str) -> GroundProgram:
+    """The former parser, a character-by-character tokenizer with a
+    peek/next walk over its tokens: the reference that ``parse_program``
+    must agree with, atom for atom and error for error."""
+    atoms: list[Atom] = []
+    by_name: dict[str, int] = {}
+
+    def intern(name: str) -> int:
+        if name not in by_name:
+            by_name[name] = len(atoms)
+            atoms.append(Atom(len(atoms), name))
+        return by_name[name]
+
+    rules: list[Rule] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("%", 1)[0]
+        if not line.strip():
+            continue
+        rules.append(_reference_rule(_ReferenceTokens(line, line_no), intern))
+    return GroundProgram(atoms, rules)

@@ -129,6 +129,25 @@ class TestCount:
         assert "surplus: 1" in out
         assert out.rstrip().endswith("answer sets: 1")
 
+    def test_second_call_matches_a_fresh_process(self, capsys, worked_path):
+        # the argument parser is built once per process; no flag of the
+        # first call may carry over into the second
+        code, out, _ = run_cli(
+            capsys, "count", worked_path, "--mode", "hybrid", "--threshold", "8",
+            "--json",
+        )
+        assert code == 0 and json.loads(out)["answer_sets"] == 1
+        code, out, err = run_cli(capsys, "count", worked_path)
+        fresh = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from aspsubcount.cli import main; sys.exit(main())",
+             "count", worked_path],
+            capture_output=True,
+            text=True,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert "mode: subtractive" in out
+
     @pytest.mark.parametrize("order", ["forward", "reversed", "shuffled"])
     def test_chain_in_any_rule_order(self, capsys, program_file, order):
         # each x_i implies the next; the rule order decides which way the

@@ -3,7 +3,6 @@ import random
 from aspsubcount import (
     DependencyGraph,
     build_dependency_graph,
-    is_tight,
     loop_atoms,
     parse_program,
 )
@@ -69,11 +68,13 @@ class TestLoopAtoms:
 
     def test_tight_programs(self, fixture_programs):
         for name in ("pair", "two_pairs", "negtwo", "fact_chain", "empty"):
-            assert is_tight(fixture_programs[name]), name
+            p = fixture_programs[name]
+            assert not loop_atoms(build_dependency_graph(p)), name
 
     def test_nontight_programs(self, fixture_programs):
         for name in ("worked", "selfloop", "posloop2", "mixloop", "overlap", "wide12"):
-            assert not is_tight(fixture_programs[name]), name
+            p = fixture_programs[name]
+            assert loop_atoms(build_dependency_graph(p)), name
 
     def test_matches_dfs_oracle_on_random_programs(self):
         rng = random.Random(71)
@@ -115,4 +116,4 @@ class TestLoopAtoms:
             p = parse_program(random_program_text(rng))
             kept = [r for r in p.rules if not r.pos_body]
             stripped = type(p)(p.atoms, kept)
-            assert is_tight(stripped)
+            assert not loop_atoms(build_dependency_graph(stripped))

@@ -1,22 +1,26 @@
 """README's "Library" section names the public API; every name it
 backticks must exist, so the documented API cannot drift from the code.
-Likewise every command-line flag README names must be accepted, and every
-key of the emitted variable map must be named in "Emitted files"."""
+Likewise every command-line flag README names must be accepted, every
+key of the emitted variable map must be named in "Emitted files", and
+every example in "Program format" must parse."""
 
 import argparse
 import os
 import re
 
 import aspsubcount
-from aspsubcount import cli, surplus_formula
+from aspsubcount import cli, parse_program, surplus_formula
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
-def library_section() -> str:
+def section(title: str) -> str:
     text = open(README).read()
-    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    return re.sub(r"```.*?```", "", section, flags=re.S)
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def library_section() -> str:
+    return re.sub(r"```.*?```", "", section("Library"), flags=re.S)
 
 
 def resolves(dotted: str) -> bool:
@@ -54,9 +58,15 @@ def test_readme_flags_are_accepted():
 
 
 def test_variable_map_keys_are_documented(example1):
-    text = open(README).read()
-    section = text.split("\n## Emitted files\n", 1)[1].split("\n## ", 1)[0]
+    text = section("Emitted files")
     keys = surplus_formula(example1).variable_map(example1)
     assert len(keys) >= 3
     for key in keys:
-        assert f"`{key}`" in section, f"phi2.map.json key {key!r} is not in README"
+        assert f"`{key}`" in text, f"phi2.map.json key {key!r} is not in README"
+
+
+def test_program_format_examples_parse():
+    blocks = re.findall(r"```\n(.*?)```", section("Program format"), flags=re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        assert parse_program(block).rules

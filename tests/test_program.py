@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,15 @@ from aspsubcount import (
     satisfies_program,
 )
 
-from helpers import random_program_text
+from helpers import random_program_text, reference_parse_program
+
+# Pieces of program text: atoms, the reserved word and a word it prefixes,
+# characters outside the grammar, the marks and their halves, the comment
+# sign, blanks, line breaks, and whitespace that is not a blank.
+TEXT_PIECES = [
+    "a", "b", "not", "nota", "x1", "_q", "1", "é", "&", ":", "-", ":-", "|",
+    ",", ".", "%", " ", "\t", "\r", "\n", "\x0b", "\xa0",
+]
 
 
 def rule_names(program, rule):
@@ -34,6 +43,16 @@ def programs(draw):
     ids = st.frozensets(st.integers(0, max(n - 1, 0)), max_size=3 if n else 0)
     rules = draw(st.lists(st.builds(Rule, ids, ids, ids), max_size=8))
     return GroundProgram(atoms, rules)
+
+
+@st.composite
+def program_texts(draw):
+    """Formatted programs with up to three text pieces spliced in anywhere."""
+    text = format_program(draw(programs()))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(TEXT_PIECES)) + text[i:]
+    return text
 
 
 class TestParsing:
@@ -93,6 +112,11 @@ class TestParsing:
             ("a | .", 1, 5),
             ("a :- , b.", 1, 6),
             ("a.\nb :- \n", 2, 6),  # error on later line
+            ("b1\t", 1, 4),         # end of line after a blank
+            ("1a.", 1, 1),          # identifiers start with a letter or _
+            ("é.", 1, 1),           # identifiers are ASCII
+            ("a :- b,\tnot c", 1, 14),
+            (":-  ,,", 1, 5),
         ],
     )
     def test_syntax_errors_carry_position(self, text, line, column):
@@ -100,6 +124,48 @@ class TestParsing:
             parse_program(text)
         assert err.value.line == line
         assert err.value.column == column
+
+    @pytest.mark.parametrize(
+        "text,names,rule",
+        [
+            ("a|b :- c , not d .  ", ["a", "b", "c", "d"], ({0, 1}, {2}, {3})),
+            ("a :- not\tb.", ["a", "b"], ({0}, set(), {1})),
+            ("nota :- a.", ["nota", "a"], ({0}, {1}, set())),
+        ],
+    )
+    def test_blanks_separate_tokens(self, text, names, rule):
+        p = parse_program(text)
+        assert [a.name for a in p.atoms] == names
+        assert p.rules == [Rule(*map(frozenset, rule))]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a :- b." + " " * 200_000, "a :- " + " \t" * 100_000 + "b."],
+    )
+    def test_parse_time_is_linear_in_blanks(self, text):
+        start = time.perf_counter()
+        p = parse_program(text)
+        assert time.perf_counter() - start < 1.0
+        assert [a.name for a in p.atoms] == ["a", "b"]
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        text=st.lists(st.sampled_from(TEXT_PIECES), max_size=24).map("".join)
+        | program_texts()
+    )
+    def test_matches_the_reference_parser(self, text):
+        try:
+            expected = reference_parse_program(text)
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                parse_program(text)
+            assert (str(got.value), got.value.line, got.value.column) == (
+                str(err), err.line, err.column
+            )
+            return
+        p = parse_program(text)
+        assert p.atoms == expected.atoms
+        assert p.rules == expected.rules
 
     def test_program_invariant_validation(self):
         with pytest.raises(ValueError):
