@@ -47,7 +47,6 @@ from .oracle import (
     justification_check_loops,
 )
 from .program import (
-    Atom,
     GroundProgram,
     Interpretation,
     ParseError,

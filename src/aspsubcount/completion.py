@@ -26,19 +26,17 @@ class CompletionArtifact:
     """CNF of the completion plus the variable bookkeeping.
 
     The first ``num_atoms`` variables are the atoms; aux_vars are the
-    Tseitin definitions above them; group_tags maps clause index to
-    "G1"/"G2"/"G3"; aux_defs maps an auxiliary variable to the atom-literal
-    conjunction it abbreviates.
+    Tseitin definitions above them; aux_defs maps an auxiliary variable to
+    the atom-literal conjunction it abbreviates.
     """
 
     cnf: CnfFormula
     num_atoms: int
     aux_vars: frozenset[int]
-    group_tags: dict[int, str]
     aux_defs: dict[int, tuple[int, ...]]
 
     def to_dimacs(self, program: GroundProgram) -> str:
-        return dimacs(self.cnf, atom_names={a.id + 1: a.name for a in program.atoms})
+        return dimacs(self.cnf, atom_names=dict(enumerate(program.atoms, 1)))
 
 
 def _support_conjunct(rule, atom: int) -> tuple[int, ...] | None:
@@ -58,13 +56,8 @@ def clark_completion(program: GroundProgram) -> CompletionArtifact:
     variable i + 1), auxiliaries after, in emission order."""
     n = program.num_atoms
     clauses: list[tuple[int, ...]] = []
-    tags: dict[int, str] = {}
     aux_defs: dict[int, tuple[int, ...]] = {}
     next_var = n + 1
-
-    def emit(clause, tag):
-        tags[len(clauses)] = tag
-        clauses.append(tuple(clause))
 
     heads: dict[int, list] = {a: [] for a in range(n)}
     for rule in program.rules:
@@ -73,7 +66,7 @@ def clark_completion(program: GroundProgram) -> CompletionArtifact:
 
     for a in range(n):
         if not heads[a]:
-            emit((-(a + 1),), "G1")
+            clauses.append((-(a + 1),))
 
     for rule in program.rules:
         lits = {x + 1 for x in rule.head}
@@ -81,7 +74,7 @@ def clark_completion(program: GroundProgram) -> CompletionArtifact:
         lits |= {c + 1 for c in rule.neg_body}
         if any(-lit in lits for lit in lits):
             continue  # head meets positive body: the implication is trivially true
-        emit(sorted(lits, key=abs), "G2")
+        clauses.append(tuple(sorted(lits, key=abs)))
 
     for a in range(n):
         if not heads[a]:
@@ -100,16 +93,16 @@ def clark_completion(program: GroundProgram) -> CompletionArtifact:
         if trivial:
             continue
         if not conjuncts:
-            emit((-(a + 1),), "G3")
+            clauses.append((-(a + 1),))
             continue
         if len(conjuncts) == 1:
             for lit in conjuncts[0]:
                 if lit == a + 1:
                     continue  # a -> a, vacuous
                 if lit == -(a + 1):
-                    emit((-(a + 1),), "G3")
+                    clauses.append((-(a + 1),))
                 else:
-                    emit((-(a + 1), lit), "G3")
+                    clauses.append((-(a + 1), lit))
             continue
         singles = [c[0] for c in conjuncts if len(c) == 1]
         if (a + 1) in singles or any(-lit in singles for lit in singles):
@@ -124,16 +117,15 @@ def clark_completion(program: GroundProgram) -> CompletionArtifact:
             next_var += 1
             aux_defs[d] = lits
             for lit in lits:
-                emit((-d, lit), "G3")
-            emit((d,) + tuple(-lit for lit in lits), "G3")
+                clauses.append((-d, lit))
+            clauses.append((d,) + tuple(-lit for lit in lits))
             disjunction.append(d)
-        emit(disjunction, "G3")
+        clauses.append(tuple(disjunction))
 
     return CompletionArtifact(
         cnf=CnfFormula(next_var - 1, clauses),
         num_atoms=n,
         aux_vars=frozenset(range(n + 1, next_var)),
-        group_tags=tags,
         aux_defs=aux_defs,
     )
 

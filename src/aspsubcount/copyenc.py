@@ -75,13 +75,13 @@ class SurplusArtifact:
     aux_vars: frozenset[int]
 
     def to_dimacs(self, program: GroundProgram) -> str:
-        names = {a.id + 1: a.name for a in program.atoms}
+        names = dict(enumerate(program.atoms, 1))
         return dimacs(self.cnf, atom_names=names, show=sorted(names))
 
     def variable_map(self, program: GroundProgram) -> dict:
         name = program.name_of
         return {
-            "atoms": {a.name: a.id + 1 for a in program.atoms},
+            "atoms": {a: v for v, a in enumerate(program.atoms, 1)},
             "cv_prime": {name(a): v for a, v in sorted(self.cv_prime.items())},
             "aux": sorted(self.aux_vars),
         }

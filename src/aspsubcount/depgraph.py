@@ -4,7 +4,7 @@ atom-disjoint parts. A program is tight when it has no loop atoms."""
 from dataclasses import dataclass
 from functools import cached_property
 
-from .program import Atom, GroundProgram, Rule
+from .program import GroundProgram, Rule
 
 
 @dataclass
@@ -94,14 +94,12 @@ def loop_atoms(graph: DependencyGraph) -> frozenset[int]:
 
 
 class Analysis:
-    """The structure of one program, computed once per count: the
-    dependency graph, its loop atoms and (on first use) the atom-disjoint
-    components."""
+    """The structure of one program, computed once per count: its loop
+    atoms and (on first use) the atom-disjoint components."""
 
     def __init__(self, program: GroundProgram):
         self.program = program
-        self.graph = build_dependency_graph(program)
-        self.loops = loop_atoms(self.graph)
+        self.loops = loop_atoms(build_dependency_graph(program))
 
     @cached_property
     def components(self) -> list[list[int]]:
@@ -140,7 +138,7 @@ def _restrict(
         return frozenset(new_id[x] for x in ids)
 
     sub = GroundProgram(
-        [Atom(i, program.name_of(x)) for i, x in enumerate(atoms)],
+        [program.atoms[x] for x in atoms],
         [Rule(renumber(r.head), renumber(r.pos_body), renumber(r.neg_body)) for r in rules],
     )
     return sub, renumber(loops.intersection(atoms))

@@ -2,8 +2,9 @@
 
 A program is a list of rules ``a1 | ... | ak :- b1, ..., bm, not c1, ..., not cn.``
 over propositional atoms. Facts drop the body, constraints drop the head.
-Atoms are referenced by integer id everywhere; ids are assigned by first
-textual occurrence during parsing.
+An atom is its position: a program's atoms are a list of names, and atom id
+i is named ``atoms[i]``. Rules reference atoms by id everywhere; ids are
+assigned by first textual occurrence during parsing.
 
 Lexical rules: one rule per line, and ``%`` starts a comment that runs to
 the end of the line. Tokens are identifiers ``[A-Za-z_][A-Za-z0-9_]*`` and
@@ -13,7 +14,8 @@ reserved: it marks a negated body atom and is never an atom itself.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 Interpretation = frozenset[int]
 
@@ -25,15 +27,6 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
-
-
-@dataclass(frozen=True)
-class Atom:
-    id: int
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True)
@@ -59,18 +52,13 @@ class Rule:
 
 @dataclass
 class GroundProgram:
-    """A parsed program. ``atoms[i].id == i`` for all i."""
+    """A parsed program: ``atoms`` is the list of atom names, and atom id i
+    is named ``atoms[i]``; rules reference atoms by id."""
 
-    atoms: list[Atom]
+    atoms: list[str]
     rules: list[Rule]
-    _by_name: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        for i, atom in enumerate(self.atoms):
-            if atom.id != i:
-                raise ValueError(f"atom id {atom.id} at position {i}")
-        if not self._by_name:
-            self._by_name = {a.name: a.id for a in self.atoms}
         n = len(self.atoms)
         for r, rule in enumerate(self.rules):
             for x in rule.head | rule.pos_body | rule.neg_body:
@@ -81,11 +69,15 @@ class GroundProgram:
     def num_atoms(self) -> int:
         return len(self.atoms)
 
+    @cached_property
+    def _by_name(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.atoms)}
+
     def atom_id(self, name: str) -> int:
         return self._by_name[name]
 
     def name_of(self, atom_id: int) -> str:
-        return self.atoms[atom_id].name
+        return self.atoms[atom_id]
 
     def interpretation(self, names) -> Interpretation:
         """Build an interpretation from atom names; unknown names raise KeyError."""
@@ -93,7 +85,7 @@ class GroundProgram:
 
     def atom_names(self, interp) -> list[str]:
         """Names of the atoms in ``interp``, sorted alphabetically."""
-        return sorted(self.atoms[i].name for i in interp)
+        return sorted(self.atoms[i] for i in interp)
 
     @property
     def is_disjunctive(self) -> bool:
@@ -197,13 +189,13 @@ def parse_program(text: str) -> GroundProgram:
     ``%`` starts a comment; blank lines are skipped. Atom ids follow first
     textual occurrence. Raises ParseError with line/column on bad input.
     """
-    atoms: list[Atom] = []
+    atoms: list[str] = []
     by_name: dict[str, int] = {}
 
     def intern(name: str) -> int:
         if name not in by_name:
             by_name[name] = len(atoms)
-            atoms.append(Atom(len(atoms), name))
+            atoms.append(name)
         return by_name[name]
 
     rules: list[Rule] = []

@@ -12,7 +12,6 @@ import re
 import numpy as np
 
 from aspsubcount import (
-    Atom,
     CnfFormula,
     GroundProgram,
     ParseError,
@@ -523,13 +522,13 @@ def reference_parse_program(text: str) -> GroundProgram:
     """The former parser, a character-by-character tokenizer with a
     peek/next walk over its tokens: the reference that ``parse_program``
     must agree with, atom for atom and error for error."""
-    atoms: list[Atom] = []
+    atoms: list[str] = []
     by_name: dict[str, int] = {}
 
     def intern(name: str) -> int:
         if name not in by_name:
             by_name[name] = len(atoms)
-            atoms.append(Atom(len(atoms), name))
+            atoms.append(name)
         return by_name[name]
 
     rules: list[Rule] = []

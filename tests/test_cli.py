@@ -13,6 +13,12 @@ from aspsubcount.cli import main
 from conftest import EXAMPLE1
 from helpers import chain_text
 
+# The worked example's completion clauses, shared by phi1.cnf and phi2.cnf.
+WORKED_CLAUSES = (
+    "1 2 0\n3 4 0\n3 -5 0\n4 -5 0\n-1 5 0\n-2 -4 5 0\n5 0\n"
+    "-1 -2 0\n-2 -1 0\n-3 -4 5 0\n-4 -3 5 0\n-6 2 0\n-6 4 0\n6 -2 -4 0\n-5 1 6 0\n"
+)
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -99,6 +105,39 @@ class TestEncode:
         assert "c atom w 5" in phi2
         mapping = json.loads((out_dir / "phi2.map.json").read_text())
         assert mapping["cv_prime"] == {"q1": 7, "w": 8}
+
+    @pytest.mark.parametrize(
+        "text,phi1,phi2",
+        [
+            (
+                EXAMPLE1,
+                "c atom p0 1\nc atom p1 2\nc atom q0 3\nc atom q1 4\nc atom w 5\n"
+                "p cnf 6 15\n" + WORKED_CLAUSES,
+                "c atom p0 1\nc atom p1 2\nc atom q0 3\nc atom q1 4\nc atom w 5\n"
+                "p cnf 10 26\nc p show 1 2 3 4 5 0\n" + WORKED_CLAUSES
+                + "-7 4 0\n-8 5 0\n3 7 0\n7 -8 0\n-1 8 0\n-2 -7 8 0\n"
+                "-9 -7 0\n-9 4 0\n-10 -8 0\n-10 5 0\n9 10 0\n",
+            ),
+            (
+                # atoms first occur out of alphabetical order: the atom
+                # lines follow ids (b is 1, a is 2), not names
+                "b | a.\na :- b.\nb :- a.\n",
+                "c atom b 1\nc atom a 2\np cnf 2 3\n1 2 0\n-1 2 0\n1 -2 0\n",
+                "c atom b 1\nc atom a 2\np cnf 6 13\nc p show 1 2 0\n"
+                "1 2 0\n-1 2 0\n1 -2 0\n-3 1 0\n-4 2 0\n3 4 0\n-3 4 0\n"
+                "3 -4 0\n-5 -3 0\n-5 1 0\n-6 -4 0\n-6 2 0\n5 6 0\n",
+            ),
+        ],
+        ids=["worked", "out-of-order"],
+    )
+    def test_formula_text(self, capsys, program_file, tmp_path, text, phi1, phi2):
+        out_dir = tmp_path / "enc"
+        code, _, _ = run_cli(
+            capsys, "encode", program_file(text), "--emit-cnf", str(out_dir)
+        )
+        assert code == 0
+        assert (out_dir / "phi1.cnf").read_text() == phi1
+        assert (out_dir / "phi2.cnf").read_text() == phi2
 
     def test_json(self, capsys, worked_path, tmp_path):
         out_dir = tmp_path / "enc"

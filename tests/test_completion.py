@@ -19,14 +19,6 @@ from helpers import (
 )
 
 
-def group(artifact, tag):
-    return {
-        frozenset(artifact.cnf.clauses[i])
-        for i, t in artifact.group_tags.items()
-        if t == tag
-    }
-
-
 def completion_model_count_by_direct_eval(program):
     return sum(
         1
@@ -40,31 +32,38 @@ class TestWorkedExample:
     two-literal support conjunct of w."""
 
     def test_rule_clauses(self, example1):
+        # one clause per rule, in rule order, right after the (absent)
+        # headless-atom units
         art = clark_completion(example1)
-        assert group(art, "G2") == {
-            frozenset({1, 2}),
-            frozenset({3, 4}),
-            frozenset({3, -5}),
-            frozenset({4, -5}),
-            frozenset({-1, 5}),
-            frozenset({-2, -4, 5}),
-            frozenset({5}),
-        }
+        assert art.cnf.clauses[:7] == [
+            (1, 2),
+            (3, 4),
+            (3, -5),
+            (4, -5),
+            (-1, 5),
+            (-2, -4, 5),
+            (5,),
+        ]
 
     def test_no_headless_atoms(self, example1):
+        # every atom heads a rule, so the first rule's clause opens the CNF
         art = clark_completion(example1)
-        assert group(art, "G1") == set()
+        assert art.cnf.clauses[0] == (1, 2)
+        assert len(art.cnf.clauses) == 15
 
     def test_support_clauses(self, example1):
+        # support clauses follow the rule clauses, atom by atom
         art = clark_completion(example1)
-        assert group(art, "G3") == {
-            frozenset({-1, -2}),          # p0 and p1 exclude each other
-            frozenset({-3, -4, 5}),       # q0 -> (not q1 or w)
-            frozenset({-6, 2}),
-            frozenset({-6, 4}),
-            frozenset({6, -2, -4}),       # aux 6 <-> (p1 and q1)
-            frozenset({-5, 1, 6}),        # w -> (p0 or (p1 and q1))
-        }
+        assert art.cnf.clauses[7:] == [
+            (-1, -2),                     # p0 -> not p1
+            (-2, -1),                     # p1 -> not p0
+            (-3, -4, 5),                  # q0 -> (not q1 or w)
+            (-4, -3, 5),                  # q1 -> (not q0 or w)
+            (-6, 2),
+            (-6, 4),
+            (6, -2, -4),                  # aux 6 <-> (p1 and q1)
+            (-5, 1, 6),                   # w -> (p0 or (p1 and q1))
+        ]
         assert art.aux_defs == {6: (2, 4)}
         assert art.aux_vars == frozenset({6})
 
@@ -106,7 +105,7 @@ class TestSmallPrograms:
     def test_headless_atom_forced_false(self):
         p = parse_program("b :- not a.\n")
         art = clark_completion(p)
-        assert group(art, "G1") == {frozenset({-2})}
+        assert art.cnf.clauses[0] == (-2,)
         assert count_models(art.cnf) == 1
 
     def test_unsatisfiable_completion(self):
@@ -185,7 +184,6 @@ class TestShape:
         a = clark_completion(example1)
         b = clark_completion(example1)
         assert a.cnf.clauses == b.cnf.clauses
-        assert a.group_tags == b.group_tags
 
     def test_size_stays_linear_in_program_measure(self):
         rng = random.Random(23)
@@ -199,9 +197,3 @@ class TestShape:
             bound = 2 * (program.num_atoms + len(program.rules) + measure)
             assert art.cnf.num_clauses <= bound
             assert sum(len(c) for c in art.cnf.clauses) <= 3 * bound
-
-    def test_group_tags_cover_all_clauses(self, fixture_programs):
-        for program in fixture_programs.values():
-            art = clark_completion(program)
-            assert set(art.group_tags) == set(range(art.cnf.num_clauses))
-            assert set(art.group_tags.values()) <= {"G1", "G2", "G3"}

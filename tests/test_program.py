@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from aspsubcount import (
     GroundProgram,
-    Atom,
     Rule,
     ParseError,
     format_program,
@@ -39,7 +38,7 @@ def rule_names(program, rule):
 def programs(draw):
     """Ground programs over up to six atoms, empty rules included."""
     n = draw(st.integers(0, 6))
-    atoms = [Atom(i, f"a{i}") for i in range(n)]
+    atoms = [f"a{i}" for i in range(n)]
     ids = st.frozensets(st.integers(0, max(n - 1, 0)), max_size=3 if n else 0)
     rules = draw(st.lists(st.builds(Rule, ids, ids, ids), max_size=8))
     return GroundProgram(atoms, rules)
@@ -57,7 +56,7 @@ def program_texts(draw):
 
 class TestParsing:
     def test_worked_example_structure(self, example1):
-        assert [a.name for a in example1.atoms] == ["p0", "p1", "q0", "q1", "w"]
+        assert example1.atoms == ["p0", "p1", "q0", "q1", "w"]
         assert len(example1.rules) == 7
         r7 = example1.rules[6]
         assert r7.head == frozenset()
@@ -70,7 +69,7 @@ class TestParsing:
 
     def test_atom_ids_follow_first_occurrence(self):
         p = parse_program("b :- a.\nc | a :- not d.\n")
-        assert [a.name for a in p.atoms] == ["b", "a", "c", "d"]
+        assert p.atoms == ["b", "a", "c", "d"]
 
     def test_fact_and_constraint_shapes(self):
         p = parse_program("h.\n:- b1, not c1.\n")
@@ -135,7 +134,7 @@ class TestParsing:
     )
     def test_blanks_separate_tokens(self, text, names, rule):
         p = parse_program(text)
-        assert [a.name for a in p.atoms] == names
+        assert p.atoms == names
         assert p.rules == [Rule(*map(frozenset, rule))]
 
     @pytest.mark.parametrize(
@@ -146,7 +145,7 @@ class TestParsing:
         start = time.perf_counter()
         p = parse_program(text)
         assert time.perf_counter() - start < 1.0
-        assert [a.name for a in p.atoms] == ["a", "b"]
+        assert p.atoms == ["a", "b"]
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -169,12 +168,7 @@ class TestParsing:
 
     def test_program_invariant_validation(self):
         with pytest.raises(ValueError):
-            GroundProgram([Atom(1, "a")], [])
-        with pytest.raises(ValueError):
-            GroundProgram(
-                [Atom(0, "a")],
-                [Rule(frozenset({3}), frozenset(), frozenset())],
-            )
+            GroundProgram(["a"], [Rule(frozenset({3}), frozenset(), frozenset())])
 
 
 class TestSatisfies:
@@ -218,7 +212,7 @@ class TestRoundTrip:
             assert [rule_names(p, r) for r in p.rules] == [
                 rule_names(q, r) for r in q.rules
             ]
-            assert {a.name for a in p.atoms} >= {a.name for a in q.atoms}
+            assert set(p.atoms) >= set(q.atoms)
 
     @settings(max_examples=200, deadline=None)
     @given(program=programs())
@@ -227,13 +221,13 @@ class TestRoundTrip:
         assert [rule_names(program, r) for r in program.rules] == [
             rule_names(reparsed, r) for r in reparsed.rules
         ]
-        assert {a.name for a in program.atoms} >= {a.name for a in reparsed.atoms}
+        assert set(program.atoms) >= set(reparsed.atoms)
 
     def test_parse_is_order_stable(self):
         text = "x :- y, not z.\nw | y.\n"
         first = parse_program(text)
         second = parse_program(text)
-        assert [a.name for a in first.atoms] == [a.name for a in second.atoms]
+        assert first.atoms == second.atoms
         assert first.rules == second.rules
 
 

@@ -41,10 +41,6 @@ from helpers import (
 LOOPS_TWICE = "a :- b.\nb :- a.\na | c.\nx :- y.\ny :- x.\nx | z.\n"
 
 
-def names_of(program):
-    return [a.name for a in program.atoms]
-
-
 class TestSplit:
     def test_tight_program_is_one_part(self):
         program = parse_program(pairs_text(3) + "c :- a0, not b1.\n")
@@ -58,7 +54,7 @@ class TestSplit:
     def test_loop_components_then_remainder(self):
         program = parse_program("p | q.\n" + LOOPS_TWICE + ":- .\nr :- not p.\n")
         parts = split(Analysis(program))
-        assert [names_of(part) for part, _ in parts] == [
+        assert [part.atoms for part, _ in parts] == [
             ["a", "b", "c"],
             ["x", "y", "z"],
             ["p", "q", "r"],
@@ -75,7 +71,7 @@ class TestSplit:
         assert part is program
         program = parse_program("z.\nx :- y.\ny :- x.\nx :- c.\n")
         parts = split(Analysis(program))
-        assert [names_of(part) for part, _ in parts] == [["x", "y", "c"], ["z"]]
+        assert [part.atoms for part, _ in parts] == [["x", "y", "c"], ["z"]]
         assert parts[0][1] == frozenset({0, 1})
 
     def test_components_of_unmentioned_atoms(self):
