@@ -58,12 +58,6 @@ from .program import (
     satisfies,
     satisfies_program,
 )
-from .sat import (
-    PartialAssignment,
-    count_models,
-    projected_count,
-    solve,
-    solve_clauses,
-)
+from .sat import count_models, projected_count, solve_clauses
 
 __version__ = "0.1.0"

@@ -15,11 +15,24 @@ every clause is satisfied: ``solve_clauses`` takes the first leaf and
 ``models`` expands every one. ``_Trail.count`` counts the assignments to
 a set of kept variables that extend to a model, and a plain count keeps
 every variable. It splits the clauses not yet satisfied into components
-over the free variables, multiplies their counts, and branches on the kept
-variable of highest Jeroslow-Wang score in a component: the sum over the
-clauses not yet satisfied that hold it, of either sign, of 2^-n for a
-clause with n literals not yet false (the smallest variable on ties).
-A component without kept variables is a leaf satisfiability check.
+over the free variables, multiplies their counts, and branches in each
+component on the kept variable of lowest rank, then of highest
+Jeroslow-Wang score (the sum over the clauses not yet satisfied that hold
+it, of either sign, of 2^-n for a clause with n literals not yet false),
+then the smallest. A component without kept variables is a leaf
+satisfiability check.
+
+Ranks follow a tree decomposition, as in sharpSAT-TD (Korhonen and
+Jarvisalo, CP 2021), and are set once per count. Every variable has rank
+0 unless its top-level component has kept variables and more than
+``WIDTH_RATIO`` variables, and a greedy min-degree elimination of the
+component's primal graph never eliminates a variable of degree
+len(component) / WIDTH_RATIO or more (the width test). Then each variable's
+rank is its level in a centroid decomposition of the elimination tree
+(``treedec.centroid_levels``), so the search first cuts long, thin
+components near their middle, and its depth grows with the width times
+the logarithm of the size rather than with the size. Wide components keep
+pure Jeroslow-Wang decisions.
 
 Counts are plain Python ints, so arbitrarily large totals are exact. Every
 search runs on an explicit stack, so its depth is not bound by Python's
@@ -27,8 +40,8 @@ recursion limit. Within one count, each component's count is cached under
 the exact key of its clause ids and variables, so a component that the
 search reaches again along another branch is counted once; the cache is
 emptied when it grows past ``CACHE_BYTES``. Inside ``time_limit`` every
-search checks a clock every 64 steps and raises ``SearchTimeout`` once the
-limit has passed.
+search, and the elimination that ranks a component, checks a clock every
+64 steps and raises ``SearchTimeout`` once the limit has passed.
 """
 
 import time
@@ -37,8 +50,7 @@ from contextlib import contextmanager
 from itertools import chain
 
 from .cnf import CnfFormula
-
-PartialAssignment = dict[int, bool]
+from .treedec import centroid_levels
 
 # the size past which a count empties its component cache: each entry is
 # taken to cost its key's bytes plus CACHE_ENTRY_BYTES for the tuple, the two
@@ -49,6 +61,10 @@ CACHE_ENTRY_BYTES = 200
 # a clause with this many literals not yet false, or more, weighs 1 in the
 # decision score
 WEIGHT_CAP = 24
+
+# a count ranks the variables of a top-level component with more than this
+# many variables, unless its elimination meets a degree of its size over this
+WIDTH_RATIO = 16
 
 # (time.monotonic() deadline, seconds) while inside time_limit, else None
 _deadline = None
@@ -77,8 +93,8 @@ def _check_clock():
 
 
 def solve_clauses(
-    clauses, num_vars: int, assumptions: PartialAssignment | None = None
-) -> PartialAssignment | None:
+    clauses, num_vars: int, assumptions: dict[int, bool] | None = None
+) -> dict[int, bool] | None:
     """Satisfiability over variables 1..num_vars.
 
     Returns a total assignment extending ``assumptions`` (unconstrained
@@ -110,12 +126,6 @@ def models(clauses, num_vars: int, units=()):
         for mask in range(1, 1 << len(free)):
             _check_clock()
             yield model | {var: bool(mask >> i & 1) for i, var in enumerate(free)}
-
-
-def solve(
-    formula: CnfFormula, assumptions: PartialAssignment | None = None
-) -> PartialAssignment | None:
-    return solve_clauses(formula.clauses, formula.num_vars, assumptions)
 
 
 def count_models(formula: CnfFormula) -> int:
@@ -164,13 +174,13 @@ class _Trail:
     negative ones from the end. ``ntrue[c]`` counts the true literals of
     clause ``c`` and ``nfree[c]`` its literals not yet false, so ``c`` is
     satisfied when ``ntrue[c]`` is nonzero and unit when it is zero and
-    ``nfree[c]`` is one. The marks and clause weights that ``split`` uses
-    are allocated on its first call.
+    ``nfree[c]`` is one. The marks, clause weights and variable ranks that
+    ``split`` uses are allocated on its first call, every rank 0.
     """
 
     __slots__ = (
         "clauses", "num_vars", "occ", "value", "ntrue", "nfree", "trail",
-        "seen_v", "seen_c", "weight", "stamp",
+        "seen_v", "seen_c", "weight", "stamp", "rank",
     )
 
     def __init__(self, clauses: list, num_vars: int):
@@ -275,7 +285,8 @@ class _Trail:
 
     def count(self, kept: bytearray) -> int:
         """Number of assignments to the free variables with ``kept[v]`` set
-        that extend the trail to a model.
+        that extend the trail to a model. The top-level components are
+        ranked (``rank_by_centroids``) before the search starts.
 
         Each stack entry is a component being branched on, as the list [key,
         kept variable count, variables, the decision literal of the branch
@@ -287,6 +298,13 @@ class _Trail:
         cache, cache_bytes = {}, 0
         every = range(1, self.num_vars + 1)
         comps = self.split(every, kept, False)
+        ranked = [
+            self.rank_by_centroids(items)
+            for _, nkept, _, items in comps
+            if nkept and len(items) > WIDTH_RATIO
+        ]
+        if any(ranked):
+            comps = self.split(every, kept, False)
         free = sum(kept[v] for v in every if not self.value[v])
         product = 1 << (free - sum(comp[1] for comp in comps))
         index = 0
@@ -347,19 +365,20 @@ class _Trail:
         Each component is (key, kept variable count, decision variable,
         items). The key is the bytes of its sorted clause ids and of its
         sorted variables, or None without ``keyed``. The decision variable
-        is the kept variable with the highest score, the smallest on ties:
-        each of its clauses adds ``weight[n]``, exactly 2^(WEIGHT_CAP - n)
-        for a clause with n literals not yet false (n capped at WEIGHT_CAP).
-        Items are its sorted variables, or its sorted clause ids when it has
-        no kept variable."""
+        is the kept variable of lowest ``rank``, then of highest score, then
+        the smallest: each of its clauses adds ``weight[n]``, exactly
+        2^(WEIGHT_CAP - n) for a clause with n literals not yet false (n
+        capped at WEIGHT_CAP). Items are its sorted variables, or its sorted
+        clause ids when it has no kept variable."""
         if self.seen_c is None:
             self.seen_v, self.seen_c = [0] * len(self.value), [0] * len(self.clauses)
+            self.rank = [0] * (self.num_vars + 1)
             longest = max(map(len, self.clauses), default=0)
             self.weight = [1 << max(WEIGHT_CAP - n, 0) for n in range(longest + 1)]
             self.stamp = 0
         value, ntrue, clauses, occ = self.value, self.ntrue, self.clauses, self.occ
         seen_v, seen_c = self.seen_v, self.seen_c  # by literal and by clause
-        nfree, weight = self.nfree, self.weight
+        nfree, weight, rank = self.nfree, self.weight, self.rank
         self.stamp = stamp = self.stamp + 1
         comps = []
         for seed in seeds:
@@ -368,6 +387,7 @@ class _Trail:
             seen_v[seed] = seen_v[-seed] = stamp
             vs, cs = [seed], []
             var = best = nkept = 0
+            low = len(rank)
             for v in vs:
                 k = 0
                 for occs in (occ[v], occ[-v]):
@@ -384,8 +404,9 @@ class _Trail:
                                     vs.append(lit if lit > 0 else -lit)
                 if kept[v]:
                     nkept += 1
-                    if k > best or k == best and v < var:
-                        var, best = v, k
+                    r = rank[v]
+                    if r < low or r == low and (k > best or k == best and v < var):
+                        var, best, low = v, k, r
             if not cs:
                 continue
             cs.sort()
@@ -397,3 +418,34 @@ class _Trail:
                 key, items = None, array("i", vs if nkept else cs)
             comps.append((key, nkept, var, items))
         return comps
+
+    def rank_by_centroids(self, vs) -> bool:
+        """Rank the variables ``vs`` of one component by their levels in
+        ``centroid_levels`` over the primal graph of its clauses not yet
+        satisfied. Returns False, ranking nothing, when the elimination
+        meets a degree of len(vs) / WIDTH_RATIO or more."""
+        value, ntrue, nfree, clauses, occ = (
+            self.value, self.ntrue, self.nfree, self.clauses, self.occ
+        )
+        limit = -(-len(vs) // WIDTH_RATIO)
+        # a clause with more than limit free variables joins them all, so the
+        # first of them eliminated has degree limit or more
+        for v in vs:
+            for c in occ[v] + occ[-v]:
+                if nfree[c] > limit and not ntrue[c]:
+                    return False
+        adj = {}
+        for v in vs:
+            near = {
+                abs(x) for c in occ[v] + occ[-v] if not ntrue[c]
+                for x in clauses[c] if not value[x]
+            }
+            near.discard(v)
+            adj[v] = near
+        levels = centroid_levels(adj, limit, _check_clock)
+        if levels is None:
+            return False
+        rank = self.rank
+        for v, depth in levels:
+            rank[v] = depth
+        return True

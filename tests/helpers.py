@@ -260,6 +260,19 @@ def chain_text(n: int) -> str:
     return "".join(lines)
 
 
+def pigeonhole_text(pigeons: int, holes: int) -> str:
+    """Each pigeon in one of the holes, ``p_i_h_0 | ... | p_i_h_{holes-1}.``,
+    and no two in one hole: no answer set when there are more pigeons than
+    holes, and a count that takes seconds at ten pigeons in nine holes
+    whatever the decision rule, as unit propagation cannot see it."""
+    lines = [" | ".join(f"p{i}h{j}" for j in range(holes)) + ".\n" for i in range(pigeons)]
+    lines += [
+        f":- p{i}h{j}, p{k}h{j}.\n"
+        for j in range(holes) for i in range(pigeons) for k in range(i + 1, pigeons)
+    ]
+    return "".join(lines)
+
+
 def reach_text(rng: random.Random, n: int, m: int) -> str:
     """Reachability from node 0 over m distinct directed edges on nodes
     0..n-1 (n - 1 <= m), a random spanning tree plus random further edges,

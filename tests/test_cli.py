@@ -11,7 +11,7 @@ from aspsubcount import subtractive_count
 from aspsubcount.cli import main
 
 from conftest import EXAMPLE1
-from helpers import chain_text
+from helpers import chain_text, pigeonhole_text
 
 # The worked example's completion clauses, shared by phi1.cnf and phi2.cnf.
 WORKED_CLAUSES = (
@@ -203,10 +203,10 @@ class TestCount:
 
     @pytest.mark.parametrize("mode", ["subtractive", "enumerate"])
     def test_builtin_timeout_exit_code(self, capsys, program_file, mode):
-        # counting chain-2000 takes seconds, and enumerating 2^40 answer
-        # sets takes forever; the limit stops either search
+        # counting ten pigeons in nine holes takes seconds, and enumerating
+        # 2^40 answer sets takes forever; the limit stops either search
         if mode == "subtractive":
-            path = program_file(chain_text(2000))
+            path = program_file(pigeonhole_text(10, 9))
         else:
             path = program_file("".join(f"a{i} | b{i}.\n" for i in range(40)))
         start = time.monotonic()

@@ -8,7 +8,7 @@ from aspsubcount import (
     count_models,
     parse_program,
     projected_count,
-    solve,
+    solve_clauses,
 )
 
 from helpers import (
@@ -99,7 +99,7 @@ class TestSmallPrograms:
         p = parse_program("a | b.\n")
         art = clark_completion(p)
         assert count_models(art.cnf) == 2
-        model = solve(art.cnf, {1: True})
+        model = solve_clauses(art.cnf.clauses, art.cnf.num_vars, {1: True})
         assert model[2] is False
 
     def test_headless_atom_forced_false(self):

@@ -13,7 +13,7 @@ from aspsubcount import (
     loop_atoms,
     parse_program,
     projected_count,
-    solve,
+    solve_clauses,
     surplus_formula,
 )
 
@@ -110,7 +110,7 @@ class TestSurplusWorkedExample:
         sur = surplus_formula(example1)
         m2 = example1.interpretation(["p1", "q0", "q1", "w"])
         assumptions = {x + 1: (x in m2) for x in range(example1.num_atoms)}
-        model = solve(sur.cnf, assumptions)
+        model = solve_clauses(sur.cnf.clauses, sur.cnf.num_vars, assumptions)
         assert model is not None
         # over the variables above the atoms, exactly these models extend
         # m2: the completion auxiliary 6 true, both copies false, and any
@@ -128,7 +128,7 @@ class TestSurplusWorkedExample:
 
         m1 = example1.interpretation(["p0", "q0", "q1", "w"])
         assumptions = {x + 1: (x in m1) for x in range(example1.num_atoms)}
-        assert solve(sur.cnf, assumptions) is None
+        assert solve_clauses(sur.cnf.clauses, sur.cnf.num_vars, assumptions) is None
 
     def test_exactly_one_model_over_atoms_and_copies(self, example1):
         # the witnesses are one-sided, so the one model over the atoms and

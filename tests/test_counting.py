@@ -17,6 +17,7 @@ from aspsubcount import (
     hybrid_count,
     parse_counter_output,
     parse_program,
+    sat,
     subtractive_count,
     surplus_formula,
 )
@@ -95,11 +96,13 @@ class TestSubtractive:
         assert payload["mode"] == "subtractive"
         json.dumps(payload)  # must be serializable as-is
 
-    def test_deep_search_needs_no_recursion(self):
-        # the count branches about n/2 levels deep on a chain; with the
-        # limit a hundred frames above the caller's, a search that recursed
-        # per level would raise RecursionError
+    def test_deep_search_needs_no_recursion(self, monkeypatch):
+        # with no component large enough to be ranked, the count branches
+        # about n/2 levels deep on a chain; with the limit a hundred frames
+        # above the caller's, a search that recursed per level would raise
+        # RecursionError
         n = 400
+        monkeypatch.setattr(sat, "WIDTH_RATIO", 10 * n)
         program = parse_program(chain_text(n))
         depth, frame = 0, sys._getframe()
         while frame is not None:
@@ -257,6 +260,25 @@ class TestReachability:
             assert hybrid_count(program, threshold=64).answer_sets == 2**9
         # some graph has a directed cycle, so a surplus is counted
         assert max(surpluses) > 0
+
+
+class TestChains:
+    """Tight programs whose completion is one long, thin component, which
+    the count ranks by a tree decomposition once it has more than
+    ``sat.WIDTH_RATIO`` variables: chain-n has n + 2 answer sets."""
+
+    def test_every_length_counts_in_every_mode(self):
+        for n in range(1, 301):
+            program = parse_program(chain_text(n))
+            report = subtractive_count(program)
+            assert report.answer_sets == report.overcount == n + 2
+            # enumeration walks every model, and hybrid counts a tight part
+            # as subtraction does: both run on the shorter chains and on
+            # every hundredth length
+            if n <= 40 or n % 100 == 0:
+                assert enumerated(program) == (n + 2, True)
+                assert hybrid_count(program).answer_sets == n + 2
+                assert hybrid_count(program, threshold=n).answer_sets == n + 2
 
 
 class TestOutputParsing:

@@ -9,7 +9,7 @@ import os
 import re
 
 import aspsubcount
-from aspsubcount import cli, parse_program, surplus_formula
+from aspsubcount import cli, parse_program, sat, surplus_formula
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -70,3 +70,10 @@ def test_program_format_examples_parse():
     assert len(blocks) >= 2
     for block in blocks:
         assert parse_program(block).rules
+
+
+def test_engine_constants_are_stated_with_their_values():
+    text = open(README).read()
+    for name in ("WEIGHT_CAP", "WIDTH_RATIO"):
+        stated = f"`sat.{name} = {getattr(sat, name)}`"
+        assert stated in text, f"README does not state {stated}"

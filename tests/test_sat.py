@@ -10,7 +10,6 @@ from aspsubcount import (
     CnfFormula,
     count_models,
     projected_count,
-    solve,
     solve_clauses,
 )
 from aspsubcount import sat
@@ -28,34 +27,34 @@ from helpers import (
 
 class TestSolve:
     def test_sat_and_unsat(self):
-        assert solve(CnfFormula(2, [(1, 2), (-1, 2)])) is not None
-        assert solve(CnfFormula(1, [(1,), (-1,)])) is None
+        assert solve_clauses([(1, 2), (-1, 2)], 2) is not None
+        assert solve_clauses([(1,), (-1,)], 1) is None
 
     def test_empty_formula_is_sat(self):
-        model = solve(CnfFormula(2, []))
+        model = solve_clauses([], 2)
         assert model == {1: False, 2: False}
 
     def test_empty_clause_is_unsat(self):
-        assert solve(CnfFormula(2, [()])) is None
+        assert solve_clauses([()], 2) is None
 
     def test_assumptions_are_respected(self):
         f = CnfFormula(2, [(1, 2)])
-        model = solve(f, {1: False})
+        model = solve_clauses(f.clauses, f.num_vars, {1: False})
         assert model[1] is False and model[2] is True
 
     def test_conflicting_assumptions(self):
         f = CnfFormula(1, [(1,)])
-        assert solve(f, {1: False}) is None
+        assert solve_clauses(f.clauses, f.num_vars, {1: False}) is None
 
     def test_assumption_out_of_range(self):
         with pytest.raises(ValueError):
-            solve(CnfFormula(1, [(1,)]), {5: True})
+            solve_clauses([(1,)], 1, {5: True})
 
     def test_models_satisfy_all_clauses(self):
         rng = random.Random(13)
         for _ in range(300):
             f = random_cnf(rng, max_vars=12, max_clauses=30)
-            model = solve(f)
+            model = solve_clauses(f.clauses, f.num_vars)
             if model is None:
                 continue
             assignment = {v: model[v] for v in range(1, f.num_vars + 1)}
@@ -65,7 +64,7 @@ class TestSolve:
         rng = random.Random(14)
         for _ in range(300):
             f = random_cnf(rng, max_vars=10, max_clauses=25)
-            assert (solve(f) is not None) == (count_models(f) > 0)
+            assert (solve_clauses(f.clauses, f.num_vars) is not None) == (count_models(f) > 0)
 
     def test_worked_example_fixed_points_decide_the_check(self):
         # the worked example's copy clauses reduced under its two completion
@@ -176,7 +175,7 @@ class TestOneEngine:
             if rng.random() < 0.3
         }
         units = [(v if value else -v,) for v, value in assumptions.items()]
-        model = solve(f, assumptions)
+        model = solve_clauses(f.clauses, f.num_vars, assumptions)
         if tt_count(CnfFormula(f.num_vars, f.clauses + units)) == 0:
             assert model is None
         else:
@@ -185,7 +184,8 @@ class TestOneEngine:
             assert eval_clauses(f.clauses + units, model)
         assert count_models(f) == projected_count(f, set())
         everything = set(range(1, f.num_vars + 1))
-        assert projected_count(f, everything) == int(solve(f) is not None)
+        satisfiable = solve_clauses(f.clauses, f.num_vars) is not None
+        assert projected_count(f, everything) == int(satisfiable)
 
 
 class TestModels:
@@ -236,7 +236,7 @@ class TestTimeLimit:
         # each of these searches takes seconds on ten pigeons in nine holes
         f = pigeonhole(10, 9)
         searches = [
-            lambda: solve(f),
+            lambda: solve_clauses(f.clauses, f.num_vars),
             lambda: next(models(f.clauses, f.num_vars), None),
             lambda: count_models(f),
             # the part without kept variables is a leaf satisfiability check
@@ -249,6 +249,21 @@ class TestTimeLimit:
             assert time.monotonic() - start < 2
         # outside the block the limit is gone: this count takes longer
         assert count_models(pigeonhole(8, 7)) == 0
+
+    def test_ranking_stops_at_the_limit(self):
+        # ranking a chain of 20000 variables takes a tenth of a second or
+        # more; the elimination checks the clock as the searches do
+        f = implication_chain(20000)
+        engine = sat._started(f.clauses, f.num_vars)
+        kept = bytearray([1]) * (2 * f.num_vars + 1)
+        [(_, _, _, items)] = engine.split(range(1, f.num_vars + 1), kept, False)
+        with pytest.raises(sat.SearchTimeout), sat.time_limit(0):
+            engine.rank_by_centroids(items)
+        assert engine.rank == [0] * (f.num_vars + 1)
+        start = time.monotonic()
+        with pytest.raises(sat.SearchTimeout), sat.time_limit(0.01):
+            count_models(f)
+        assert time.monotonic() - start < 2
 
 
 def propagation_input(rng: random.Random):
@@ -378,42 +393,51 @@ def jeroslow_wang(clauses, value, ids) -> Counter:
 class TestComponents:
     """``_Trail.split`` partitions the clauses not yet satisfied into their
     connected parts over the free variables, and picks each part's
-    decision variable: the kept one of highest Jeroslow-Wang score, the
-    smallest on ties."""
+    decision variable: the kept one of lowest rank, then of highest
+    Jeroslow-Wang score, then the smallest."""
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_groups_partition_the_clauses(self, seed):
-        engine, kept = component_input(random.Random(seed))
+        rng = random.Random(seed)
+        engine, kept = component_input(rng)
         value = engine.value
         live = [c for c, clause in enumerate(engine.clauses) if not engine.ntrue[c]]
         free_vars_of = {c: {abs(x) for x in engine.clauses[c] if not value[x]} for c in live}
-        comps = engine.split(range(1, engine.num_vars + 1), kept, True)
-        groups = []
-        for key, nkept, var, items in comps:
-            ids = list(array("i", key[0]))
-            group_vars = list(array("i", key[1]))
-            assert ids == sorted(ids) and group_vars == sorted(group_vars)
-            assert list(items) == (group_vars if nkept else ids)
-            assert set(group_vars) == set().union(*(free_vars_of[c] for c in ids))
-            kept_vars = [v for v in group_vars if kept[v]]
-            assert nkept == len(kept_vars)
-            if kept_vars:
-                score = jeroslow_wang(engine.clauses, value, ids)
-                assert var == max(kept_vars, key=lambda v: (score[v], -v))
-            reached, frontier = set(), {group_vars[0]}
-            while frontier:
-                reached |= frontier
-                touching = [c for c in ids if free_vars_of[c] & reached]
-                frontier = set().union(*(free_vars_of[c] for c in touching)) - reached
-            assert reached == set(group_vars)
-            groups.append((ids, group_vars))
-        placed = [c for ids, _ in groups for c in ids]
-        assert Counter(placed) == Counter(live)
-        all_vars = [v for _, group_vars in groups for v in group_vars]
-        assert len(all_vars) == len(set(all_vars))
-        smallest = [group_vars[0] for _, group_vars in groups]
-        assert smallest == sorted(smallest)
+        # an engine that no count has prepared ranks every variable 0; then
+        # a few levels with many ties, as a count leaves them
+        ranks = [0] * (engine.num_vars + 1)
+        for ranked in (False, True):
+            if ranked:
+                ranks = [rng.randrange(3) for _ in ranks]
+                engine.rank[:] = ranks
+            comps = engine.split(range(1, engine.num_vars + 1), kept, True)
+            assert engine.rank == ranks
+            groups = []
+            for key, nkept, var, items in comps:
+                ids = list(array("i", key[0]))
+                group_vars = list(array("i", key[1]))
+                assert ids == sorted(ids) and group_vars == sorted(group_vars)
+                assert list(items) == (group_vars if nkept else ids)
+                assert set(group_vars) == set().union(*(free_vars_of[c] for c in ids))
+                kept_vars = [v for v in group_vars if kept[v]]
+                assert nkept == len(kept_vars)
+                if kept_vars:
+                    score = jeroslow_wang(engine.clauses, value, ids)
+                    assert var == min(kept_vars, key=lambda v: (ranks[v], -score[v], v))
+                reached, frontier = set(), {group_vars[0]}
+                while frontier:
+                    reached |= frontier
+                    touching = [c for c in ids if free_vars_of[c] & reached]
+                    frontier = set().union(*(free_vars_of[c] for c in touching)) - reached
+                assert reached == set(group_vars)
+                groups.append((ids, group_vars))
+            placed = [c for ids, _ in groups for c in ids]
+            assert Counter(placed) == Counter(live)
+            all_vars = [v for _, group_vars in groups for v in group_vars]
+            assert len(all_vars) == len(set(all_vars))
+            smallest = [group_vars[0] for _, group_vars in groups]
+            assert smallest == sorted(smallest)
 
     def test_short_clauses_outweigh_more_occurrences(self):
         # variable 1 occurs in three 4-literal clauses (score 3 * 2^-4) and
@@ -433,6 +457,107 @@ class TestComponents:
         assert count_models(f) == 3 * 2 ** (n - 2) - 1
         # keeping 1..20, the long clause can always be satisfied above 20
         assert projected_count(f, range(21, n + 1)) == 3 * 2**18
+
+
+def implication_chain(n: int) -> CnfFormula:
+    """1 -> 2 -> ... -> n: n + 1 models, one connected path of binary
+    clauses, so of width 1."""
+    return CnfFormula(n, [(-v, v + 1) for v in range(1, n)])
+
+
+def thin_cnf(rng: random.Random, n: int, span: int = 3) -> CnfFormula:
+    """A random connected CNF over n variables laid out along a random
+    order: a binary clause joins each two neighbours in the order, and up
+    to n more clauses of two or three literals each lie within ``span`` + 1
+    consecutive places of it."""
+    order = rng.sample(range(1, n + 1), n)
+
+    def signed(v):
+        return v if rng.random() < 0.5 else -v
+
+    clauses = [(signed(a), signed(b)) for a, b in zip(order, order[1:])]
+    for _ in range(rng.randint(0, n)):
+        at = rng.randrange(n - span)
+        width = rng.randint(2, 3)
+        clauses.append(tuple(map(signed, rng.sample(order[at:at + span + 1], width))))
+    rng.shuffle(clauses)
+    return CnfFormula(n, clauses)
+
+
+class TestRanks:
+    """A count ranks each large, thin top-level component by a centroid
+    decomposition of a min-degree elimination tree, and its decisions take
+    the lowest rank first; a wide or small component keeps rank 0."""
+
+    def test_rank_overrides_jeroslow_wang_on_a_chain(self):
+        n = 2 * sat.WIDTH_RATIO + 1
+        f = implication_chain(n)
+        engine = sat._started(f.clauses, f.num_vars)
+        kept = bytearray([1]) * (2 * n + 1)
+        [(_, _, var, items)] = engine.split(range(1, n + 1), kept, False)
+        # every inner variable is in two binary clauses, the ends in one
+        assert var == 2
+        assert engine.rank_by_centroids(items)
+        [(_, _, var, _)] = engine.split(range(1, n + 1), kept, False)
+        # the elimination tree is the path itself, and its centroid the
+        # middle variable; each half's centroid is one level down
+        middle = (n + 1) // 2
+        assert var == middle and engine.rank[middle] == 0
+        assert sorted(engine.rank[v] for v in range(1, n + 1))[:3] == [0, 1, 1]
+        assert max(engine.rank) <= n.bit_length()
+        assert count_models(f) == n + 1
+
+    def test_wide_component_keeps_rank_zero(self):
+        # every variable of a complete graph has degree n - 1
+        n = 2 * sat.WIDTH_RATIO
+        clauses = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        engine = sat._started(clauses, n)
+        kept = bytearray([1]) * (2 * n + 1)
+        [(_, _, var, items)] = engine.split(range(1, n + 1), kept, False)
+        assert not engine.rank_by_centroids(items)
+        assert engine.rank == [0] * (n + 1) and var == 1
+
+    def test_count_ranks_large_components_with_kept_variables(self, monkeypatch):
+        ranked = []
+        rank_by_centroids = sat._Trail.rank_by_centroids
+
+        def recording(engine, vs):
+            ranked.append(len(vs))
+            return rank_by_centroids(engine, vs)
+
+        monkeypatch.setattr(sat._Trail, "rank_by_centroids", recording)
+        small, large = sat.WIDTH_RATIO, 3 * sat.WIDTH_RATIO
+        f = implication_chain(small)
+        clauses = f.clauses + [(-(small + v), small + v + 1) for v in range(1, large)]
+        g = CnfFormula(small + large, clauses)
+        assert count_models(g) == (small + 1) * (large + 1)
+        assert ranked == [large]
+        ranked.clear()
+        # with only the small chain kept, the large one is a leaf check
+        assert projected_count(g, range(small + 1, small + large + 1)) == small + 1
+        assert ranked == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_long_thin_formulas_count_exactly(self, seed):
+        rng = random.Random(seed)
+        f = thin_cnf(rng, 18)
+        out = {v for v in range(1, f.num_vars + 1) if rng.random() < 0.4}
+        ranked = []
+        rank_by_centroids = sat._Trail.rank_by_centroids
+
+        def recording(engine, vs):
+            ranked.append(rank_by_centroids(engine, vs))
+            return ranked[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            # a low ratio ranks components of a few variables, and lets
+            # through the widths that three-place windows give
+            patch.setattr(sat, "WIDTH_RATIO", 3)
+            patch.setattr(sat._Trail, "rank_by_centroids", recording)
+            assert count_models(f) == tt_count(f)
+            assert projected_count(f, out) == tt_projected_count(f, out)
+        assert ranked[0]
 
 
 def met_twice(shared, s: int, us: list[int]):
