@@ -8,6 +8,10 @@ The encoding has three clause groups:
   from some rule that heads it, exclusively with respect to the other head
   atoms of that rule.
 
+Each clause is emitted once: a clause with the literal set of an earlier
+one, in any group, is left out (the atoms of ``a | b.`` share ``-a | -b``),
+and the first keeps its place and literal order.
+
 Atom id i is variable i + 1. Multi-literal support conjuncts get one
 auxiliary variable each, above the atoms, defined by a full biconditional,
 so every model over the atom variables extends to exactly one model of the
@@ -39,50 +43,39 @@ class CompletionArtifact:
         return dimacs(self.cnf, atom_names=dict(enumerate(program.atoms, 1)))
 
 
-def _support_conjunct(rule, atom: int) -> tuple[int, ...] | None:
-    """Atom-variable literals of the support conjunct of ``rule`` for
-    ``atom``: the body plus the negated other head atoms. None when the
-    conjunct is contradictory."""
-    lits = {b + 1 for b in rule.pos_body}
-    lits |= {-(c + 1) for c in rule.neg_body}
-    lits |= {-(x + 1) for x in rule.head if x != atom}
-    if any(-lit in lits for lit in lits):
-        return None
-    return tuple(sorted(lits, key=abs))
-
-
 def clark_completion(program: GroundProgram) -> CompletionArtifact:
     """Build the completion CNF. Variable order: atoms first (atom id i is
     variable i + 1), auxiliaries after, in emission order."""
     n = program.num_atoms
-    clauses: list[tuple[int, ...]] = []
     aux_defs: dict[int, tuple[int, ...]] = {}
     next_var = n + 1
 
-    heads: dict[int, list] = {a: [] for a in range(n)}
+    # A rule's literals, built once and sorted by variable, make its
+    # positive body true and its head and negative body false. Negated,
+    # they are the rule's clause; less an atom's own head literal, they are
+    # the rule's support conjunct for that atom (None when contradictory).
+    supports: list[list] = [[] for _ in range(n)]
+    rule_clauses: list[tuple[int, ...]] = []
     for rule in program.rules:
-        for a in rule.head:
-            heads[a].append(rule)
+        head, pos, neg = rule.head, rule.pos_body, rule.neg_body
+        lits = sorted([b + 1 for b in pos] + [-(x + 1) for x in head | neg], key=abs)
+        void = not pos.isdisjoint(neg)
+        clash = head & pos
+        if not (void or clash):  # else the implication is trivially true
+            rule_clauses.append(tuple([-lit for lit in lits]))
+        for a in head:
+            own = 0 if a in neg else -(a + 1)  # a negated body atom stays
+            conjunct = tuple([lit for lit in lits if lit != own])
+            supports[a].append(None if void or clash and clash != {a} else conjunct)
+
+    clauses = [(-(a + 1),) for a in range(n) if not supports[a]] + rule_clauses
 
     for a in range(n):
-        if not heads[a]:
-            clauses.append((-(a + 1),))
-
-    for rule in program.rules:
-        lits = {x + 1 for x in rule.head}
-        lits |= {-(b + 1) for b in rule.pos_body}
-        lits |= {c + 1 for c in rule.neg_body}
-        if any(-lit in lits for lit in lits):
-            continue  # head meets positive body: the implication is trivially true
-        clauses.append(tuple(sorted(lits, key=abs)))
-
-    for a in range(n):
-        if not heads[a]:
+        if not supports[a]:
             continue
         conjuncts = []
         trivial = False
-        for rule in heads[a]:
-            lits = _support_conjunct(rule, a)
+        for lits in supports[a]:
             if lits is None:
                 continue
             if not lits or lits == (a + 1,):
@@ -99,10 +92,7 @@ def clark_completion(program: GroundProgram) -> CompletionArtifact:
             for lit in conjuncts[0]:
                 if lit == a + 1:
                     continue  # a -> a, vacuous
-                if lit == -(a + 1):
-                    clauses.append((-(a + 1),))
-                else:
-                    clauses.append((-(a + 1), lit))
+                clauses.append((-(a + 1),) if lit == -(a + 1) else (-(a + 1), lit))
             continue
         singles = [c[0] for c in conjuncts if len(c) == 1]
         if (a + 1) in singles or any(-lit in singles for lit in singles):
@@ -122,8 +112,12 @@ def clark_completion(program: GroundProgram) -> CompletionArtifact:
             disjunction.append(d)
         clauses.append(tuple(disjunction))
 
+    first: dict[frozenset[int], tuple[int, ...]] = {}  # clause per literal set
+    for clause in clauses:
+        first.setdefault(frozenset(clause), clause)
+
     return CompletionArtifact(
-        cnf=CnfFormula(next_var - 1, clauses),
+        cnf=CnfFormula(next_var - 1, list(first.values())),
         num_atoms=n,
         aux_vars=frozenset(range(n + 1, next_var)),
         aux_defs=aux_defs,

@@ -29,54 +29,53 @@ def build_dependency_graph(program: GroundProgram) -> DependencyGraph:
 
 
 def _sccs(graph: DependencyGraph):
-    """Tarjan's algorithm, iterative. Returns each SCC as a list of nodes."""
-    successors: list[list[int]] = [[] for _ in range(graph.num_nodes)]
-    for y, x in sorted(graph.edges):
-        successors[y].append(x)
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+    """Tarjan's algorithm, iterative, over list-indexed arrays. Returns
+    each SCC it meets as a list of nodes. The search starts only at nodes
+    with a successor: any other node is a singleton SCC without a
+    self-loop, which holds no loop atom."""
+    successors: dict[int, list[int]] = {}
+    for y, x in graph.edges:
+        successors.setdefault(y, []).append(x)
+    index = [0] * graph.num_nodes  # discovery order from 1; 0 when unvisited
+    low = [0] * graph.num_nodes
+    on_stack = bytearray(graph.num_nodes)
     stack: list[int] = []
     counter = 0
     sccs = []
 
-    for root in range(graph.num_nodes):
-        if root in index:
+    for root in successors:
+        if index[root]:
             continue
-        work = [(root, iter(successors[root]))]
-        index[root] = low[root] = counter
         counter += 1
+        index[root] = low[root] = counter
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = 1
+        work = [(root, iter(successors[root]))]
         while work:
             node, succs = work[-1]
-            advanced = False
             for nxt in succs:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter
+                if not index[nxt]:
                     counter += 1
+                    index[nxt] = low[nxt] = counter
                     stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(successors[nxt])))
-                    advanced = True
+                    on_stack[nxt] = 1
+                    work.append((nxt, iter(successors.get(nxt, ()))))
                     break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.remove(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(component)
+                if on_stack[nxt] and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:  # every successor is done
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack[member] = 0
+                        component.append(member)
+                        if member == node:
+                            break
+                    sccs.append(component)
     return sccs
 
 

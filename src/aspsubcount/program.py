@@ -120,65 +120,66 @@ def lint(program: GroundProgram) -> list[str]:
     return warnings
 
 
-# One token per match: an identifier (group 1), a mark (group 2), a run of
-# blanks (no group; skipped) or any other character (group 3; an error).
-# Blanks are an alternative of their own rather than a prefix of the others,
-# so no match backtracks over them and a scan is linear in the line.
-_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|(:-|[|,.])|[ \t\r]+|(.)", re.S)
+# One token per match: an identifier, a mark, or any other non-blank
+# character (an error). Blanks match nothing and are skipped. No
+# alternative can match a prefix of a blank, so a scan is linear in the line.
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|:-|[|,.]|[^ \t\r]")
+_MARKS = frozenset((":-", "|", ",", "."))
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
 def _parse_rule(line: str, line_no: int, intern) -> Rule:
     """The rule on one line, comment removed; the line is not blank."""
-    toks: list[tuple[str, int, bool]] = []  # (text, column, is identifier)
-    for m in _TOKEN.finditer(line):
-        kind = m.lastindex
-        if kind:
-            if kind == 3:
-                message = f"unexpected character {m[3]!r}"
-                raise ParseError(message, line_no, m.start() + 1)
-            toks.append((m[0], m.start() + 1, kind == 1))
-    toks.append(("", len(line) + 1, False))  # end of line
+    toks = _TOKEN.findall(line) + [""]  # "" is the end of the line
     head: list[int] = []
     pos_body: list[int] = []
     neg_body: list[int] = []
     i = 0
 
     def fail(message: str):
-        raise ParseError(message, line_no, toks[i][1])
+        # Columns are found here only, by a rescan of the line. Its first
+        # character that is no token is the error: no rule parses past one.
+        column = len(line) + 1
+        for j, m in enumerate(_TOKEN.finditer(line)):
+            if m[0] not in _MARKS and m[0][0] not in _IDENT_START:
+                raise ParseError(f"unexpected character {m[0]!r}", line_no, m.start() + 1)
+            if j == i:
+                column = m.start() + 1
+        raise ParseError(message, line_no, column)
 
     def atom(context: str) -> int:
         nonlocal i
-        text, _, ident = toks[i]
-        if not ident:
+        text = toks[i]
+        if text[:1] not in _IDENT_START:
             fail(f"expected atom {context}")
         if text == "not":
             fail(f"'not' is a reserved word, not an atom {context}")
         i += 1
         return intern(text)
 
-    if toks[0][2]:
+    if toks[0][:1] in _IDENT_START:
         head.append(atom("in head"))
-        while toks[i][0] == "|":
+        while toks[i] == "|":
             i += 1
             head.append(atom("in head"))
-    if toks[i][0] == ":-":
+    if toks[i] == ":-":
         i += 1
-        if toks[i][2]:
+        if toks[i][:1] in _IDENT_START:
             while True:
-                if toks[i][0] == "not":
+                if toks[i] == "not":
                     i += 1
                     neg_body.append(atom("after 'not'"))
                 else:
                     pos_body.append(atom("in body"))
-                if toks[i][0] != ",":
+                if toks[i] != ",":
                     break
                 i += 1
     elif not head:
         fail("expected atom or ':-'")
-    if toks[i][0] != ".":
+    if toks[i] != ".":
         fail("expected '.'")
     i += 1
-    if toks[i][0]:
+    if toks[i]:
         fail("one rule per line")
     return Rule(frozenset(head), frozenset(pos_body), frozenset(neg_body))
 

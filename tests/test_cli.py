@@ -16,8 +16,33 @@ from helpers import chain_text, pigeonhole_text
 # The worked example's completion clauses, shared by phi1.cnf and phi2.cnf.
 WORKED_CLAUSES = (
     "1 2 0\n3 4 0\n3 -5 0\n4 -5 0\n-1 5 0\n-2 -4 5 0\n5 0\n"
+    "-1 -2 0\n-3 -4 5 0\n-6 2 0\n-6 4 0\n6 -2 -4 0\n-5 1 6 0\n"
+)
+
+# The same clauses as emitted when a support clause shared by two atoms
+# was written once per atom (15 clauses, two of them repeats).
+WORKED_CLAUSES_WITH_REPEATS = (
+    "1 2 0\n3 4 0\n3 -5 0\n4 -5 0\n-1 5 0\n-2 -4 5 0\n5 0\n"
     "-1 -2 0\n-2 -1 0\n-3 -4 5 0\n-4 -3 5 0\n-6 2 0\n-6 4 0\n6 -2 -4 0\n-5 1 6 0\n"
 )
+
+
+def drop_repeated_clauses(text: str) -> str:
+    """DIMACS ``text`` without each clause whose literal set an earlier
+    clause has, the header's clause count adjusted."""
+    lines, seen, kept = text.splitlines(), set(), []
+    for line in lines:
+        if line[0] not in "cp":
+            key = frozenset(line.split()[:-1])
+            if key in seen:
+                continue
+            seen.add(key)
+        kept.append(line)
+    clauses = sum(line[0] not in "cp" for line in kept)
+    return "\n".join(
+        " ".join(line.split()[:3] + [str(clauses)]) if line.startswith("p ") else line
+        for line in kept
+    ) + "\n"
 
 
 def run_cli(capsys, *argv):
@@ -98,9 +123,9 @@ class TestEncode:
         assert code == 0
         phi1 = (out_dir / "phi1.cnf").read_text()
         phi2 = (out_dir / "phi2.cnf").read_text()
-        assert "p cnf 6 15" in phi1
+        assert "p cnf 6 13" in phi1
         assert "c p show" not in phi1
-        assert "p cnf 10 26" in phi2
+        assert "p cnf 10 24" in phi2
         assert "c p show 1 2 3 4 5 0" in phi2
         assert "c atom w 5" in phi2
         mapping = json.loads((out_dir / "phi2.map.json").read_text())
@@ -112,9 +137,9 @@ class TestEncode:
             (
                 EXAMPLE1,
                 "c atom p0 1\nc atom p1 2\nc atom q0 3\nc atom q1 4\nc atom w 5\n"
-                "p cnf 6 15\n" + WORKED_CLAUSES,
+                "p cnf 6 13\n" + WORKED_CLAUSES,
                 "c atom p0 1\nc atom p1 2\nc atom q0 3\nc atom q1 4\nc atom w 5\n"
-                "p cnf 10 26\nc p show 1 2 3 4 5 0\n" + WORKED_CLAUSES
+                "p cnf 10 24\nc p show 1 2 3 4 5 0\n" + WORKED_CLAUSES
                 + "-7 4 0\n-8 5 0\n3 7 0\n7 -8 0\n-1 8 0\n-2 -7 8 0\n"
                 "-9 -7 0\n-9 4 0\n-10 -8 0\n-10 5 0\n9 10 0\n",
             ),
@@ -138,6 +163,29 @@ class TestEncode:
         assert code == 0
         assert (out_dir / "phi1.cnf").read_text() == phi1
         assert (out_dir / "phi2.cnf").read_text() == phi2
+
+    def test_formula_text_drops_only_repeated_clauses(self, capsys, worked_path, tmp_path):
+        # both files are the texts written when shared support clauses were
+        # repeated, with every later repeat deleted and nothing else changed
+        atoms = "c atom p0 1\nc atom p1 2\nc atom q0 3\nc atom q1 4\nc atom w 5\n"
+        copies = (
+            "-7 4 0\n-8 5 0\n3 7 0\n7 -8 0\n-1 8 0\n-2 -7 8 0\n"
+            "-9 -7 0\n-9 4 0\n-10 -8 0\n-10 5 0\n9 10 0\n"
+        )
+        repeated_phi1 = atoms + "p cnf 6 15\n" + WORKED_CLAUSES_WITH_REPEATS
+        repeated_phi2 = (
+            atoms + "p cnf 10 26\nc p show 1 2 3 4 5 0\n" + WORKED_CLAUSES_WITH_REPEATS + copies
+        )
+        out_dir = tmp_path / "enc"
+        code, _, _ = run_cli(capsys, "encode", worked_path, "--emit-cnf", str(out_dir))
+        assert code == 0
+        phi1 = (out_dir / "phi1.cnf").read_text()
+        phi2 = (out_dir / "phi2.cnf").read_text()
+        assert phi1 == drop_repeated_clauses(repeated_phi1)
+        assert phi2 == drop_repeated_clauses(repeated_phi2)
+        assert (phi1.count("\n"), phi2.count("\n")) == (
+            repeated_phi1.count("\n") - 2, repeated_phi2.count("\n") - 2
+        )
 
     def test_json(self, capsys, worked_path, tmp_path):
         out_dir = tmp_path / "enc"

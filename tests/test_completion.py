@@ -1,21 +1,34 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aspsubcount import (
+    CnfFormula,
     clark_completion,
     completion_model_check,
     count_models,
     parse_program,
     projected_count,
     solve_clauses,
+    surplus_formula,
 )
+from aspsubcount.sat import models
 
 from helpers import (
     all_interpretations,
     direct_completion_holds,
     random_program_text,
     tt_count,
+    tt_projected_count,
+)
+
+random_programs = st.builds(
+    lambda seed, force_loop: parse_program(
+        random_program_text(random.Random(seed), max_atoms=5, max_rules=7, force_loop=force_loop)
+    ),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
 )
 
 
@@ -49,16 +62,15 @@ class TestWorkedExample:
         # every atom heads a rule, so the first rule's clause opens the CNF
         art = clark_completion(example1)
         assert art.cnf.clauses[0] == (1, 2)
-        assert len(art.cnf.clauses) == 15
+        assert len(art.cnf.clauses) == 13
 
     def test_support_clauses(self, example1):
-        # support clauses follow the rule clauses, atom by atom
+        # support clauses follow the rule clauses, atom by atom; p1's and
+        # q1's equal p0's and q0's as literal sets and are left out
         art = clark_completion(example1)
         assert art.cnf.clauses[7:] == [
-            (-1, -2),                     # p0 -> not p1
-            (-2, -1),                     # p1 -> not p0
-            (-3, -4, 5),                  # q0 -> (not q1 or w)
-            (-4, -3, 5),                  # q1 -> (not q0 or w)
+            (-1, -2),                     # p0 -> not p1, and p1 -> not p0
+            (-3, -4, 5),                  # q0 -> (not q1 or w), and q1's
             (-6, 2),
             (-6, 4),
             (6, -2, -4),                  # aux 6 <-> (p1 and q1)
@@ -197,3 +209,37 @@ class TestShape:
             bound = 2 * (program.num_atoms + len(program.rules) + measure)
             assert art.cnf.num_clauses <= bound
             assert sum(len(c) for c in art.cnf.clauses) <= 3 * bound
+
+
+class TestEachClauseOnce:
+    @settings(max_examples=150, deadline=None)
+    @given(program=random_programs)
+    def test_no_two_clauses_share_a_literal_set(self, program):
+        clauses = clark_completion(program).cnf.clauses
+        assert len({frozenset(c) for c in clauses}) == len(clauses)
+
+    @settings(max_examples=60, deadline=None)
+    @given(program=random_programs)
+    def test_counts_match_truth_tables(self, program):
+        completion = clark_completion(program)
+        assert count_models(completion.cnf) == tt_count(completion.cnf)
+        surplus = surplus_formula(program, completion)
+        assert projected_count(surplus.cnf, surplus.projection_out) == tt_projected_count(
+            surplus.cnf, surplus.projection_out
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(program=random_programs, pick=st.randoms(use_true_random=False))
+    def test_a_repeated_clause_changes_no_search(self, program, pick):
+        # a later clause with an earlier one's literals is never the first
+        # clause not yet satisfied, so dropping it leaves the model order
+        cnf = clark_completion(program).cnf
+        if not cnf.clauses:
+            return
+        repeat = list(pick.choice(cnf.clauses))
+        pick.shuffle(repeat)
+        longer = CnfFormula(cnf.num_vars, cnf.clauses + [tuple(repeat)])
+        assert list(models(longer.clauses, cnf.num_vars)) == list(
+            models(cnf.clauses, cnf.num_vars)
+        )
+        assert count_models(longer) == count_models(cnf)

@@ -100,7 +100,7 @@ class TestSurplusWorkedExample:
         assert sur.cnf.clauses == (
             comp.cnf.clauses + copy_operation(example1, loops, sur.cv_prime) + witness
         )
-        assert sur.cnf.num_clauses == 26
+        assert sur.cnf.num_clauses == 24
 
     def test_projected_count_is_one(self, example1):
         sur = surplus_formula(example1)

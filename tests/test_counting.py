@@ -140,7 +140,7 @@ class TestEmittedFiles:
         assert sorted(os.listdir(out)) == ["phi1.cnf", "phi2.cnf", "phi2.map.json"]
         phi2 = (out / "phi2.cnf").read_text()
         assert "c p show 1 2 3 4 5 0" in phi2
-        assert "p cnf 10 26" in phi2
+        assert "p cnf 10 24" in phi2
         assert "c p show" not in (out / "phi1.cnf").read_text()
         mapping = json.loads((out / "phi2.map.json").read_text())
         assert mapping == surplus_formula(example1).variable_map(example1)

@@ -117,3 +117,13 @@ class TestLoopAtoms:
             kept = [r for r in p.rules if not r.pos_body]
             stripped = type(p)(p.atoms, kept)
             assert not loop_atoms(build_dependency_graph(stripped))
+
+    def test_deep_chain_closing_a_long_cycle(self):
+        # x_{i+1} :- x_i over 100000 atoms, and x_95000 :- x_99999 closes
+        # the last 5000 into one cycle; a search down the chain goes far
+        # deeper than Python's recursion limit
+        n, first = 100000, 95000
+        text = "".join(f"x{i + 1} :- x{i}.\n" for i in range(n - 1))
+        p = parse_program(text + f"x{first} :- x{n - 1}.\n")
+        loops = loop_atoms(build_dependency_graph(p))
+        assert loops == {p.atom_id(f"x{i}") for i in range(first, n)}

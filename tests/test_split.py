@@ -167,8 +167,8 @@ class TestSplitCounts:
     def test_one_component_keeps_formula_sizes(self, example1, tmp_path):
         completion = clark_completion(example1)
         surplus = surplus_formula(example1, completion)
-        assert (completion.cnf.num_vars, completion.cnf.num_clauses) == (6, 15)
-        assert (surplus.cnf.num_vars, surplus.cnf.num_clauses) == (10, 26)
+        assert (completion.cnf.num_vars, completion.cnf.num_clauses) == (6, 13)
+        assert (surplus.cnf.num_vars, surplus.cnf.num_clauses) == (10, 24)
         out = emit_cnf(tmp_path, EXAMPLE1)
         assert (out / "phi1.cnf").read_text() == completion.to_dimacs(example1)
         assert (out / "phi2.cnf").read_text() == surplus.to_dimacs(example1)
