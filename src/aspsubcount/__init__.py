@@ -26,13 +26,7 @@ from .counting import (
     subtractive_count,
     write_formulas,
 )
-from .depgraph import (
-    Analysis,
-    DependencyGraph,
-    build_dependency_graph,
-    loop_atoms,
-    split,
-)
+from .depgraph import build_dependency_graph, loop_atoms, split
 from .oracle import (
     BRUTE_FORCE_ATOM_LIMIT,
     ReductProgram,

@@ -20,13 +20,14 @@ from .counting import (
     BackendConfig,
     BackendTimeout,
     BackendError,
+    HYBRID_THRESHOLD,
     IntegrityError,
     enumerate_count,
     hybrid_count,
     subtractive_count,
     write_formulas,
 )
-from .depgraph import Analysis
+from .depgraph import build_dependency_graph, loop_atoms
 from .oracle import (
     BRUTE_FORCE_ATOM_LIMIT,
     answer_sets_bruteforce,
@@ -100,7 +101,7 @@ def _build_parser() -> _Parser:
         "--threshold",
         type=_positive_int,
         default=None,
-        help="hybrid switch point (default 10000); cap for --mode enumerate",
+        help=f"hybrid switch point (default {HYBRID_THRESHOLD}); cap for --mode enumerate",
     )
     p_count.add_argument(
         "--backend",
@@ -169,7 +170,7 @@ def _emit_json(obj):
 
 def _cmd_analyze(args) -> int:
     program = _read_program(args.path)
-    loops = Analysis(program).loops
+    loops = loop_atoms(build_dependency_graph(program))
     loop_names = sorted(program.name_of(x) for x in loops)
     warnings = lint(program)
     if args.json:
@@ -201,7 +202,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_encode(args) -> int:
     program = _read_program(args.path)
     completion = clark_completion(program)
-    surplus = surplus_formula(program, completion, Analysis(program).loops)
+    loops = loop_atoms(build_dependency_graph(program))
+    surplus = surplus_formula(program, completion, loops)
     phi1_path, phi2_path, map_path = write_formulas(
         args.emit_cnf, program, completion, surplus
     )
@@ -234,7 +236,7 @@ def _cmd_count(args) -> int:
     if args.emit_cnf is not None:
         # the whole program's formulas, while counting goes part by part
         completion = clark_completion(program)
-        loops = Analysis(program).loops
+        loops = loop_atoms(build_dependency_graph(program))
         surplus = surplus_formula(program, completion, loops) if loops else None
         write_formulas(args.emit_cnf, program, completion, surplus)
     with time_limit(args.timeout):
@@ -245,7 +247,7 @@ def _cmd_count(args) -> int:
                     f"note: stopped at limit {args.threshold}; count is a lower bound\n"
                 )
         elif args.mode == "hybrid":
-            report = hybrid_count(program, args.threshold or 10_000, config)
+            report = hybrid_count(program, args.threshold or HYBRID_THRESHOLD, config)
         else:
             report = subtractive_count(program, config)
     if args.json:
@@ -294,7 +296,7 @@ def _cmd_check(args) -> int:
     except KeyError as exc:
         return _usage_error(f"unknown atom {exc.args[0]!r} in --model")
     completion = clark_completion(program)
-    loops = Analysis(program).loops
+    loops = loop_atoms(build_dependency_graph(program))
     models_program = satisfies_program(interp, program)
     models_completion = completion_model_check(completion, interp)
 

@@ -56,8 +56,7 @@ def clark_completion(program: GroundProgram) -> CompletionArtifact:
     # the rule's support conjunct for that atom (None when contradictory).
     supports: list[list] = [[] for _ in range(n)]
     rule_clauses: list[tuple[int, ...]] = []
-    for rule in program.rules:
-        head, pos, neg = rule.head, rule.pos_body, rule.neg_body
+    for head, pos, neg in program.rules:
         lits = sorted([b + 1 for b in pos] + [-(x + 1) for x in head | neg], key=abs)
         void = not pos.isdisjoint(neg)
         clash = head & pos
@@ -95,7 +94,7 @@ def clark_completion(program: GroundProgram) -> CompletionArtifact:
                 clauses.append((-(a + 1),) if lit == -(a + 1) else (-(a + 1), lit))
             continue
         singles = [c[0] for c in conjuncts if len(c) == 1]
-        if (a + 1) in singles or any(-lit in singles for lit in singles):
+        if any(-lit in singles for lit in singles):
             continue  # support disjunction is tautologous over the atom vars
         disjunction = [-(a + 1)]
         for lits in conjuncts:

@@ -37,7 +37,8 @@ def copy_operation(
     ``copy_map`` assigns each loop atom its copy variable; atom id i itself
     is variable i + 1. For a tight program (no loop atoms) the list is
     empty. Trivially true implications (a rule whose substituted head meets
-    its substituted positive body) are dropped.
+    its substituted positive body) are dropped, and a clause equal to an
+    earlier one is left out.
     """
     for x in loops:
         if x not in copy_map:
@@ -56,7 +57,7 @@ def copy_operation(
         if any(-lit in lits for lit in lits):
             continue
         clauses.append(tuple(sorted(lits, key=abs)))
-    return clauses
+    return list(dict.fromkeys(clauses))
 
 
 @dataclass

@@ -25,10 +25,12 @@ from dataclasses import asdict, dataclass, field
 
 from .completion import clark_completion, CompletionArtifact
 from .copyenc import surplus_formula, SurplusArtifact
-from .depgraph import Analysis, split
+from .depgraph import build_dependency_graph, loop_atoms, split
 from .oracle import copy_checker
 from .program import GroundProgram
 from .sat import count_models, models, projected_count
+
+HYBRID_THRESHOLD = 10_000  # hybrid_count's default switch point
 
 
 class BackendError(RuntimeError):
@@ -237,7 +239,8 @@ def _count_by_parts(
     config: BackendConfig | None = None,
 ) -> CountReport:
     """The counting loop of every mode ("subtractive", "enumeration" or
-    "hybrid"), over the parts of ``split(Analysis(program))``.
+    "hybrid"), over the parts of ``split(program, loops)``, where the
+    program's loop atoms are found once, here.
 
     A part is counted by ``_count_part`` under ``config`` in "subtractive"
     mode, and in "hybrid" mode when it is tight or its enumeration reaches
@@ -252,8 +255,8 @@ def _count_by_parts(
         raise ValueError(f"{mode} limit must be at least 1")
     config = config or BackendConfig()
     t0 = time.perf_counter()
-    analysis = Analysis(program)
-    parts = split(analysis)
+    program_loops = loop_atoms(build_dependency_graph(program))
+    parts = split(program, program_loops)
     queue = []
     for i, (part, loops) in enumerate(parts):
         count = mode == "subtractive" or (mode == "hybrid" and not loops)
@@ -293,7 +296,7 @@ def _count_by_parts(
     count_time = time.perf_counter() - t1
 
     backend = config.label() if counted else "builtin"
-    times = (encode_time, count_time, len(analysis.loops))
+    times = (encode_time, count_time, len(program_loops))
     if mode == "subtractive" or (mode == "hybrid" and answer_sets >= limit):
         return CountReport(
             overcount, overcount - answer_sets, answer_sets, mode, backend, *times
@@ -324,7 +327,7 @@ def enumerate_count(program: GroundProgram, limit: int | None = None) -> CountRe
 
 def hybrid_count(
     program: GroundProgram,
-    threshold: int = 10_000,
+    threshold: int = HYBRID_THRESHOLD,
     config: BackendConfig | None = None,
 ) -> CountReport:
     """Count tight parts under ``config``; enumerate each loop part up to

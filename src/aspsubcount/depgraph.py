@@ -1,50 +1,38 @@
 """Positive dependency graph, loop atoms, and the split of a program into
-atom-disjoint parts. A program is tight when it has no loop atoms."""
+atom-disjoint parts. A program is tight when it has no loop atoms.
 
-from dataclasses import dataclass
-from functools import cached_property
+The graph is its successor lists: ``build_dependency_graph(program)[y]``
+lists the positive body atoms of every rule with y in the head, so heads
+depend on what supports them. A successor repeats when rules repeat it.
+"""
 
 from .program import GroundProgram, Rule
 
 
-@dataclass
-class DependencyGraph:
-    """Directed graph over atom ids.
-
-    There is an edge (y, x) for every rule with y in the head and x in the
-    positive body: heads depend on what supports them.
-    """
-
-    num_nodes: int
-    edges: set[tuple[int, int]]
+def build_dependency_graph(program: GroundProgram) -> list[list[int]]:
+    successors: list[list[int]] = [[] for _ in range(program.num_atoms)]
+    for head, pos_body, _ in program.rules:
+        if pos_body:
+            for y in head:
+                successors[y].extend(pos_body)
+    return successors
 
 
-def build_dependency_graph(program: GroundProgram) -> DependencyGraph:
-    edges = set()
-    for rule in program.rules:
-        for y in rule.head:
-            for x in rule.pos_body:
-                edges.add((y, x))
-    return DependencyGraph(program.num_atoms, edges)
-
-
-def _sccs(graph: DependencyGraph):
+def _sccs(successors: list[list[int]]):
     """Tarjan's algorithm, iterative, over list-indexed arrays. Returns
     each SCC it meets as a list of nodes. The search starts only at nodes
     with a successor: any other node is a singleton SCC without a
     self-loop, which holds no loop atom."""
-    successors: dict[int, list[int]] = {}
-    for y, x in graph.edges:
-        successors.setdefault(y, []).append(x)
-    index = [0] * graph.num_nodes  # discovery order from 1; 0 when unvisited
-    low = [0] * graph.num_nodes
-    on_stack = bytearray(graph.num_nodes)
+    n = len(successors)
+    index = [0] * n  # discovery order from 1; 0 when unvisited
+    low = [0] * n
+    on_stack = bytearray(n)
     stack: list[int] = []
     counter = 0
     sccs = []
 
-    for root in successors:
-        if index[root]:
+    for root in range(n):
+        if index[root] or not successors[root]:
             continue
         counter += 1
         index[root] = low[root] = counter
@@ -59,7 +47,7 @@ def _sccs(graph: DependencyGraph):
                     index[nxt] = low[nxt] = counter
                     stack.append(nxt)
                     on_stack[nxt] = 1
-                    work.append((nxt, iter(successors.get(nxt, ()))))
+                    work.append((nxt, iter(successors[nxt])))
                     break
                 if on_stack[nxt] and index[nxt] < low[node]:
                     low[node] = index[nxt]
@@ -79,51 +67,14 @@ def _sccs(graph: DependencyGraph):
     return sccs
 
 
-def loop_atoms(graph: DependencyGraph) -> frozenset[int]:
+def loop_atoms(successors: list[list[int]]) -> frozenset[int]:
     """Atoms lying on a directed cycle: members of a multi-node SCC, plus
     self-looped nodes."""
-    loops = set()
-    for component in _sccs(graph):
+    loops = {y for y, succs in enumerate(successors) if y in succs}
+    for component in _sccs(successors):
         if len(component) > 1:
             loops.update(component)
-    for y, x in graph.edges:
-        if y == x:
-            loops.add(x)
     return frozenset(loops)
-
-
-class Analysis:
-    """The structure of one program, computed once per count: its loop
-    atoms and (on first use) the atom-disjoint components."""
-
-    def __init__(self, program: GroundProgram):
-        self.program = program
-        self.loops = loop_atoms(build_dependency_graph(program))
-
-    @cached_property
-    def components(self) -> list[list[int]]:
-        """Connected components of the rule/atom incidence graph: two atoms
-        are in one component when a chain of rules links them. Each
-        component is sorted; components are ordered by their smallest
-        atom."""
-        parent = list(range(self.program.num_atoms))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for rule in self.program.rules:
-            atoms = rule.head | rule.pos_body | rule.neg_body
-            if atoms:
-                root = find(min(atoms))
-                for x in atoms:
-                    parent[find(x)] = root
-        groups: dict[int, list[int]] = {}
-        for x in range(self.program.num_atoms):
-            groups.setdefault(find(x), []).append(x)
-        return list(groups.values())
 
 
 def _restrict(
@@ -143,22 +94,43 @@ def _restrict(
     return sub, renumber(loops.intersection(atoms))
 
 
-def split(analysis: Analysis) -> list[tuple[GroundProgram, frozenset[int]]]:
-    """Atom-disjoint parts of the program, each with its loop atoms.
+def split(
+    program: GroundProgram, loops: frozenset[int]
+) -> list[tuple[GroundProgram, frozenset[int]]]:
+    """Atom-disjoint parts of the program, each with its loop atoms;
+    ``loops`` are the program's loop atoms.
 
-    Answer sets and completion models of a union of atom-disjoint programs
-    are the products of those of the parts (the trivial case of the
-    splitting-set theorem), so the parts can be counted separately. Every
-    component holding loop atoms is a part of its own; the tight
-    components and the rules without atoms form one remainder part, last.
-    A tight program, or one whose parts would be one, is returned whole.
-    Parts keep the atoms' relative order and the rules' original order.
+    Two atoms share a part when a chain of rules links them. Answer sets
+    and completion models of a union of atom-disjoint programs are the
+    products of those of the parts (the trivial case of the splitting-set
+    theorem), so the parts can be counted separately. Every component
+    holding loop atoms is a part of its own, ordered by its smallest atom;
+    the tight components and the rules without atoms form one remainder
+    part, last. A tight program, or one whose parts would be one, is
+    returned whole. Parts keep the atoms' relative order and the rules'
+    original order.
     """
-    program, loops = analysis.program, analysis.loops
     if not loops:
         return [(program, loops)]
-    groups = [c for c in analysis.components if not loops.isdisjoint(c)]
-    rest = sorted(x for c in analysis.components if loops.isdisjoint(c) for x in c)
+    parent = list(range(program.num_atoms))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for rule in program.rules:
+        atoms = rule.head | rule.pos_body | rule.neg_body
+        if atoms:
+            root = find(min(atoms))
+            for x in atoms:
+                parent[find(x)] = root
+    components: dict[int, list[int]] = {}
+    for x in range(program.num_atoms):
+        components.setdefault(find(x), []).append(x)
+    groups = [c for c in components.values() if not loops.isdisjoint(c)]
+    rest = sorted(x for c in components.values() if loops.isdisjoint(c) for x in c)
     part_of = {x: i for i, c in enumerate(groups) for x in c}
     rules: list[list[Rule]] = [[] for _ in range(len(groups) + 1)]
     for rule in program.rules:

@@ -16,6 +16,7 @@ reserved: it marks a negated body atom and is never an atom itself.
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 Interpretation = frozenset[int]
 
@@ -29,12 +30,12 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """One rule; all three parts are sets of atom ids.
 
     An empty head means the rule is a constraint (falsum head); an empty
-    body means the rule is a fact.
+    body means the rule is a fact. A rule is a tuple, so it equals the
+    plain tuple of its three sets.
     """
 
     head: frozenset[int]
@@ -60,8 +61,8 @@ class GroundProgram:
 
     def __post_init__(self):
         n = len(self.atoms)
-        for r, rule in enumerate(self.rules):
-            for x in rule.head | rule.pos_body | rule.neg_body:
+        for r, (head, pos_body, neg_body) in enumerate(self.rules):
+            for x in head | pos_body | neg_body:
                 if not 0 <= x < n:
                     raise ValueError(f"rule {r} references unknown atom id {x}")
 

@@ -98,13 +98,11 @@ def direct_completion_holds(program, interp) -> bool:
     return True
 
 
-def cyclic_atoms_dfs(graph) -> frozenset:
-    """Atoms on a directed cycle, by plain reachability from successors."""
-    successors = {v: [] for v in range(graph.num_nodes)}
-    for y, x in graph.edges:
-        successors[y].append(x)
+def cyclic_atoms_dfs(successors) -> frozenset:
+    """Atoms on a directed cycle, by plain reachability over the successor
+    lists (one list per atom id)."""
     out = set()
-    for start in range(graph.num_nodes):
+    for start in range(len(successors)):
         seen = set()
         stack = list(successors[start])
         while stack:

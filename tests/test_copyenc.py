@@ -222,6 +222,12 @@ class TestSurplusProperties:
         assert projected_count(reference, project_out) == expected
         assert projected_count(sur.cnf, sur.projection_out) == expected
 
+    def test_no_clause_repeats(self):
+        for seed in range(300):
+            text = random_program_text(random.Random(seed), max_atoms=6, force_loop=True)
+            clauses = surplus_formula(parse_program(text)).cnf.clauses
+            assert len({frozenset(c) for c in clauses}) == len(clauses), seed
+
     def test_dimacs_and_map_are_deterministic(self, example1):
         a = surplus_formula(example1)
         b = surplus_formula(example1)

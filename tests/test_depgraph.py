@@ -1,19 +1,16 @@
 import random
 
-from aspsubcount import (
-    DependencyGraph,
-    build_dependency_graph,
-    loop_atoms,
-    parse_program,
-)
+from aspsubcount import build_dependency_graph, loop_atoms, parse_program
 
 from helpers import cyclic_atoms_dfs, random_program_text
 
 
-def named_edges(program, graph):
-    return sorted(
-        (program.name_of(y), program.name_of(x)) for (y, x) in graph.edges
-    )
+def named_successors(program, successors):
+    """Each atom's name with the sorted names of its successors."""
+    return {
+        program.name_of(y): sorted(program.name_of(x) for x in succs)
+        for y, succs in enumerate(successors)
+    }
 
 
 def named_loops(program, loops):
@@ -22,29 +19,30 @@ def named_loops(program, loops):
 
 class TestGraphConstruction:
     def test_worked_example_edges(self, example1):
-        graph = build_dependency_graph(example1)
-        # edges run from head atoms to their positive body atoms
-        assert named_edges(example1, graph) == [
-            ("q0", "w"),
-            ("q1", "w"),
-            ("w", "p0"),
-            ("w", "p1"),
-            ("w", "q1"),
-        ]
+        successors = build_dependency_graph(example1)
+        # one list per atom id: a head atom's successors are its rules'
+        # positive body atoms
+        assert len(successors) == example1.num_atoms
+        assert named_successors(example1, successors) == {
+            "p0": [],
+            "p1": [],
+            "q0": ["w"],
+            "q1": ["w"],
+            "w": ["p0", "p1", "q1"],
+        }
 
     def test_negative_bodies_add_no_edges(self):
         p = parse_program("a :- not b.\nb :- not a.\n")
-        assert build_dependency_graph(p).edges == set()
+        assert build_dependency_graph(p) == [[], []]
 
     def test_disjunctive_head_fans_out(self):
         p = parse_program("x | y :- z.\n")
         graph = build_dependency_graph(p)
-        assert named_edges(p, graph) == [("x", "z"), ("y", "z")]
+        assert named_successors(p, graph) == {"x": ["z"], "y": ["z"], "z": []}
 
     def test_self_edge(self):
         p = parse_program("a :- a.\n")
-        graph = build_dependency_graph(p)
-        assert (0, 0) in graph.edges
+        assert build_dependency_graph(p) == [[0]]
 
 
 class TestLoopAtoms:
@@ -87,11 +85,10 @@ class TestLoopAtoms:
         rng = random.Random(72)
         for _ in range(200):
             n = rng.randint(1, 12)
-            edges = set()
-            for _ in range(rng.randint(0, 3 * n)):
-                edges.add((rng.randrange(n), rng.randrange(n)))
-            graph = DependencyGraph(n, edges)
-            assert loop_atoms(graph) == cyclic_atoms_dfs(graph)
+            successors = [[] for _ in range(n)]
+            for _ in range(rng.randint(0, 3 * n)):  # an edge may repeat
+                successors[rng.randrange(n)].append(rng.randrange(n))
+            assert loop_atoms(successors) == cyclic_atoms_dfs(successors)
 
     def test_monotone_under_rule_addition(self):
         rng = random.Random(73)

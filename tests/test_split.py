@@ -8,17 +8,17 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import aspsubcount.copyenc
 import aspsubcount.counting
 import aspsubcount.depgraph
-import aspsubcount.oracle
 from aspsubcount import (
-    Analysis,
+    GroundProgram,
     IntegrityError,
+    build_dependency_graph,
     clark_completion,
     count_answer_sets_bruteforce,
     count_models,
     hybrid_count,
+    loop_atoms,
     parse_program,
     projected_count,
     split,
@@ -41,19 +41,23 @@ from helpers import (
 LOOPS_TWICE = "a :- b.\nb :- a.\na | c.\nx :- y.\ny :- x.\nx | z.\n"
 
 
+def parts_of(program):
+    return split(program, loop_atoms(build_dependency_graph(program)))
+
+
 class TestSplit:
     def test_tight_program_is_one_part(self):
         program = parse_program(pairs_text(3) + "c :- a0, not b1.\n")
-        assert split(Analysis(program)) == [(program, frozenset())]
+        assert parts_of(program) == [(program, frozenset())]
 
     def test_one_component_is_the_program_itself(self, example1):
-        [(part, loops)] = split(Analysis(example1))
+        [(part, loops)] = parts_of(example1)
         assert part is example1
-        assert loops == Analysis(example1).loops
+        assert loops == loop_atoms(build_dependency_graph(example1))
 
     def test_loop_components_then_remainder(self):
         program = parse_program("p | q.\n" + LOOPS_TWICE + ":- .\nr :- not p.\n")
-        parts = split(Analysis(program))
+        parts = parts_of(program)
         assert [part.atoms for part, _ in parts] == [
             ["a", "b", "c"],
             ["x", "y", "z"],
@@ -67,16 +71,20 @@ class TestSplit:
 
     def test_parts_renumber_in_original_order(self):
         program = parse_program("c | z.\nx :- y.\ny :- x.\nx :- c.\n")
-        [(part, loops)] = split(Analysis(program))
+        [(part, loops)] = parts_of(program)
         assert part is program
         program = parse_program("z.\nx :- y.\ny :- x.\nx :- c.\n")
-        parts = split(Analysis(program))
+        parts = parts_of(program)
         assert [part.atoms for part, _ in parts] == [["x", "y", "c"], ["z"]]
         assert parts[0][1] == frozenset({0, 1})
 
     def test_components_of_unmentioned_atoms(self):
-        program = parse_program("a | b.\nc :- d.\n")
-        assert Analysis(program).components == [[0, 1], [2, 3]]
+        # linked atoms share a part; an atom in no rule joins the remainder
+        program = parse_program("a | b.\nc :- d.\nd :- c.\ne :- a.\n")
+        program = GroundProgram(program.atoms + ["u"], program.rules)
+        parts = parts_of(program)
+        assert [part.atoms for part, _ in parts] == [["c", "d"], ["a", "b", "e", "u"]]
+        assert [len(part.rules) for part, _ in parts] == [2, 2]
 
 
 class TestSplitCounts:
@@ -141,7 +149,7 @@ class TestSplitCounts:
     def test_count_surplus_anyway(self):
         # the surplus of a tight part, which counting skips, counted for real
         program = parse_program(pairs_text(2, "t") + LOOPS_TWICE)
-        [tight] = [part for part, loops in split(Analysis(program)) if not loops]
+        [tight] = [part for part, loops in parts_of(program) if not loops]
         surplus = surplus_formula(tight, clark_completion(tight), frozenset())
         assert projected_count(surplus.cnf, surplus.projection_out) == 0
         assert subtractive_count(program).answer_sets == count_answer_sets_bruteforce(program)
@@ -206,7 +214,16 @@ class TestAnalysisOnce:
             calls.append(graph)
             return original(graph)
 
-        for module in (aspsubcount.depgraph, aspsubcount.copyenc, aspsubcount.oracle):
+        # every module that refers to loop_atoms, so no call goes uncounted
+        users = [m for name, m in sys.modules.items() if name.startswith("aspsubcount")]
+        users = [m for m in users if getattr(m, "loop_atoms", None) is original]
+        assert {m.__name__ for m in users} >= {
+            "aspsubcount.cli",
+            "aspsubcount.copyenc",
+            "aspsubcount.counting",
+            "aspsubcount.oracle",
+        }
+        for module in users:
             monkeypatch.setattr(module, "loop_atoms", counted)
         return calls
 
