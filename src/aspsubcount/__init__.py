@@ -10,7 +10,7 @@ ground truth.
 
 from .cnf import CnfFormula, dimacs, parse_dimacs
 from .completion import CompletionArtifact, clark_completion, completion_model_check
-from .copyenc import SurplusArtifact, copy_operation, surplus_formula
+from .copyenc import SurplusArtifact, copy_checker, copy_operation, surplus_formula
 from .counting import (
     BackendConfig,
     BackendError,
@@ -29,11 +29,8 @@ from .counting import (
 from .depgraph import build_dependency_graph, loop_atoms, split
 from .oracle import (
     BRUTE_FORCE_ATOM_LIMIT,
-    ReductProgram,
-    ReductRule,
     answer_sets_bruteforce,
     copy_check,
-    copy_checker,
     count_answer_sets_bruteforce,
     gl_reduct,
     is_answer_set,

@@ -16,7 +16,8 @@ i is variable i + 1; the copies and the witnesses come after the
 completion's variables, and counting the formula's models projected onto
 the atoms (everything above them projected away) counts exactly the
 completion models that are not answer sets, so subtracting yields the
-answer-set count.
+answer-set count. The clauses it adds to the completion also decide a
+single completion model, on one engine for many models (``copy_checker``).
 """
 
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .cnf import CnfFormula, dimacs
 from .completion import CompletionArtifact, clark_completion
 from .depgraph import build_dependency_graph, loop_atoms
 from .program import GroundProgram
+from .sat import checker
 
 
 def copy_operation(
@@ -48,12 +50,12 @@ def copy_operation(
         return copy_map[x] if x in loops else x + 1
 
     clauses = [(-copy_map[x], x + 1) for x in sorted(loops)]
-    for rule in program.rules:
-        if not rule.head & loops:
+    for head, pos_body, neg_body in program.rules:
+        if not head & loops:
             continue
-        lits = {f(x) for x in rule.head}
-        lits |= {-f(b) for b in rule.pos_body}
-        lits |= {c + 1 for c in rule.neg_body}
+        lits = {f(x) for x in head}
+        lits |= {-f(b) for b in pos_body}
+        lits |= {c + 1 for c in neg_body}
         if any(-lit in lits for lit in lits):
             continue
         clauses.append(tuple(sorted(lits, key=abs)))
@@ -123,3 +125,19 @@ def surplus_formula(
         cv_prime=prime,
         aux_vars=completion.aux_vars | frozenset(witness.values()),
     )
+
+
+def copy_checker(completion: CompletionArtifact, surplus: SurplusArtifact):
+    """The copy check, on one engine: a function of a model ``interp`` of
+    ``completion`` that is True exactly when ``interp`` is not an answer
+    set. ``surplus`` must be built on ``completion``; the function tests
+    whether the clauses it adds (the copy clauses, the witness clauses and
+    the witness disjunction) can hold under the values ``interp`` gives the
+    atoms they mention, that is, whether a copy of the loop atoms lies
+    below ``interp`` and strictly below it somewhere. It does not check
+    that ``interp`` is a completion model."""
+    added = surplus.cnf.clauses[len(completion.cnf.clauses):]
+    test = checker(added, surplus.cnf.num_vars)
+    n = completion.num_atoms
+    atoms = sorted({abs(lit) for clause in added for lit in clause if abs(lit) <= n})
+    return lambda interp: test([v if v - 1 in interp else -v for v in atoms])

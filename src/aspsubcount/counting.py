@@ -4,7 +4,10 @@ Every mode runs one loop over the program's atom-disjoint parts and
 multiplies their counts. A part is either counted by subtraction
 (completion models minus the surplus: the completion models that are not
 answer sets, by projected counting) or enumerated (the justified models
-of one search over its completion). Subtractive mode counts every part and
+of one search over its completion). A loop part's surplus formula is
+built once and serves both: its projected count is the surplus, and the
+clauses it adds to the completion decide each enumerated model
+(``copy_checker``). Subtractive mode counts every part and
 enumeration mode enumerates every part; hybrid mode counts tight parts and
 enumerates each loop part up to the threshold, counting it when the
 threshold is hit. A part's overcount is the plain model count of its
@@ -24,9 +27,8 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .completion import clark_completion, CompletionArtifact
-from .copyenc import surplus_formula, SurplusArtifact
+from .copyenc import copy_checker, surplus_formula, SurplusArtifact
 from .depgraph import build_dependency_graph, loop_atoms, split
-from .oracle import copy_checker
 from .program import GroundProgram
 from .sat import count_models, models, projected_count
 
@@ -79,8 +81,8 @@ class CountReport:
     of the parts' completion-model counts. Enumeration reports the plain
     count with surplus zero, and whether it is below the cap
     (``exhausted``, None in the other modes). ``encode_time`` covers the
-    analysis and the parts' completions; ``count_time`` covers the rest,
-    surplus formulas included."""
+    analysis and the parts' formulas: each completion, and each loop
+    part's surplus formula; ``count_time`` covers the rest."""
 
     overcount: int
     surplus: int
@@ -189,8 +191,8 @@ def write_formulas(
 
 def _count_part(
     program: GroundProgram,
-    loops: frozenset[int],
     completion: CompletionArtifact,
+    surplus_art: SurplusArtifact | None,
     config: BackendConfig,
     tmp_dir: str | None,
 ) -> tuple[int, int]:
@@ -198,7 +200,6 @@ def _count_part(
     atoms, its surplus formula projected onto the atoms. Returns
     (overcount, surplus). An external counter reads DIMACS files written to
     ``tmp_dir``."""
-    surplus_art = surplus_formula(program, completion, loops) if loops else None
     if config.executable:
         paths = write_formulas(tmp_dir, program, completion, surplus_art, variable_map=False)
         counts = [external_projected_count(path, config) for path in paths]
@@ -210,17 +211,16 @@ def _count_part(
 
 
 def _enumerate_part(
-    program: GroundProgram,
-    loops: frozenset[int],
     completion: CompletionArtifact,
+    surplus_art: SurplusArtifact | None,
     limit: int | None,
 ) -> tuple[int, int, bool]:
     """Walk one part's completion models until ``limit`` answer sets are
-    found (None: no limit). The copy check runs only where the part has
-    loop atoms. Returns (models walked, answer sets found, whether the
-    models ran out below the limit)."""
-    not_answer_set = copy_checker(program, loops) if loops else None
-    n = program.num_atoms
+    found (None: no limit). The copy check on the surplus formula runs
+    only where the part has loop atoms. Returns (models walked, answer sets
+    found, whether the models ran out below the limit)."""
+    not_answer_set = surplus_art and copy_checker(completion, surplus_art)
+    n = completion.num_atoms
     walked = found = 0
     for model in models(completion.cnf.clauses, completion.cnf.num_vars):
         walked += 1
@@ -240,7 +240,8 @@ def _count_by_parts(
 ) -> CountReport:
     """The counting loop of every mode ("subtractive", "enumeration" or
     "hybrid"), over the parts of ``split(program, loops)``, where the
-    program's loop atoms are found once, here.
+    program's loop atoms are found once, here, as are each part's
+    completion and each loop part's surplus formula.
 
     A part is counted by ``_count_part`` under ``config`` in "subtractive"
     mode, and in "hybrid" mode when it is tight or its enumeration reaches
@@ -260,7 +261,9 @@ def _count_by_parts(
     queue = []
     for i, (part, loops) in enumerate(parts):
         count = mode == "subtractive" or (mode == "hybrid" and not loops)
-        queue.append((i, part, loops, clark_completion(part), count))
+        completion = clark_completion(part)
+        surplus_art = surplus_formula(part, completion, loops) if loops else None
+        queue.append((i, part, completion, surplus_art, count))
     encode_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -270,17 +273,17 @@ def _count_by_parts(
     else:
         scratch = contextlib.nullcontext()
     with scratch as tmp:
-        for i, part, loops, completion, count in queue:
+        for i, part, completion, surplus_art, count in queue:
             if count:
                 over, surplus = _count_part(
-                    part, loops, completion, config, tmp and os.path.join(tmp, f"part{i}")
+                    part, completion, surplus_art, config, tmp and os.path.join(tmp, f"part{i}")
                 )
                 counted = True
             else:
-                over, found, exhausted = _enumerate_part(part, loops, completion, limit)
+                over, found, exhausted = _enumerate_part(completion, surplus_art, limit)
                 if not exhausted and mode == "hybrid":
                     # counted once every other part has had its turn
-                    queue.append((i, part, loops, completion, True))
+                    queue.append((i, part, completion, surplus_art, True))
                     continue
                 surplus = over - found
             if surplus > over:

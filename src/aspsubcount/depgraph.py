@@ -89,7 +89,7 @@ def _restrict(
 
     sub = GroundProgram(
         [program.atoms[x] for x in atoms],
-        [Rule(renumber(r.head), renumber(r.pos_body), renumber(r.neg_body)) for r in rules],
+        [Rule(renumber(h), renumber(p), renumber(n)) for h, p, n in rules],
     )
     return sub, renumber(loops.intersection(atoms))
 
@@ -120,8 +120,8 @@ def split(
             x = parent[x]
         return x
 
-    for rule in program.rules:
-        atoms = rule.head | rule.pos_body | rule.neg_body
+    for head, pos_body, neg_body in program.rules:
+        atoms = head | pos_body | neg_body
         if atoms:
             root = find(min(atoms))
             for x in atoms:

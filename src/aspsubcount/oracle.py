@@ -3,14 +3,13 @@ the SAT-based justification checks used to separate answer sets from other
 completion models.
 
 Everything here is deliberately straightforward; this module is the oracle
-the encodings are validated against.
+the encodings are validated against. ``copy_check`` is the exception: it
+runs the surplus formula's own test (``copyenc.copy_checker``) on one
+model, for diagnostics and for comparison with the reduct checks.
 """
 
-from dataclasses import dataclass
-
-from .cnf import CnfFormula
 from .completion import CompletionArtifact, clark_completion, completion_model_check
-from .copyenc import copy_operation
+from .copyenc import copy_checker, surplus_formula
 from .depgraph import build_dependency_graph, loop_atoms
 from .program import GroundProgram, Interpretation, Rule, satisfies_program
 from .sat import solve_clauses
@@ -18,36 +17,20 @@ from .sat import solve_clauses
 BRUTE_FORCE_ATOM_LIMIT = 25
 
 
-@dataclass(frozen=True)
-class ReductRule:
-    head: frozenset[int]
-    pos_body: frozenset[int]
+def gl_reduct(program: GroundProgram, interp: Interpretation) -> GroundProgram:
+    """The reduct, over the same atoms: drop every rule whose negative body
+    meets ``interp``, and empty the negative bodies of the rest."""
+    rules = [Rule(head, pos, frozenset()) for head, pos, neg in program.rules if not neg & interp]
+    return GroundProgram(program.atoms, rules)
 
 
-@dataclass
-class ReductProgram:
-    num_atoms: int
-    rules: list[ReductRule]
-
-
-def gl_reduct(program: GroundProgram, interp: Interpretation) -> ReductProgram:
-    """The reduct: drop every rule whose negative body meets ``interp``,
-    strip negative bodies from the rest."""
-    rules = [
-        ReductRule(r.head, r.pos_body)
-        for r in program.rules
-        if not r.neg_body & interp
-    ]
-    return ReductProgram(program.num_atoms, rules)
-
-
-def _reduct_clauses(reduct: ReductProgram) -> list[tuple[int, ...]]:
+def _reduct_clauses(reduct: GroundProgram) -> list[tuple[int, ...]]:
     clauses = []
-    for rule in reduct.rules:
-        if rule.head & rule.pos_body:
+    for head, pos_body, _ in reduct.rules:
+        if head & pos_body:
             continue
-        clause = [x + 1 for x in sorted(rule.head)]
-        clause += [-(b + 1) for b in sorted(rule.pos_body)]
+        clause = [x + 1 for x in sorted(head)]
+        clause += [-(b + 1) for b in sorted(pos_body)]
         clauses.append(tuple(sorted(clause, key=abs)))
     return clauses
 
@@ -125,11 +108,14 @@ def _require_completion_model(
     program: GroundProgram,
     interp: Interpretation,
     completion: CompletionArtifact | None,
-) -> None:
+) -> CompletionArtifact:
+    """``completion`` (built when None), once ``interp`` is checked to be
+    one of its models."""
     if completion is None:
         completion = clark_completion(program)
     if not completion_model_check(completion, interp):
         raise ValueError("interpretation is not a model of the completion")
+    return completion
 
 
 def justification_check_loops(
@@ -150,39 +136,14 @@ def justification_check_loops(
     return _smaller_reduct_model(program, interp, interp & loops)
 
 
-def copy_checker(program: GroundProgram, loops: frozenset[int] | None = None):
-    """The copy-clause justification test, prepared once per program.
-
-    Builds the copy clauses and returns a function of one completion model
-    ``interp``: it conjoins the demand that some true loop atom lose its
-    copy and solves under the atom values of ``interp``, returning True
-    when satisfiable, i.e. exactly when ``interp`` is not an answer set.
-    The function does not check that ``interp`` is a completion model.
-    """
-    if loops is None:
-        loops = loop_atoms(build_dependency_graph(program))
-    n = program.num_atoms
-    ordered = sorted(loops)
-    copies = {x: n + 1 + i for i, x in enumerate(ordered)}
-    formula = CnfFormula(n + len(ordered), copy_operation(program, loops, copies))
-
-    def check(interp: Interpretation) -> bool:
-        assignment = {x + 1: (x in interp) for x in range(n)}
-        demand = tuple(-copies[x] for x in ordered if x in interp)
-        clauses = formula.clauses + [demand]
-        return solve_clauses(clauses, formula.num_vars, assignment) is not None
-
-    return check
-
-
 def copy_check(
     program: GroundProgram,
     interp: Interpretation,
     loops: frozenset[int] | None = None,
     completion: CompletionArtifact | None = None,
 ) -> bool:
-    """``copy_checker``'s test on one interpretation, which must be a model
-    of the completion. Returns True exactly when ``interp`` is not an
-    answer set."""
-    _require_completion_model(program, interp, completion)
-    return copy_checker(program, loops)(interp)
+    """``copyenc.copy_checker``'s test on one interpretation, which must be
+    a model of the completion. Returns True exactly when ``interp`` is not
+    an answer set."""
+    completion = _require_completion_model(program, interp, completion)
+    return copy_checker(completion, surplus_formula(program, completion, loops))(interp)

@@ -111,9 +111,8 @@ def satisfies_program(interp: Interpretation, program: GroundProgram) -> bool:
 def lint(program: GroundProgram) -> list[str]:
     """Warnings for legal-but-suspect rules (head/positive-body overlap)."""
     warnings = []
-    for i, rule in enumerate(program.rules, start=1):
-        overlap = rule.head & rule.pos_body
-        for x in sorted(overlap):
+    for i, (head, pos_body, _) in enumerate(program.rules, start=1):
+        for x in sorted(head & pos_body):
             warnings.append(
                 f"rule {i}: atom '{program.name_of(x)}' appears in both head "
                 "and positive body; the rule is classically trivial"

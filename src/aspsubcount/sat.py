@@ -11,8 +11,9 @@ copied during the search.
 
 ``_Trail.leaves`` walks the decision tree (the last free literal of the
 first clause not yet satisfied, true first) and stops at each leaf, where
-every clause is satisfied: ``solve_clauses`` takes the first leaf and
-``models`` expands every one. ``_Trail.count`` counts the assignments to
+every clause is satisfied: ``solve_clauses`` takes the first leaf,
+``models`` expands every one, and each test of a ``checker`` seeks one
+on an engine kept across tests. ``_Trail.count`` counts the assignments to
 a set of kept variables that extend to a model, and a plain count keeps
 every variable. It splits the clauses not yet satisfied into components
 over the free variables, multiplies their counts, and branches in each
@@ -126,6 +127,23 @@ def models(clauses, num_vars: int, units=()):
         for mask in range(1, 1 << len(free)):
             _check_clock()
             yield model | {var: bool(mask >> i & 1) for i, var in enumerate(free)}
+
+
+def checker(clauses, num_vars: int):
+    """A test of literal lists: whether ``clauses`` over variables
+    1..num_vars have a model that makes the literals true. The engine is
+    built once; each test assigns the literals, searches and undoes."""
+    engine = _started(clauses, num_vars)
+    if engine is None:
+        return lambda lits: False
+    mark, ids = len(engine.trail), range(len(engine.clauses))
+
+    def test(lits) -> bool:
+        found = engine.assign(list(lits)) and engine.satisfiable(ids)
+        engine.undo(mark)
+        return found
+
+    return test
 
 
 def count_models(formula: CnfFormula) -> int:

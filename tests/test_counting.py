@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import random
@@ -6,6 +7,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import aspsubcount.counting
+import aspsubcount.oracle
 from aspsubcount import (
     BackendConfig,
     BackendFailure,
@@ -383,3 +386,12 @@ class TestExternalBackend:
         report = subtractive_count(program, config)
         assert report.surplus == 0
         assert report.answer_sets == subtractive_count(program).answer_sets
+
+
+def test_counting_does_not_use_the_oracle():
+    # the counting paths decide answer sets with the surplus formula's own
+    # clauses; the brute-force and reduct checks stay an independent route
+    assert "oracle" not in inspect.getsource(aspsubcount.counting)
+    for name, value in vars(aspsubcount.counting).items():
+        assert value is not aspsubcount.oracle, name
+        assert getattr(value, "__module__", None) != "aspsubcount.oracle", name

@@ -13,9 +13,9 @@ from aspsubcount import (
     justification_check_all,
     justification_check_loops,
     parse_program,
+    Rule,
     satisfies_program,
 )
-from aspsubcount.oracle import ReductRule
 
 from helpers import (
     all_interpretations,
@@ -35,24 +35,24 @@ class TestGlReduct:
         reduct = gl_reduct(example1, m2)
         # only the constraint has a negative body, and w is true
         assert len(reduct.rules) == 6
-        assert all(isinstance(r, ReductRule) for r in reduct.rules)
+        assert all(isinstance(r, Rule) for r in reduct.rules)
         a = example1.atom_id
-        assert reduct.rules[0] == ReductRule(
-            frozenset({a("p0"), a("p1")}), frozenset()
+        assert reduct.rules[0] == Rule(
+            frozenset({a("p0"), a("p1")}), frozenset(), frozenset()
         )
-        assert reduct.rules[5] == ReductRule(
-            frozenset({a("w")}), frozenset({a("p1"), a("q1")})
+        assert reduct.rules[5] == Rule(
+            frozenset({a("w")}), frozenset({a("p1"), a("q1")}), frozenset()
         )
 
     def test_empty_interp_keeps_everything(self, example1):
         reduct = gl_reduct(example1, frozenset())
         assert len(reduct.rules) == 7
-        assert reduct.rules[-1] == ReductRule(frozenset(), frozenset())
+        assert reduct.rules[-1] == Rule(frozenset(), frozenset(), frozenset())
 
     def test_negative_cycle(self):
         p = parse_program("a :- not b.\nb :- not a.\n")
         reduct = gl_reduct(p, p.interpretation(["a"]))
-        assert reduct.rules == [ReductRule(frozenset({0}), frozenset())]
+        assert reduct.rules == [Rule(frozenset({0}), frozenset(), frozenset())]
 
     def test_num_atoms_carried(self, example1):
         assert gl_reduct(example1, frozenset()).num_atoms == 5
@@ -208,6 +208,11 @@ class TestThreeWayAgreement:
         for i in range(120):
             program = parse_program(random_program_text(rng, max_atoms=7))
             self._check(program, f"random {i}")
+        # every one with a positive cycle, so that the copy check meets
+        # witness disjunctions over several loop atoms
+        for i in range(80):
+            program = parse_program(random_program_text(rng, max_atoms=7, force_loop=True))
+            self._check(program, f"random looped {i}")
 
     @staticmethod
     def _check(program, label):

@@ -187,6 +187,19 @@ class TestOneEngine:
         satisfiable = solve_clauses(f.clauses, f.num_vars) is not None
         assert projected_count(f, everything) == int(satisfiable)
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_checker_answers_each_test_alone(self, seed):
+        # one engine serves every test, so each must undo what it assigned
+        rng = random.Random(seed)
+        f = random_cnf(rng, max_vars=8, max_clauses=20)
+        test = sat.checker(f.clauses, f.num_vars)
+        for _ in range(6):
+            chosen = rng.sample(range(1, f.num_vars + 1), rng.randint(0, f.num_vars))
+            lits = [v if rng.random() < 0.5 else -v for v in chosen]
+            units = [(lit,) for lit in lits]
+            assert test(lits) == (tt_count(CnfFormula(f.num_vars, f.clauses + units)) > 0)
+
 
 class TestModels:
     """``models`` walks the search once and yields every model, each once."""

@@ -2,6 +2,8 @@
 programs against brute force, the completion by definition and closed
 forms."""
 
+import importlib.util
+import os
 import random
 import sys
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import aspsubcount.counting
 import aspsubcount.depgraph
+import aspsubcount.sat
 from aspsubcount import (
     GroundProgram,
     IntegrityError,
@@ -37,6 +40,13 @@ from helpers import (
     random_program_text,
     random_tight_program_text,
 )
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+_spec = importlib.util.spec_from_file_location(
+    "bench_programs", os.path.join(BENCH, "programs.py")
+)
+BENCH_PROGRAMS = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(BENCH_PROGRAMS)
 
 LOOPS_TWICE = "a :- b.\nb :- a.\na | c.\nx :- y.\ny :- x.\nx | z.\n"
 
@@ -293,3 +303,30 @@ class TestPerPart:
         assert (report.mode, report.answer_sets, report.overcount) == ("enumeration", 0, 0)
         assert report.backend == "builtin"
         assert walked[0] <= 3 * 3 + 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [BENCH_PROGRAMS.reach(5, 6, 1, 1), BENCH_PROGRAMS.cycles(4)],
+        ids=["reach-5-6", "cycles-4"],
+    )
+    def test_hybrid_builds_two_engines_per_loop_part(self, text, monkeypatch):
+        # one engine walks a loop part's completion models and one copy-
+        # checks them all; none is built per model
+        program = parse_program(text)
+        loop_parts = sum(1 for _, loops in parts_of(program) if loops)
+        engines = [0]
+
+        class Counted(aspsubcount.sat._Trail):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                engines[0] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(aspsubcount.sat, "_Trail", Counted)
+        report = hybrid_count(program)
+        assert report.mode == "enumeration"
+        assert loop_parts >= 1
+        assert engines[0] <= 2 * loop_parts, (engines[0], loop_parts)
+        monkeypatch.undo()
+        assert report.answer_sets == subtractive_count(program).answer_sets
