@@ -23,17 +23,17 @@ it, of either sign, of 2^-n for a clause with n literals not yet false),
 then the smallest. A component without kept variables is a leaf
 satisfiability check.
 
-Ranks follow a tree decomposition, as in sharpSAT-TD (Korhonen and
-Jarvisalo, CP 2021), and are set once per count. Every variable has rank
+Ranks follow a level structure, as in nested dissection (George, SIAM J.
+Numer. Anal. 1973), and are set once per count. Every variable has rank
 0 unless its top-level component has kept variables and more than
-``WIDTH_RATIO`` variables, and a greedy min-degree elimination of the
-component's primal graph never eliminates a variable of degree
-len(component) / WIDTH_RATIO or more (the width test). Then each variable's
-rank is its level in a centroid decomposition of the elimination tree
-(``treedec.centroid_levels``), so the search first cuts long, thin
-components near their middle, and its depth grows with the width times
-the logarithm of the size rather than with the size. Wide components keep
-pure Jeroslow-Wang decisions.
+``WIDTH_RATIO`` variables, and the breadth-first layers of the
+component's primal graph, searched from a far variable (Gibbs, Poole and
+Stockmeyer 1976), each hold fewer than len(component) / WIDTH_RATIO
+variables (the width test). Then each variable's rank is its layer's
+depth in a recursive bisection of the layers (``rank_by_layers``), so the
+search first cuts long, thin components near their middle, and its depth
+grows with the width times the logarithm of the size rather than with
+the size. Wide components keep pure Jeroslow-Wang decisions.
 
 Counts are plain Python ints, so arbitrarily large totals are exact. Every
 search runs on an explicit stack, so its depth is not bound by Python's
@@ -41,8 +41,8 @@ recursion limit. Within one count, each component's count is cached under
 the exact key of its clause ids and variables, so a component that the
 search reaches again along another branch is counted once; the cache is
 emptied when it grows past ``CACHE_BYTES``. Inside ``time_limit`` every
-search, and the elimination that ranks a component, checks a clock every
-64 steps and raises ``SearchTimeout`` once the limit has passed.
+search, the breadth-first ones that rank a component too, checks a clock
+every 64 steps and raises ``SearchTimeout`` once the limit has passed.
 """
 
 import time
@@ -51,7 +51,6 @@ from contextlib import contextmanager
 from itertools import chain
 
 from .cnf import CnfFormula
-from .treedec import centroid_levels
 
 # the size past which a count empties its component cache: each entry is
 # taken to cost its key's bytes plus CACHE_ENTRY_BYTES for the tuple, the two
@@ -64,7 +63,7 @@ CACHE_ENTRY_BYTES = 200
 WEIGHT_CAP = 24
 
 # a count ranks the variables of a top-level component with more than this
-# many variables, unless its elimination meets a degree of its size over this
+# many variables, unless one of its layers holds its size over this or more
 WIDTH_RATIO = 16
 
 # (time.monotonic() deadline, seconds) while inside time_limit, else None
@@ -304,7 +303,7 @@ class _Trail:
     def count(self, kept: bytearray) -> int:
         """Number of assignments to the free variables with ``kept[v]`` set
         that extend the trail to a model. The top-level components are
-        ranked (``rank_by_centroids``) before the search starts.
+        ranked (``rank_by_layers``) before the search starts.
 
         Each stack entry is a component being branched on, as the list [key,
         kept variable count, variables, the decision literal of the branch
@@ -317,7 +316,7 @@ class _Trail:
         every = range(1, self.num_vars + 1)
         comps = self.split(every, kept, False)
         ranked = [
-            self.rank_by_centroids(items)
+            self.rank_by_layers(items)
             for _, nkept, _, items in comps
             if nkept and len(items) > WIDTH_RATIO
         ]
@@ -437,33 +436,53 @@ class _Trail:
             comps.append((key, nkept, var, items))
         return comps
 
-    def rank_by_centroids(self, vs) -> bool:
-        """Rank the variables ``vs`` of one component by their levels in
-        ``centroid_levels`` over the primal graph of its clauses not yet
-        satisfied. Returns False, ranking nothing, when the elimination
-        meets a degree of len(vs) / WIDTH_RATIO or more."""
+    def rank_by_layers(self, vs) -> bool:
+        """Rank the variables ``vs`` of one component by the layers 0..D of
+        a breadth-first search of the primal graph of its clauses not yet
+        satisfied, from the last variable that a search from ``vs[0]``
+        reached. Each layer separates those before it from those after
+        it; a variable's rank is its layer's depth in a recursive
+        bisection of 0..D (the middle layer 0, the middles of the halves
+        1, ...). Returns False, ranking nothing, when a layer holds
+        len(vs) / WIDTH_RATIO variables or more."""
         value, ntrue, nfree, clauses, occ = (
             self.value, self.ntrue, self.nfree, self.clauses, self.occ
         )
         limit = -(-len(vs) // WIDTH_RATIO)
         # a clause with more than limit free variables joins them all, so the
-        # first of them eliminated has degree limit or more
+        # component holds a clique of more than limit variables and is wide
         for v in vs:
             for c in occ[v] + occ[-v]:
                 if nfree[c] > limit and not ntrue[c]:
                     return False
-        adj = {}
-        for v in vs:
-            near = {
-                abs(x) for c in occ[v] + occ[-v] if not ntrue[c]
-                for x in clauses[c] if not value[x]
-            }
-            near.discard(v)
-            adj[v] = near
-        levels = centroid_levels(adj, limit, _check_clock)
-        if levels is None:
+        deadline, steps = _deadline, 0
+        far = vs[0]
+        for _ in range(2):
+            depth, reached = {far: 0}, [far]
+            for v in reached:
+                steps += 1
+                if deadline is not None and not steps & 63:
+                    _check_clock()
+                d = depth[v] + 1
+                for c in occ[v] + occ[-v]:
+                    if not ntrue[c]:
+                        for x in clauses[c]:
+                            if not value[x] and abs(x) not in depth:
+                                depth[abs(x)] = d
+                                reached.append(abs(x))
+            far = reached[-1]
+        sizes = [0] * (depth[far] + 1)
+        for d in depth.values():
+            sizes[d] += 1
+        if max(sizes) >= limit:
             return False
+        level, spans = [0] * len(sizes), [(0, len(sizes) - 1, 0)]
+        for low, high, r in spans:
+            if low <= high:
+                mid = (low + high) // 2
+                level[mid] = r
+                spans += (low, mid - 1, r + 1), (mid + 1, high, r + 1)
         rank = self.rank
-        for v, depth in levels:
-            rank[v] = depth
+        for v, d in depth.items():
+            rank[v] = level[d]
         return True

@@ -267,7 +267,7 @@ class TestReachability:
 
 class TestChains:
     """Tight programs whose completion is one long, thin component, which
-    the count ranks by a tree decomposition once it has more than
+    the count ranks by breadth-first layers once it has more than
     ``sat.WIDTH_RATIO`` variables: chain-n has n + 2 answer sets."""
 
     def test_every_length_counts_in_every_mode(self):

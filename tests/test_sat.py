@@ -264,14 +264,14 @@ class TestTimeLimit:
         assert count_models(pigeonhole(8, 7)) == 0
 
     def test_ranking_stops_at_the_limit(self):
-        # ranking a chain of 20000 variables takes a tenth of a second or
-        # more; the elimination checks the clock as the searches do
+        # ranking a chain of 20000 variables takes tens of milliseconds; its
+        # breadth-first searches check the clock as the other searches do
         f = implication_chain(20000)
         engine = sat._started(f.clauses, f.num_vars)
         kept = bytearray([1]) * (2 * f.num_vars + 1)
         [(_, _, _, items)] = engine.split(range(1, f.num_vars + 1), kept, False)
         with pytest.raises(sat.SearchTimeout), sat.time_limit(0):
-            engine.rank_by_centroids(items)
+            engine.rank_by_layers(items)
         assert engine.rank == [0] * (f.num_vars + 1)
         start = time.monotonic()
         with pytest.raises(sat.SearchTimeout), sat.time_limit(0.01):
@@ -498,9 +498,19 @@ def thin_cnf(rng: random.Random, n: int, span: int = 3) -> CnfFormula:
 
 
 class TestRanks:
-    """A count ranks each large, thin top-level component by a centroid
-    decomposition of a min-degree elimination tree, and its decisions take
-    the lowest rank first; a wide or small component keeps rank 0."""
+    """A count ranks each large, thin top-level component by the
+    breadth-first layers of its primal graph, searched from a far variable
+    and bisected recursively, and its decisions take the lowest rank
+    first; a wide or small component keeps rank 0."""
+
+    @staticmethod
+    def ranked(clauses, n: int):
+        """An engine over ``clauses``, the items of its one component and
+        whether ``rank_by_layers`` ranked them."""
+        engine = sat._started(clauses, n)
+        kept = bytearray([1]) * (2 * n + 1)
+        [(_, _, _, items)] = engine.split(range(1, n + 1), kept, False)
+        return engine, items, engine.rank_by_layers(items)
 
     def test_rank_overrides_jeroslow_wang_on_a_chain(self):
         n = 2 * sat.WIDTH_RATIO + 1
@@ -510,35 +520,76 @@ class TestRanks:
         [(_, _, var, items)] = engine.split(range(1, n + 1), kept, False)
         # every inner variable is in two binary clauses, the ends in one
         assert var == 2
-        assert engine.rank_by_centroids(items)
+        assert engine.rank_by_layers(items)
         [(_, _, var, _)] = engine.split(range(1, n + 1), kept, False)
-        # the elimination tree is the path itself, and its centroid the
-        # middle variable; each half's centroid is one level down
+        # each layer is one variable, the middle one gets rank 0 and each
+        # half's middle rank 1
         middle = (n + 1) // 2
         assert var == middle and engine.rank[middle] == 0
         assert sorted(engine.rank[v] for v in range(1, n + 1))[:3] == [0, 1, 1]
         assert max(engine.rank) <= n.bit_length()
         assert count_models(f) == n + 1
 
+    def test_chains_are_cut_at_their_middle(self):
+        # a chain of WIDTH_RATIO variables or fewer has layers of one
+        # variable each, which is its size over the ratio or more
+        for n in range(2, sat.WIDTH_RATIO + 1):
+            engine, _, ranked = self.ranked(implication_chain(n).clauses, n)
+            assert not ranked and engine.rank == [0] * (n + 1)
+        for n in range(sat.WIDTH_RATIO + 1, 301):
+            engine, _, ranked = self.ranked(implication_chain(n).clauses, n)
+            assert ranked
+            ranks = engine.rank[1:]
+            [middle] = [v for v in range(1, n + 1) if ranks[v - 1] == 0]
+            # the two halves differ by one variable at most
+            assert abs((middle - 1) - (n - middle)) <= 1
+            assert max(ranks) <= n.bit_length()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(18, 60))
+    def test_rank_zero_separates_a_thin_component(self, seed, n):
+        f = thin_cnf(random.Random(seed), n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sat, "WIDTH_RATIO", 3)
+            engine, items, ranked = self.ranked(f.clauses, n)
+        assert ranked
+        near = {v: set() for v in items}
+        for clause in f.clauses:
+            for x in clause:
+                near[abs(x)].update(abs(y) for y in clause)
+        left = {v for v in items if engine.rank[v]}
+        pieces = 0
+        while left:
+            pieces += 1
+            todo = [left.pop()]
+            while todo:
+                found = near[todo.pop()] & left
+                left -= found
+                todo += found
+        assert pieces >= 2
+
     def test_wide_component_keeps_rank_zero(self):
-        # every variable of a complete graph has degree n - 1
         n = 2 * sat.WIDTH_RATIO
-        clauses = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-        engine = sat._started(clauses, n)
-        kept = bytearray([1]) * (2 * n + 1)
-        [(_, _, var, items)] = engine.split(range(1, n + 1), kept, False)
-        assert not engine.rank_by_centroids(items)
-        assert engine.rank == [0] * (n + 1) and var == 1
+        # every variable of a complete graph has all others in its first
+        # layer; every leaf of a star has the other leaves in its second
+        complete = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        star = [(1, b) for b in range(2, n + 1)]
+        for clauses in (complete, star):
+            engine, _, ranked = self.ranked(clauses, n)
+            assert not ranked
+            kept = bytearray([1]) * (2 * n + 1)
+            [(_, _, var, _)] = engine.split(range(1, n + 1), kept, False)
+            assert engine.rank == [0] * (n + 1) and var == 1
 
     def test_count_ranks_large_components_with_kept_variables(self, monkeypatch):
         ranked = []
-        rank_by_centroids = sat._Trail.rank_by_centroids
+        rank_by_layers = sat._Trail.rank_by_layers
 
         def recording(engine, vs):
             ranked.append(len(vs))
-            return rank_by_centroids(engine, vs)
+            return rank_by_layers(engine, vs)
 
-        monkeypatch.setattr(sat._Trail, "rank_by_centroids", recording)
+        monkeypatch.setattr(sat._Trail, "rank_by_layers", recording)
         small, large = sat.WIDTH_RATIO, 3 * sat.WIDTH_RATIO
         f = implication_chain(small)
         clauses = f.clauses + [(-(small + v), small + v + 1) for v in range(1, large)]
@@ -557,17 +608,17 @@ class TestRanks:
         f = thin_cnf(rng, 18)
         out = {v for v in range(1, f.num_vars + 1) if rng.random() < 0.4}
         ranked = []
-        rank_by_centroids = sat._Trail.rank_by_centroids
+        rank_by_layers = sat._Trail.rank_by_layers
 
         def recording(engine, vs):
-            ranked.append(rank_by_centroids(engine, vs))
+            ranked.append(rank_by_layers(engine, vs))
             return ranked[-1]
 
         with pytest.MonkeyPatch.context() as patch:
             # a low ratio ranks components of a few variables, and lets
             # through the widths that three-place windows give
             patch.setattr(sat, "WIDTH_RATIO", 3)
-            patch.setattr(sat._Trail, "rank_by_centroids", recording)
+            patch.setattr(sat._Trail, "rank_by_layers", recording)
             assert count_models(f) == tt_count(f)
             assert projected_count(f, out) == tt_projected_count(f, out)
         assert ranked[0]

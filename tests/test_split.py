@@ -330,3 +330,36 @@ class TestPerPart:
         assert engines[0] <= 2 * loop_parts, (engines[0], loop_parts)
         monkeypatch.undo()
         assert report.answer_sets == subtractive_count(program).answer_sets
+
+
+class TestDecisions:
+    """The number of decisions a count makes, on benchmark programs: a
+    change to the decision rule or the ranks that grows a search fails
+    here before it shows as time."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        calls = [0]
+        original = aspsubcount.sat._Trail.split
+
+        def counted(engine, *args):
+            calls[0] += 1
+            return original(engine, *args)
+
+        monkeypatch.setattr(aspsubcount.sat._Trail, "split", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [17, 150, 1000])
+    def test_chains_are_cut_in_halves(self, n, splits):
+        # about one split per answer set: each decision on x_i sets every
+        # later x or every earlier one, and ranking adds a second split of
+        # the whole formula
+        report = subtractive_count(parse_program(BENCH_PROGRAMS.chain(n)))
+        assert report.answer_sets == n + 2
+        assert splits[0] <= n + 2
+
+    def test_reach_pool(self, splits):
+        for g in BENCH_PROGRAMS.REACH_POOL:
+            report = subtractive_count(parse_program(BENCH_PROGRAMS.reach(10, 20, g, 23)))
+            assert report.answer_sets == 2**20
+        assert splits[0] <= 2589
