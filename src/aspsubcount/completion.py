@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .cnf import CnfFormula, dimacs
 from .program import GroundProgram, Interpretation
+from .sat import checker
 
 
 @dataclass
@@ -30,14 +31,12 @@ class CompletionArtifact:
     """CNF of the completion plus the variable bookkeeping.
 
     The first ``num_atoms`` variables are the atoms; aux_vars are the
-    Tseitin definitions above them; aux_defs maps an auxiliary variable to
-    the atom-literal conjunction it abbreviates.
+    Tseitin definitions above them, each fixed by the atoms' values.
     """
 
     cnf: CnfFormula
     num_atoms: int
     aux_vars: frozenset[int]
-    aux_defs: dict[int, tuple[int, ...]]
 
     def to_dimacs(self, program: GroundProgram) -> str:
         return dimacs(self.cnf, atom_names=dict(enumerate(program.atoms, 1)))
@@ -47,7 +46,6 @@ def clark_completion(program: GroundProgram) -> CompletionArtifact:
     """Build the completion CNF. Variable order: atoms first (atom id i is
     variable i + 1), auxiliaries after, in emission order."""
     n = program.num_atoms
-    aux_defs: dict[int, tuple[int, ...]] = {}
     next_var = n + 1
 
     # A rule's literals, built once and sorted by variable, make its
@@ -104,7 +102,6 @@ def clark_completion(program: GroundProgram) -> CompletionArtifact:
                 continue
             d = next_var
             next_var += 1
-            aux_defs[d] = lits
             for lit in lits:
                 clauses.append((-d, lit))
             clauses.append((d,) + tuple(-lit for lit in lits))
@@ -119,27 +116,16 @@ def clark_completion(program: GroundProgram) -> CompletionArtifact:
         cnf=CnfFormula(next_var - 1, list(first.values())),
         num_atoms=n,
         aux_vars=frozenset(range(n + 1, next_var)),
-        aux_defs=aux_defs,
     )
 
 
 def completion_model_check(
     artifact: CompletionArtifact, interp: Interpretation
 ) -> bool:
-    """Does the atom assignment ``interp`` extend to a model of the CNF?
-
-    Auxiliary variables are forced by their definitions, so the extension is
-    determined; evaluate every clause under it.
-    """
-    values = [False] * (artifact.cnf.num_vars + 1)
+    """Does the atom assignment ``interp`` extend to a model of the CNF? One
+    ``sat.checker`` test: propagation from the atoms fixes the auxiliaries."""
     for a in interp:
         if not 0 <= a < artifact.num_atoms:
             raise ValueError(f"atom id {a} out of range")
-        values[a + 1] = True
-
-    def lit_true(lit: int) -> bool:
-        return values[lit] if lit > 0 else not values[-lit]
-
-    for d in sorted(artifact.aux_defs):
-        values[d] = all(lit_true(lit) for lit in artifact.aux_defs[d])
-    return all(any(lit_true(lit) for lit in clause) for clause in artifact.cnf.clauses)
+    lits = [a + 1 if a in interp else -(a + 1) for a in range(artifact.num_atoms)]
+    return checker(artifact.cnf.clauses, artifact.cnf.num_vars)(lits)

@@ -9,10 +9,12 @@ making a literal true touches only the clauses that hold it or its
 negation, and unit clauses are found from the counts. No clause list is
 copied during the search.
 
-``_Trail.leaves`` walks the decision tree (the last free literal of the
-first clause not yet satisfied, true first) and stops at each leaf, where
-every clause is satisfied: ``solve_clauses`` takes the first leaf,
-``models`` expands every one, and each test of a ``checker`` seeks one
+Every entry point takes clauses over variables 1..num_vars and raises
+ValueError on any other literal, 0 included. ``_Trail.leaves`` walks the
+decision tree (the last free literal of the first clause not yet
+satisfied, true first) and stops at each leaf, where every clause is
+satisfied: ``models`` expands every leaf, ``solve_clauses`` is its first
+model, and each test of a ``checker`` assumes literals and seeks one leaf
 on an engine kept across tests. ``_Trail.count`` counts the assignments to
 a set of kept variables that extend to a model, and a plain count keeps
 every variable. It splits the clauses not yet satisfied into components
@@ -92,29 +94,18 @@ def _check_clock():
         raise SearchTimeout(f"builtin counter timed out after {_deadline[1]}s")
 
 
-def solve_clauses(
-    clauses, num_vars: int, assumptions: dict[int, bool] | None = None
-) -> dict[int, bool] | None:
-    """Satisfiability over variables 1..num_vars.
-
-    Returns a total assignment extending ``assumptions`` (unconstrained
-    variables default to false), or None if unsatisfiable.
-    """
-    assumptions = assumptions or {}
-    for var in assumptions:
-        if not 1 <= var <= num_vars:
-            raise ValueError(f"assumption variable {var} out of range")
-    units = [var if value else -var for var, value in assumptions.items()]
-    return next(models(clauses, num_vars, units), None)
+def solve_clauses(clauses, num_vars: int) -> dict[int, bool] | None:
+    """The first model of ``models(clauses, num_vars)``, or None if there is
+    none. Literals are assumed by unit clauses or through ``checker``."""
+    return next(models(clauses, num_vars), None)
 
 
-def models(clauses, num_vars: int, units=()):
+def models(clauses, num_vars: int):
     """Every model of the clause sequence ``clauses`` over variables
-    1..num_vars that makes the literals ``units`` true, once each, as a
-    total assignment. The first sets the variables its search leaves free
-    to false, as ``solve_clauses`` does; their other values are expanded
-    only after it has been taken."""
-    engine = _started(clauses, num_vars, units)
+    1..num_vars, once each, as a total assignment. The first sets the
+    variables its search leaves free to false; their other values are
+    expanded only after it has been taken."""
+    engine = _started(clauses, num_vars)
     if engine is None:
         return
     value, span = engine.value, range(1, num_vars + 1)
@@ -170,15 +161,13 @@ def _count_from(clauses, num_vars: int, out) -> int:
     return engine.count(kept)
 
 
-def _started(clauses, num_vars: int, units=()):
-    """A ``_Trail`` over ``clauses`` with ``units`` and the literals of
-    unit clauses made true and propagated; None if a clause is empty or
-    propagation conflicts."""
+def _started(clauses, num_vars: int):
+    """A ``_Trail`` over ``clauses`` with the literals of its unit clauses
+    made true and propagated; None if a clause is empty or propagation
+    conflicts."""
     clauses = list(clauses)
-    if not all(clauses):
-        return None
     engine = _Trail(clauses, num_vars)
-    if engine.assign(list(units) + [c[0] for c in clauses if len(c) == 1]):
+    if all(clauses) and engine.assign([c[0] for c in clauses if len(c) == 1]):
         return engine
     return None
 
@@ -202,12 +191,15 @@ class _Trail:
 
     def __init__(self, clauses: list, num_vars: int):
         self.clauses = clauses
-        num_vars = max(num_vars, max(map(abs, chain.from_iterable(clauses)), default=0))
+        if max(map(abs, chain.from_iterable(clauses)), default=0) > num_vars:
+            raise ValueError(f"a literal exceeds num_vars={num_vars}")
         self.num_vars = num_vars
         self.occ = occ = [[] for _ in range(2 * num_vars + 1)]
         for c, clause in enumerate(clauses):
             for lit in clause:
                 occ[lit].append(c)
+        if occ[0]:
+            raise ValueError("0 is not a literal")
         self.value = [0] * (2 * num_vars + 1)
         self.ntrue = [0] * len(clauses)
         self.nfree = list(map(len, clauses))

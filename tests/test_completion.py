@@ -76,7 +76,6 @@ class TestWorkedExample:
             (6, -2, -4),                  # aux 6 <-> (p1 and q1)
             (-5, 1, 6),                   # w -> (p0 or (p1 and q1))
         ]
-        assert art.aux_defs == {6: (2, 4)}
         assert art.aux_vars == frozenset({6})
 
     def test_var_allocation(self, example1):
@@ -111,7 +110,7 @@ class TestSmallPrograms:
         p = parse_program("a | b.\n")
         art = clark_completion(p)
         assert count_models(art.cnf) == 2
-        model = solve_clauses(art.cnf.clauses, art.cnf.num_vars, {1: True})
+        model = solve_clauses(art.cnf.clauses + [(1,)], art.cnf.num_vars)
         assert model[2] is False
 
     def test_headless_atom_forced_false(self):

@@ -109,15 +109,16 @@ class TestSurplusWorkedExample:
     def test_unique_surplus_model_is_the_unfounded_one(self, example1):
         sur = surplus_formula(example1)
         m2 = example1.interpretation(["p1", "q0", "q1", "w"])
-        assumptions = {x + 1: (x in m2) for x in range(example1.num_atoms)}
-        model = solve_clauses(sur.cnf.clauses, sur.cnf.num_vars, assumptions)
+        atoms = {x + 1: (x in m2) for x in range(example1.num_atoms)}
+        units = [(v if value else -v,) for v, value in atoms.items()]
+        model = solve_clauses(sur.cnf.clauses + units, sur.cnf.num_vars)
         assert model is not None
         # over the variables above the atoms, exactly these models extend
         # m2: the completion auxiliary 6 true, both copies false, and any
         # nonempty set of witnesses
         extensions = set()
         for bits in itertools.product([False, True], repeat=5):
-            full = {**assumptions, **dict(zip(range(6, 11), bits))}
+            full = {**atoms, **dict(zip(range(6, 11), bits))}
             if eval_clauses(sur.cnf.clauses, full):
                 extensions.add(bits)
         assert extensions == {
@@ -127,8 +128,8 @@ class TestSurplusWorkedExample:
         }
 
         m1 = example1.interpretation(["p0", "q0", "q1", "w"])
-        assumptions = {x + 1: (x in m1) for x in range(example1.num_atoms)}
-        assert solve_clauses(sur.cnf.clauses, sur.cnf.num_vars, assumptions) is None
+        units = [(x + 1 if x in m1 else -(x + 1),) for x in range(example1.num_atoms)]
+        assert solve_clauses(sur.cnf.clauses + units, sur.cnf.num_vars) is None
 
     def test_exactly_one_model_over_atoms_and_copies(self, example1):
         # the witnesses are one-sided, so the one model over the atoms and

@@ -1,10 +1,12 @@
 """README's "Library" section names the public API; every name it
-backticks must exist, so the documented API cannot drift from the code.
-Likewise every command-line flag README names must be accepted, every
-key of the emitted variable map must be named in "Emitted files", and
-every example in "Program format" must parse."""
+backticks must exist, and every call it shows must name real parameters,
+so the documented API cannot drift from the code. Likewise every
+command-line flag README names must be accepted, every key of the
+emitted variable map must be named in "Emitted files", and every example
+in "Program format" must parse."""
 
 import argparse
+import inspect
 import os
 import re
 
@@ -39,6 +41,21 @@ def test_library_names_resolve():
         match = re.fullmatch(r"([A-Za-z_]\w*(?:\.\w+)*)(\(.*\))?", span)
         assert match, f"`{span}` is not an identifier"
         assert resolves(match.group(1)), f"`{span}` is not in aspsubcount"
+
+
+def test_library_calls_name_real_parameters():
+    # an argument is a parameter's name, or name=...; nested calls are skipped
+    calls = re.findall(r"`([A-Za-z_][\w.]*)\((.*?)\)`", library_section())
+    assert len(calls) >= 5
+    for dotted, args in calls:
+        obj = aspsubcount
+        for name in dotted.split("."):
+            obj = getattr(obj, name)
+        params = inspect.signature(obj).parameters
+        for arg in filter(None, (a.strip() for a in args.split(","))):
+            if "(" not in arg:
+                name = arg.split("=", 1)[0]
+                assert name in params, f"`{dotted}({args})`: {name} is not a parameter"
 
 
 def test_readme_flags_are_accepted():

@@ -39,16 +39,30 @@ class TestSolve:
 
     def test_assumptions_are_respected(self):
         f = CnfFormula(2, [(1, 2)])
-        model = solve_clauses(f.clauses, f.num_vars, {1: False})
+        model = solve_clauses(f.clauses + [(-1,)], f.num_vars)
         assert model[1] is False and model[2] is True
 
     def test_conflicting_assumptions(self):
         f = CnfFormula(1, [(1,)])
-        assert solve_clauses(f.clauses, f.num_vars, {1: False}) is None
+        assert solve_clauses(f.clauses + [(-1,)], f.num_vars) is None
 
     def test_assumption_out_of_range(self):
         with pytest.raises(ValueError):
-            solve_clauses([(1,)], 1, {5: True})
+            solve_clauses([(1,), (5,)], 1)
+
+    @pytest.mark.parametrize("bad", [0, 3, -3])
+    def test_literals_outside_the_variables_raise(self, bad):
+        # each raw-CNF entry point rejects a literal 0 or beyond num_vars,
+        # also beside an empty clause
+        clauses = [(1, 2), (bad,)]
+        with pytest.raises(ValueError):
+            solve_clauses(clauses, 2)
+        with pytest.raises(ValueError):
+            list(models(clauses, 2))
+        with pytest.raises(ValueError):
+            sat.checker(clauses, 2)
+        with pytest.raises(ValueError):
+            solve_clauses([(), (bad,)], 2)
 
     def test_models_satisfy_all_clauses(self):
         rng = random.Random(13)
@@ -175,7 +189,7 @@ class TestOneEngine:
             if rng.random() < 0.3
         }
         units = [(v if value else -v,) for v, value in assumptions.items()]
-        model = solve_clauses(f.clauses, f.num_vars, assumptions)
+        model = solve_clauses(f.clauses + units, f.num_vars)
         if tt_count(CnfFormula(f.num_vars, f.clauses + units)) == 0:
             assert model is None
         else:
@@ -283,7 +297,8 @@ def propagation_input(rng: random.Random):
     """Clauses drawn as ``random_cnf`` draws them (unit clauses and the odd
     empty clause included), often with an implication chain over the
     variables spliced in, in forward or reversed clause order; and a
-    literal to make true, often the one that sets the chain off."""
+    literal to make true, often the one that sets the chain off; and the
+    number of variables."""
     f = random_cnf(rng, max_vars=rng.choice([6, 16, 40]), max_clauses=rng.choice([10, 40, 80]))
     clauses = list(f.clauses)
     order = rng.sample(range(1, f.num_vars + 1), f.num_vars)
@@ -296,19 +311,19 @@ def propagation_input(rng: random.Random):
         clauses[at:at] = chain
         if rng.random() < 0.5:
             lit = order[0]
-    return clauses, lit
+    return clauses, lit, f.num_vars
 
 
-def trail_state(clauses, lits):
-    """Make ``lits`` true on a fresh engine over ``clauses`` and propagate
-    (``lits`` None: as ``_started`` starts a search). Returns (the clauses
-    not yet satisfied with their false literals stripped, in their order;
-    the trail) or None on a conflict, as ``reference_assign`` returns
-    them."""
+def trail_state(clauses, num_vars: int, lits):
+    """Make ``lits`` true on a fresh engine over ``clauses`` (over variables
+    1..num_vars) and propagate (``lits`` None: as ``_started`` starts a
+    search). Returns (the clauses not yet satisfied with their false
+    literals stripped, in their order; the trail) or None on a conflict, as
+    ``reference_assign`` returns them."""
     if lits is None:
-        engine = sat._started(clauses, 0)
+        engine = sat._started(clauses, num_vars)
     else:
-        engine = sat._Trail(clauses, max(map(abs, lits)))
+        engine = sat._Trail(clauses, num_vars)
         engine = engine if engine.assign(list(lits)) else None
     if engine is None:
         return None
@@ -340,18 +355,18 @@ class TestPropagation:
     @settings(max_examples=500, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_matches_one_unit_per_pass(self, seed):
-        clauses, lit = propagation_input(random.Random(seed))
+        clauses, lit, n = propagation_input(random.Random(seed))
         units = [c[0] for c in clauses if len(c) == 1]
         assert_same_propagation(
-            trail_state(clauses, [lit] + units), reference_assign(clauses, lit)
+            trail_state(clauses, n, [lit] + units), reference_assign(clauses, lit)
         )
-        assert_same_propagation(trail_state(clauses, None), reference_propagate(clauses))
+        assert_same_propagation(trail_state(clauses, n, None), reference_propagate(clauses))
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_undo_restores_the_counts(self, seed):
-        clauses, lit = propagation_input(random.Random(seed))
-        engine = sat._Trail(clauses, abs(lit))
+        clauses, lit, n = propagation_input(random.Random(seed))
+        engine = sat._Trail(clauses, n)
         before = (list(engine.value), list(engine.ntrue), list(engine.nfree))
         engine.assign([lit])
         engine.undo(0)
@@ -368,10 +383,10 @@ class TestPropagation:
             (links + stripped, left),
             (stripped[::-1] + links[::-1], left[::-1]),
         ):
-            rest, made = trail_state(clauses, [1])
+            rest, made = trail_state(clauses, 3 * n, [1])
             assert sorted(made) == list(range(1, n + 1))
             assert rest == expected
-        assert trail_state(links + [(-n,)], [1]) is None
+        assert trail_state(links + [(-n,)], n, [1]) is None
 
 
 def component_input(rng: random.Random):

@@ -358,6 +358,33 @@ class TestDecisions:
         assert report.answer_sets == n + 2
         assert splits[0] <= n + 2
 
+    @pytest.mark.parametrize("n", [150, 1000, 2000])
+    def test_chains_are_searched_to_logarithmic_depth(self, n, monkeypatch):
+        # a count that decides along a chain from one end makes as many
+        # splits as one that cuts it in halves, but goes n / 2 decisions
+        # deep: each decision is the assign of one literal at a trail mark,
+        # and undoing to a mark closes every decision made at or after it
+        marks, depth = [], [0]
+
+        class Deepest(aspsubcount.sat._Trail):
+            __slots__ = ()
+
+            def assign(self, queue):
+                if len(queue) == 1:
+                    marks.append(len(self.trail))
+                    depth[0] = max(depth[0], len(marks))
+                return super().assign(queue)
+
+            def undo(self, mark):
+                while marks and marks[-1] >= mark:
+                    marks.pop()
+                super().undo(mark)
+
+        monkeypatch.setattr(aspsubcount.sat, "_Trail", Deepest)
+        report = subtractive_count(parse_program(BENCH_PROGRAMS.chain(n)))
+        assert report.answer_sets == n + 2
+        assert depth[0] <= 2 * n.bit_length(), depth[0]
+
     def test_reach_pool(self, splits):
         for g in BENCH_PROGRAMS.REACH_POOL:
             report = subtractive_count(parse_program(BENCH_PROGRAMS.reach(10, 20, g, 23)))
