@@ -112,8 +112,8 @@ def _build_parser() -> _Parser:
         "--timeout",
         type=_positive_seconds,
         metavar="S",
-        help="stop the builtin counter S seconds after counting starts, "
-        "and each external counter call after S seconds (exit 2)",
+        help="stop counting S seconds after it starts, builtin searches "
+        "and external counter calls alike (exit 2)",
     )
     p_count.add_argument("--emit-cnf", metavar="DIR", default=None)
 
@@ -149,12 +149,12 @@ def _read_program(path: str):
 def _backend_config(args) -> BackendConfig:
     spec = args.backend or os.environ.get(ENV_BACKEND) or "builtin"
     if spec == "builtin":
-        return BackendConfig(timeout=args.timeout)
+        return BackendConfig()
     if spec.startswith("exec:"):
         exe = spec[len("exec:") :]
         if not exe:
             raise SystemExit(_usage_error("empty executable in --backend"))
-        return BackendConfig(executable=exe, timeout=args.timeout)
+        return BackendConfig(executable=exe)
     raise SystemExit(_usage_error(f"unknown backend {spec!r}"))
 
 

@@ -128,16 +128,16 @@ def surplus_formula(
 
 
 def copy_checker(completion: CompletionArtifact, surplus: SurplusArtifact):
-    """The copy check, on one engine: a function of a model ``interp`` of
-    ``completion`` that is True exactly when ``interp`` is not an answer
-    set. ``surplus`` must be built on ``completion``; the function tests
-    whether the clauses it adds (the copy clauses, the witness clauses and
-    the witness disjunction) can hold under the values ``interp`` gives the
-    atoms they mention, that is, whether a copy of the loop atoms lies
-    below ``interp`` and strictly below it somewhere. It does not check
-    that ``interp`` is a completion model."""
+    """The copy check, on one engine: a function of a model of ``completion``
+    (each atom variable to its value, as ``sat.models`` yields it) that is
+    True exactly when the model is not an answer set. ``surplus`` must be
+    built on ``completion``; the function tests whether the clauses it adds
+    (the copy, witness and witness-disjunction clauses) can hold under the
+    values the model gives the atoms they mention, that is, whether a copy
+    of the loop atoms lies below the model and strictly below it somewhere.
+    It does not check that the model is a completion model."""
     added = surplus.cnf.clauses[len(completion.cnf.clauses):]
     test = checker(added, surplus.cnf.num_vars)
     n = completion.num_atoms
     atoms = sorted({abs(lit) for clause in added for lit in clause if abs(lit) <= n})
-    return lambda interp: test([v if v - 1 in interp else -v for v in atoms])
+    return lambda model: test([v if model[v] else -v for v in atoms])

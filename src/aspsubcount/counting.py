@@ -30,7 +30,7 @@ from .completion import clark_completion, CompletionArtifact
 from .copyenc import copy_checker, surplus_formula, SurplusArtifact
 from .depgraph import build_dependency_graph, loop_atoms, split
 from .program import GroundProgram
-from .sat import count_models, models, projected_count
+from .sat import _time_left, count_models, models, projected_count
 
 HYBRID_THRESHOLD = 10_000  # hybrid_count's default switch point
 
@@ -63,12 +63,11 @@ class BackendConfig:
     Without an ``executable`` the in-process counter counts; with one, that
     external counter runs on a DIMACS file. ``args_template`` entries are
     passed through, with "{cnf}" replaced by the file path (appended when no
-    entry mentions it).
+    entry mentions it). ``sat.time_limit`` bounds either.
     """
 
     executable: str | None = None
     args_template: list[str] = field(default_factory=list)
-    timeout: float | None = None
 
     def label(self) -> str:
         return f"exec:{self.executable}" if self.executable else "builtin"
@@ -133,7 +132,8 @@ def external_projected_count(dimacs_path: str, config: BackendConfig) -> int:
     reported count. Projection is communicated through the file's
     ``c p show`` line; counters without projection support simply count all
     models, which is only sound for formulas whose extra variables are
-    defined functionally."""
+    defined functionally. Inside ``sat.time_limit`` the counter is stopped
+    at the deadline, and not started past it (``BackendTimeout``)."""
     if not config.executable:
         raise ValueError("external_projected_count needs an external backend")
     argv = [config.executable]
@@ -146,16 +146,13 @@ def external_projected_count(dimacs_path: str, config: BackendConfig) -> int:
             argv.append(arg)
     if not replaced:
         argv.append(dimacs_path)
+    left = _time_left()
+    if left is not None and left <= 0:
+        raise BackendTimeout("counter timed out: no time left to start it")
     try:
-        proc = subprocess.run(
-            argv,
-            capture_output=True,
-            text=True,
-            errors="replace",
-            timeout=config.timeout,
-        )
+        proc = subprocess.run(argv, capture_output=True, text=True, errors="replace", timeout=left)
     except subprocess.TimeoutExpired as exc:
-        raise BackendTimeout(f"counter timed out after {config.timeout}s") from exc
+        raise BackendTimeout("counter timed out at the time limit") from exc
     except OSError as exc:
         raise BackendFailure(f"could not run {argv[0]}: {exc}") from exc
     if proc.returncode != 0:
@@ -220,11 +217,10 @@ def _enumerate_part(
     only where the part has loop atoms. Returns (models walked, answer sets
     found, whether the models ran out below the limit)."""
     not_answer_set = surplus_art and copy_checker(completion, surplus_art)
-    n = completion.num_atoms
     walked = found = 0
     for model in models(completion.cnf.clauses, completion.cnf.num_vars):
         walked += 1
-        if not_answer_set and not_answer_set(frozenset(x for x in range(n) if model[x + 1])):
+        if not_answer_set and not_answer_set(model):
             continue
         found += 1
         if found == limit:

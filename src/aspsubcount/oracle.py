@@ -146,4 +146,5 @@ def copy_check(
     a model of the completion. Returns True exactly when ``interp`` is not
     an answer set."""
     completion = _require_completion_model(program, interp, completion)
-    return copy_checker(completion, surplus_formula(program, completion, loops))(interp)
+    model = {x + 1: x in interp for x in range(completion.num_atoms)}
+    return copy_checker(completion, surplus_formula(program, completion, loops))(model)

@@ -79,7 +79,8 @@ class SearchTimeout(RuntimeError):
 @contextmanager
 def time_limit(seconds: float | None):
     """Make every search started in the block raise ``SearchTimeout`` once
-    ``seconds`` have passed from entering it (None: no limit)."""
+    ``seconds`` have passed from entering it (None: no limit), and every
+    external counter call in it stop at the same deadline (BackendTimeout)."""
     global _deadline
     saved = _deadline
     _deadline = None if seconds is None else (time.monotonic() + seconds, seconds)
@@ -92,6 +93,11 @@ def time_limit(seconds: float | None):
 def _check_clock():
     if _deadline is not None and time.monotonic() > _deadline[0]:
         raise SearchTimeout(f"builtin counter timed out after {_deadline[1]}s")
+
+
+def _time_left() -> float | None:
+    """Seconds left on the enclosing ``time_limit``; None outside one."""
+    return None if _deadline is None else _deadline[0] - time.monotonic()
 
 
 def solve_clauses(clauses, num_vars: int) -> dict[int, bool] | None:
@@ -120,16 +126,21 @@ def models(clauses, num_vars: int):
 
 
 def checker(clauses, num_vars: int):
-    """A test of literal lists: whether ``clauses`` over variables
-    1..num_vars have a model that makes the literals true. The engine is
-    built once; each test assigns the literals, searches and undoes."""
+    """A test of literal lists: whether ``clauses`` over variables 1..num_vars
+    have a model that makes the literals true (ValueError on a literal 0 or
+    beyond num_vars), on one engine that each test assigns, searches, undoes."""
     engine = _started(clauses, num_vars)
-    if engine is None:
-        return lambda lits: False
-    mark, ids = len(engine.trail), range(len(engine.clauses))
+    valid = frozenset(range(-num_vars, num_vars + 1)) - {0}
+    if engine is not None:
+        mark, ids = len(engine.trail), range(len(engine.clauses))
 
     def test(lits) -> bool:
-        found = engine.assign(list(lits)) and engine.satisfiable(ids)
+        lits = list(lits)
+        if not valid.issuperset(lits):
+            raise ValueError(f"a literal is 0 or exceeds num_vars={num_vars}")
+        if engine is None:
+            return False
+        found = engine.assign(lits) and engine.satisfiable(ids)
         engine.undo(mark)
         return found
 

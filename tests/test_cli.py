@@ -11,7 +11,7 @@ from aspsubcount import subtractive_count
 from aspsubcount.cli import main
 
 from conftest import EXAMPLE1
-from helpers import chain_text, pigeonhole_text
+from helpers import chain_text, cycles_text, pigeonhole_text
 
 # The worked example's completion clauses, shared by phi1.cnf and phi2.cnf.
 WORKED_CLAUSES = (
@@ -428,6 +428,20 @@ class TestCountExternal:
             "--backend", f"exec:{wrapper}", "--timeout", "0.3",
         )
         assert code == 2
+        assert "timed out" in err
+
+    def test_timeout_bounds_the_whole_count(self, capsys, program_file, wrapper_factory):
+        # six loop parts make twelve counter calls of 0.4 s each; --timeout 1
+        # is one deadline for all of them, not 1 s per call
+        wrapper = wrapper_factory("--sleep", "0.4")
+        path = program_file(cycles_text(6))
+        start = time.monotonic()
+        code, out, err = run_cli(
+            capsys, "count", path, "--backend", f"exec:{wrapper}", "--timeout", "1"
+        )
+        assert time.monotonic() - start < 3
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
         assert "timed out" in err
 
     def test_integrity_exit_code(self, capsys, worked_path, wrapper_factory):

@@ -3,6 +3,7 @@ import json
 import os
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from aspsubcount import (
     IntegrityError,
     count_answer_sets_bruteforce,
     enumerate_count,
+    external_projected_count,
     hybrid_count,
     parse_counter_output,
     parse_program,
@@ -31,6 +33,7 @@ from conftest import EXAMPLE1, FIXTURES, STUB
 from helpers import (
     answer_sets_by_definition,
     chain_text,
+    cycles_text,
     qbf_count,
     qbf_saturation_text,
     random_program_text,
@@ -45,12 +48,8 @@ def enumerated(program, limit=None):
     return report.answer_sets, report.exhausted
 
 
-def stub_config(*flags, timeout=None):
-    return BackendConfig(
-        executable=sys.executable,
-        args_template=[STUB, *flags, "{cnf}"],
-        timeout=timeout,
-    )
+def stub_config(*flags):
+    return BackendConfig(executable=sys.executable, args_template=[STUB, *flags, "{cnf}"])
 
 
 class TestSubtractive:
@@ -338,8 +337,27 @@ class TestExternalBackend:
             assert (report.overcount, report.surplus) == (2, 1)
 
     def test_timeout(self, example1):
-        with pytest.raises(BackendTimeout):
-            subtractive_count(example1, stub_config("--sleep", "5", timeout=0.5))
+        with pytest.raises(BackendTimeout), sat.time_limit(0.5):
+            subtractive_count(example1, stub_config("--sleep", "5"))
+
+    def test_time_limit_bounds_every_call_together(self):
+        # six loop parts make twelve counter calls of 0.4 s each; one
+        # deadline covers them all, not 1 s per call
+        program = parse_program(cycles_text(6))
+        start = time.monotonic()
+        with pytest.raises(BackendTimeout), sat.time_limit(1):
+            subtractive_count(program, stub_config("--sleep", "0.4"))
+        assert time.monotonic() - start < 3
+        assert subtractive_count(program, stub_config()).answer_sets == 64
+
+    def test_no_call_starts_after_the_deadline(self, tmp_path):
+        log = tmp_path / "listing"
+        log.write_text("")
+        config = stub_config("--list-dir", str(log))
+        with pytest.raises(BackendTimeout), sat.time_limit(1e-9):
+            time.sleep(0.01)
+            external_projected_count(str(tmp_path / "phi1.cnf"), config)
+        assert log.read_text() == ""
 
     def test_nonzero_exit(self, example1):
         with pytest.raises(BackendFailure):

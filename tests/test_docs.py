@@ -6,14 +6,18 @@ emitted variable map must be named in "Emitted files", and every example
 in "Program format" must parse."""
 
 import argparse
+import ast
+import glob
 import inspect
 import os
 import re
+import sys
 
 import aspsubcount
 from aspsubcount import cli, parse_program, sat, surplus_formula
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
 
 
 def section(title: str) -> str:
@@ -94,3 +98,23 @@ def test_engine_constants_are_stated_with_their_values():
     for name in ("WEIGHT_CAP", "WIDTH_RATIO"):
         stated = f"`sat.{name} = {getattr(sat, name)}`"
         assert stated in text, f"README does not state {stated}"
+
+
+def test_no_runtime_dependencies():
+    # README says the package is pure Python with no runtime dependencies:
+    # every import is relative or of the standard library
+    sources = glob.glob(os.path.join(ROOT, "src", "aspsubcount", "*.py"))
+    assert len(sources) >= 5
+    for path in sources:
+        for node in ast.walk(ast.parse(open(path).read(), path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names, f"{path} imports {name}"
+    pyproject = open(os.path.join(ROOT, "pyproject.toml")).read()
+    assert re.findall(r"^dependencies = (.*)$", pyproject, flags=re.M) == ["[]"]

@@ -63,6 +63,13 @@ class TestSolve:
             sat.checker(clauses, 2)
         with pytest.raises(ValueError):
             solve_clauses([(), (bad,)], 2)
+        # and a checker's test rejects an assumed literal 0 or beyond
+        # num_vars, also where an empty clause makes every answer False
+        for clauses in ([(1, 2)], [(1,), ()]):
+            test = sat.checker(clauses, 2)
+            with pytest.raises(ValueError):
+                test([1, bad])
+            assert test([1, -2]) == (clauses == [(1, 2)])
 
     def test_models_satisfy_all_clauses(self):
         rng = random.Random(13)
@@ -213,6 +220,60 @@ class TestOneEngine:
             lits = [v if rng.random() < 0.5 else -v for v in chosen]
             units = [(lit,) for lit in lits]
             assert test(lits) == (tt_count(CnfFormula(f.num_vars, f.clauses + units)) > 0)
+
+
+class TestRawClauseLists:
+    """Clause lists that repeat a literal or hold a tautology, which
+    ``random_cnf`` never draws, against truth tables."""
+
+    @staticmethod
+    def raw_clauses(rng, num_vars: int, tautologies: bool) -> list:
+        clauses = []
+        for _ in range(rng.randint(0, 12)):
+            chosen = rng.sample(range(1, num_vars + 1), rng.randint(1, min(num_vars, 4)))
+            lits = [v if rng.random() < 0.5 else -v for v in chosen]
+            if rng.random() < 0.5:
+                lits.append(rng.choice(lits))
+            if tautologies and rng.random() < 0.3:
+                lits.append(-rng.choice(lits))
+            rng.shuffle(lits)
+            clauses.append(tuple(lits))
+        return clauses
+
+    @staticmethod
+    def table(clauses, num_vars: int) -> list:
+        every = (
+            {v: bool(bits >> (v - 1) & 1) for v in range(1, num_vars + 1)}
+            for bits in range(1 << num_vars)
+        )
+        return [model for model in every if eval_clauses(clauses, model)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_search_entry_points_agree_with_truth_tables(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        clauses = self.raw_clauses(rng, n, tautologies=True)
+        table = self.table(clauses, n)
+        key = lambda model: sorted(model.items())
+        assert sorted(map(key, models(clauses, n))) == sorted(map(key, table))
+        assert (solve_clauses(clauses, n) is not None) == bool(table)
+        test = sat.checker(clauses, n)
+        for _ in range(4):
+            lits = [v if rng.random() < 0.5 else -v
+                    for v in rng.sample(range(1, n + 1), rng.randint(0, n))]
+            expected = any(all(model[abs(x)] == (x > 0) for x in lits) for model in table)
+            assert test(lits) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_counts_agree_with_truth_tables(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        f = CnfFormula(n, self.raw_clauses(rng, n, tautologies=False))
+        out = set(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        assert count_models(f) == tt_count(f)
+        assert projected_count(f, out) == tt_projected_count(f, out)
 
 
 class TestModels:
