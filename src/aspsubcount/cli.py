@@ -112,8 +112,8 @@ def _build_parser() -> _Parser:
         "--timeout",
         type=_positive_seconds,
         metavar="S",
-        help="stop counting S seconds after it starts, builtin searches "
-        "and external counter calls alike (exit 2)",
+        help="give up S seconds after the command starts, on every search and "
+        "counter call (exit 2); parsing and encoding run to their end",
     )
     p_count.add_argument("--emit-cnf", metavar="DIR", default=None)
 
@@ -227,19 +227,19 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    program = _read_program(args.path)
-    config = _backend_config(args)
-    if args.mode == "enumerate" and args.backend and config.executable:
-        return _usage_error("--mode enumerate runs no model counter; drop --backend")
-    if args.mode == "subtractive" and args.threshold is not None:
-        return _usage_error("--mode subtractive takes no --threshold")
-    if args.emit_cnf is not None:
-        # the whole program's formulas, while counting goes part by part
-        completion = clark_completion(program)
-        loops = loop_atoms(build_dependency_graph(program))
-        surplus = surplus_formula(program, completion, loops) if loops else None
-        write_formulas(args.emit_cnf, program, completion, surplus)
     with time_limit(args.timeout):
+        program = _read_program(args.path)
+        config = _backend_config(args)
+        if args.mode == "enumerate" and args.backend and config.executable:
+            return _usage_error("--mode enumerate runs no model counter; drop --backend")
+        if args.mode == "subtractive" and args.threshold is not None:
+            return _usage_error("--mode subtractive takes no --threshold")
+        if args.emit_cnf is not None:
+            # the whole program's formulas, while counting goes part by part
+            completion = clark_completion(program)
+            loops = loop_atoms(build_dependency_graph(program))
+            surplus = surplus_formula(program, completion, loops) if loops else None
+            write_formulas(args.emit_cnf, program, completion, surplus)
         if args.mode == "enumerate":
             report = enumerate_count(program, args.threshold)
             if not report.exhausted:

@@ -51,8 +51,9 @@ def clark_completion(program: GroundProgram) -> CompletionArtifact:
     # A rule's literals, built once and sorted by variable, make its
     # positive body true and its head and negative body false. Negated,
     # they are the rule's clause; less an atom's own head literal, they are
-    # the rule's support conjunct for that atom (None when contradictory).
-    supports: list[list] = [[] for _ in range(n)]
+    # the rule's support conjunct for that atom (None when contradictory),
+    # kept once per atom as a dict key, in rule order.
+    supports: list[dict] = [{} for _ in range(n)]
     rule_clauses: list[tuple[int, ...]] = []
     for head, pos, neg in program.rules:
         lits = sorted([b + 1 for b in pos] + [-(x + 1) for x in head | neg], key=abs)
@@ -63,54 +64,40 @@ def clark_completion(program: GroundProgram) -> CompletionArtifact:
         for a in head:
             own = 0 if a in neg else -(a + 1)  # a negated body atom stays
             conjunct = tuple([lit for lit in lits if lit != own])
-            supports[a].append(None if void or clash and clash != {a} else conjunct)
+            supports[a][None if void or clash and clash != {a} else conjunct] = None
 
     clauses = [(-(a + 1),) for a in range(n) if not supports[a]] + rule_clauses
 
-    for a in range(n):
-        if not supports[a]:
-            continue
-        conjuncts = []
-        trivial = False
-        for lits in supports[a]:
-            if lits is None:
-                continue
-            if not lits or lits == (a + 1,):
-                trivial = True  # some rule supports a unconditionally
-                break
-            if lits not in conjuncts:
-                conjuncts.append(lits)
-        if trivial:
-            continue
-        if not conjuncts:
-            clauses.append((-(a + 1),))
-            continue
+    for a, conjuncts in enumerate(supports):  # a headless atom: its G1 unit again
+        conjuncts.pop(None, None)  # void supports
+        if () in conjuncts or (a + 1,) in conjuncts:
+            continue  # some rule supports a unconditionally
         if len(conjuncts) == 1:
-            for lit in conjuncts[0]:
+            for lit in next(iter(conjuncts)):
                 if lit == a + 1:
                     continue  # a -> a, vacuous
                 clauses.append((-(a + 1),) if lit == -(a + 1) else (-(a + 1), lit))
             continue
-        singles = [c[0] for c in conjuncts if len(c) == 1]
+        singles = {c[0] for c in conjuncts if len(c) == 1}
         if any(-lit in singles for lit in singles):
             continue  # support disjunction is tautologous over the atom vars
-        disjunction = [-(a + 1)]
+        disjunction = {-(a + 1): None}  # ordered, each literal once
         for lits in conjuncts:
             if len(lits) == 1:
-                if lits[0] not in disjunction:
-                    disjunction.append(lits[0])
+                disjunction[lits[0]] = None
                 continue
             d = next_var
             next_var += 1
             for lit in lits:
                 clauses.append((-d, lit))
             clauses.append((d,) + tuple(-lit for lit in lits))
-            disjunction.append(d)
+            disjunction[d] = None
         clauses.append(tuple(disjunction))
 
-    first: dict[frozenset[int], tuple[int, ...]] = {}  # clause per literal set
+    # no clause repeats a literal, so its sorted literals name its set
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}
     for clause in clauses:
-        first.setdefault(frozenset(clause), clause)
+        first.setdefault(tuple(sorted(clause)), clause)
 
     return CompletionArtifact(
         cnf=CnfFormula(next_var - 1, list(first.values())),

@@ -21,6 +21,7 @@ caller (``write_formulas``).
 import contextlib
 import json
 import os
+import signal
 import subprocess
 import tempfile
 import time
@@ -133,7 +134,8 @@ def external_projected_count(dimacs_path: str, config: BackendConfig) -> int:
     ``c p show`` line; counters without projection support simply count all
     models, which is only sound for formulas whose extra variables are
     defined functionally. Inside ``sat.time_limit`` the counter is stopped
-    at the deadline, and not started past it (``BackendTimeout``)."""
+    at the deadline, and not started past it (``BackendTimeout``). Every
+    process the counter starts is killed when the call ends."""
     if not config.executable:
         raise ValueError("external_projected_count needs an external backend")
     argv = [config.executable]
@@ -150,16 +152,26 @@ def external_projected_count(dimacs_path: str, config: BackendConfig) -> int:
     if left is not None and left <= 0:
         raise BackendTimeout("counter timed out: no time left to start it")
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True, errors="replace", timeout=left)
-    except subprocess.TimeoutExpired as exc:
-        raise BackendTimeout("counter timed out at the time limit") from exc
+        proc = subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            errors="replace", start_new_session=True,
+        )
     except OSError as exc:
         raise BackendFailure(f"could not run {argv[0]}: {exc}") from exc
+    with proc:  # closes the pipes and reaps the counter
+        try:
+            stdout, stderr = proc.communicate(timeout=left)
+        except subprocess.TimeoutExpired as exc:
+            raise BackendTimeout("counter timed out at the time limit") from exc
+        finally:
+            # the counter leads a process group: end it, whatever ended the call
+            with contextlib.suppress(OSError):
+                os.killpg(proc.pid, signal.SIGKILL)
     if proc.returncode != 0:
         raise BackendFailure(
-            f"counter exited with status {proc.returncode}: {proc.stderr.strip()[:200]}"
+            f"counter exited with status {proc.returncode}: {stderr.strip()[:200]}"
         )
-    return parse_counter_output(proc.stdout)
+    return parse_counter_output(stdout)
 
 
 def write_formulas(

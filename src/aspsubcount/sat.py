@@ -78,9 +78,9 @@ class SearchTimeout(RuntimeError):
 
 @contextmanager
 def time_limit(seconds: float | None):
-    """Make every search started in the block raise ``SearchTimeout`` once
-    ``seconds`` have passed from entering it (None: no limit), and every
-    external counter call in it stop at the same deadline (BackendTimeout)."""
+    """Make every search in the block raise ``SearchTimeout`` once ``seconds``
+    have passed from entering it (None: no limit), as it starts or runs, and
+    every external counter call in it stop at that deadline (BackendTimeout)."""
     global _deadline
     saved = _deadline
     _deadline = None if seconds is None else (time.monotonic() + seconds, seconds)
@@ -91,7 +91,7 @@ def time_limit(seconds: float | None):
 
 
 def _check_clock():
-    if _deadline is not None and time.monotonic() > _deadline[0]:
+    if _deadline is not None and time.monotonic() >= _deadline[0]:
         raise SearchTimeout(f"builtin counter timed out after {_deadline[1]}s")
 
 
@@ -175,7 +175,8 @@ def _count_from(clauses, num_vars: int, out) -> int:
 def _started(clauses, num_vars: int):
     """A ``_Trail`` over ``clauses`` with the literals of its unit clauses
     made true and propagated; None if a clause is empty or propagation
-    conflicts."""
+    conflicts. ``SearchTimeout`` past the deadline: no search starts then."""
+    _check_clock()
     clauses = list(clauses)
     engine = _Trail(clauses, num_vars)
     if all(clauses) and engine.assign([c[0] for c in clauses if len(c) == 1]):

@@ -87,17 +87,21 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture(scope="session")
 def wrapper_factory(tmp_path_factory):
     """Build a single-file executable wrapping the stub with fixed flags,
-    for CLI --backend exec:PATH tests."""
+    for CLI --backend exec:PATH tests. The shell execs the stub, or with
+    ``exec_stub=False`` runs it as its child and exits with its status."""
     made = {}
 
-    def make(*extra_flags: str) -> str:
-        key = extra_flags
+    def make(*extra_flags: str, exec_stub: bool = True) -> str:
+        key = (extra_flags, exec_stub)
         if key in made:
             return made[key]
         directory = tmp_path_factory.mktemp("counter")
         path = directory / "counter"
-        flags = " ".join(extra_flags)
-        path.write_text(f'#!/bin/sh\nexec "{sys.executable}" "{STUB}" {flags} "$@"\n')
+        command = f'"{sys.executable}" "{STUB}" {" ".join(extra_flags)} "$@"'
+        if exec_stub:
+            path.write_text(f"#!/bin/sh\nexec {command}\n")
+        else:
+            path.write_text(f"#!/bin/sh\n{command}\nexit $?\n")
         path.chmod(path.stat().st_mode | stat.S_IXUSR | stat.S_IXGRP | stat.S_IXOTH)
         made[key] = str(path)
         return made[key]

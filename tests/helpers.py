@@ -312,7 +312,8 @@ def reference_assign(clauses, lit: int):
     """Unit propagation one unit per pass: make ``lit`` true, then the
     first unit clause left, and so on until no unit clause remains, with a
     pass over every clause per literal. Returns (remaining clauses,
-    literals made true) or None on a conflict, as ``sat._assign`` does."""
+    literals made true) or None on a conflict: the state that
+    ``sat._Trail.assign`` reaches from ``lit``."""
     made = [lit]
     while True:
         neg = -lit
@@ -336,7 +337,8 @@ def reference_assign(clauses, lit: int):
 
 def reference_propagate(clauses):
     """``reference_assign`` for clauses that may hold unit or empty clauses
-    of their own, as ``sat._propagate`` takes them."""
+    of their own, as ``sat._started`` hands their units to
+    ``sat._Trail.assign``."""
     if any(not c for c in clauses):
         return None
     unit = next((c[0] for c in clauses if len(c) == 1), None)

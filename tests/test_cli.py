@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from aspsubcount import subtractive_count
+from aspsubcount import cli, parse_program, subtractive_count
 from aspsubcount.cli import main
 
 from conftest import EXAMPLE1
@@ -263,6 +263,20 @@ class TestCount:
         assert code == 2
         assert out == ""
         assert err == "aspsubcount: builtin counter timed out after 0.2s\n"
+
+    def test_timeout_counts_from_the_start(self, capsys, worked_path, monkeypatch):
+        # reading the program takes longer than the whole budget; the count
+        # after it starts no search
+        def slow_parse(text):
+            time.sleep(1.2)
+            return parse_program(text)
+
+        monkeypatch.setattr(cli, "parse_program", slow_parse)
+        code, out, err = run_cli(capsys, "count", worked_path, "--timeout", "1")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert "timed out" in err
+        assert "Traceback" not in err
 
     def test_json_matches_library(self, capsys, worked_path, example1):
         code, out, _ = run_cli(capsys, "count", worked_path, "--json")

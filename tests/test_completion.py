@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +31,26 @@ random_programs = st.builds(
     st.integers(0, 2**32 - 1),
     st.booleans(),
 )
+
+
+# Support lists that the per-atom support pass folds: repeated conjuncts,
+# complementary single literals, an atom supporting itself positively or
+# negatively, and rules whose bodies contradict themselves.
+SUPPORT_CASES = {
+    "repeated_single": "a :- b.\na :- b.\nb | c.\n",
+    "repeated_pair": "a :- b, c.\na :- c, b.\na :- d.\nb | c.\nd | e.\n",
+    "complementary": "g :- x.\ng :- not x.\nx | y.\n",
+    "negative_self": "g :- not g.\n",
+    "negative_self_and_pair": "g :- not g.\ng :- x, y.\nx | y.\n",
+    "positive_self": "g :- g.\ng :- x, not y.\nx | y.\n",
+    "void_body": "a :- b, not b.\na :- c.\nb | c.\n",
+    "all_void": "a :- b, not b.\na | c :- c.\nb | d.\n",
+}
+
+
+@pytest.fixture
+def fixtures_and_support_cases(fixture_programs):
+    return fixture_programs | {name: parse_program(t) for name, t in SUPPORT_CASES.items()}
 
 
 def completion_model_count_by_direct_eval(program):
@@ -154,8 +175,8 @@ class TestSmallPrograms:
 
 
 class TestAgainstDirectEvaluation:
-    def test_fixture_programs_exhaustive(self, fixture_programs):
-        for name, program in fixture_programs.items():
+    def test_fixture_programs_exhaustive(self, fixtures_and_support_cases):
+        for name, program in fixtures_and_support_cases.items():
             art = clark_completion(program)
             for interp in all_interpretations(program.num_atoms):
                 assert completion_model_check(art, interp) == direct_completion_holds(
@@ -182,8 +203,8 @@ class TestAgainstDirectEvaluation:
             assert count_models(art.cnf) == direct
             assert projected_count(art.cnf, art.aux_vars) == direct
 
-    def test_counts_preserved_on_fixtures(self, fixture_programs):
-        for name, program in fixture_programs.items():
+    def test_counts_preserved_on_fixtures(self, fixtures_and_support_cases):
+        for name, program in fixtures_and_support_cases.items():
             art = clark_completion(program)
             direct = completion_model_count_by_direct_eval(program)
             assert count_models(art.cnf) == direct, name
@@ -208,6 +229,22 @@ class TestShape:
             bound = 2 * (program.num_atoms + len(program.rules) + measure)
             assert art.cnf.num_clauses <= bound
             assert sum(len(c) for c in art.cnf.clauses) <= 3 * bound
+
+    def test_time_grows_near_linearly_in_the_supports(self):
+        # goal has one two-literal support per pair; four times the pairs
+        # must cost well under sixteen times the time (a ratio, so the
+        # host's speed cancels)
+        def seconds(n):
+            text = "".join(f"a{i} | b{i}.\ngoal :- a{i}, b{i}.\n" for i in range(n))
+            program = parse_program(text + ":- goal.\n")
+            best = float("inf")
+            for _ in range(2):
+                start = time.perf_counter()
+                clark_completion(program)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        assert seconds(20000) <= 8 * seconds(5000)
 
 
 class TestEachClauseOnce:

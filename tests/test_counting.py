@@ -2,6 +2,7 @@ import inspect
 import json
 import os
 import random
+import subprocess
 import sys
 import time
 
@@ -358,6 +359,29 @@ class TestExternalBackend:
             time.sleep(0.01)
             external_projected_count(str(tmp_path / "phi1.cnf"), config)
         assert log.read_text() == ""
+
+    def test_timeout_ends_what_the_counter_started(self, tmp_path, wrapper_factory):
+        # the shell runs the stub as its child; killing the shell alone
+        # would leave the stub sleeping for 30 s
+        wrapper = wrapper_factory("--sleep", "30", exec_stub=False)
+        cnf = tmp_path / "phi1.cnf"
+        cnf.write_text("p cnf 1 0\n")
+        with pytest.raises(BackendTimeout), sat.time_limit(0.5):
+            external_projected_count(str(cnf), BackendConfig(executable=wrapper))
+
+        def running():
+            table = subprocess.run(
+                ["ps", "-ww", "-eo", "stat=,args="], capture_output=True, text=True, check=True
+            ).stdout
+            return [
+                line for line in table.splitlines()
+                if str(cnf) in line and not line.lstrip().startswith("Z")
+            ]
+
+        end = time.monotonic() + 1
+        while running() and time.monotonic() < end:
+            time.sleep(0.05)
+        assert running() == []
 
     def test_nonzero_exit(self, example1):
         with pytest.raises(BackendFailure):

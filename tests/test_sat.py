@@ -338,6 +338,11 @@ class TestTimeLimit:
         # outside the block the limit is gone: this count takes longer
         assert count_models(pigeonhole(8, 7)) == 0
 
+    def test_no_search_starts_after_the_limit(self):
+        # one clause over one variable: found before any check in the search
+        with pytest.raises(sat.SearchTimeout), sat.time_limit(0):
+            count_models(CnfFormula(1, [(1,)]))
+
     def test_ranking_stops_at_the_limit(self):
         # ranking a chain of 20000 variables takes tens of milliseconds; its
         # breadth-first searches check the clock as the other searches do
