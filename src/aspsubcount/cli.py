@@ -112,8 +112,8 @@ def _build_parser() -> _Parser:
         "--timeout",
         type=_positive_seconds,
         metavar="S",
-        help="give up S seconds after the command starts, on every search and "
-        "counter call (exit 2); parsing and encoding run to their end",
+        help="give up S seconds after the command starts, on parsing, encoding, "
+        "every search and every counter call (exit 2)",
     )
     p_count.add_argument("--emit-cnf", metavar="DIR", default=None)
 
@@ -300,11 +300,8 @@ def _cmd_check(args) -> int:
     models_program = satisfies_program(interp, program)
     models_completion = completion_model_check(completion, interp)
 
-    just_all = None
-    if models_program:
-        just_all = justification_check_all(program, interp)
-    just_loops = None
-    copy_sat = None
+    just_all = justification_check_all(program, interp) if models_program else None
+    just_loops = copy_sat = None
     if models_completion:
         just_loops = justification_check_loops(program, interp, loops, completion)
         copy_sat = copy_check(program, interp, loops, completion)

@@ -33,6 +33,13 @@ class CnfFormula:
                 if -lit in lits:
                     raise ValueError(f"tautological clause {clause}")
 
+    @classmethod
+    def _trusted(cls, num_vars: int, clauses: list[tuple[int, ...]]) -> "CnfFormula":
+        """The formula, unchecked: for encoders, whose clauses are valid."""
+        formula = object.__new__(cls)
+        formula.__dict__.update(num_vars=num_vars, clauses=clauses)
+        return formula
+
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .cnf import CnfFormula, dimacs
 from .program import GroundProgram, Interpretation
-from .sat import checker
+from .sat import _clocked, checker
 
 
 @dataclass
@@ -49,26 +49,27 @@ def clark_completion(program: GroundProgram) -> CompletionArtifact:
     next_var = n + 1
 
     # A rule's literals, built once and sorted by variable, make its
-    # positive body true and its head and negative body false. Negated,
-    # they are the rule's clause; less an atom's own head literal, they are
-    # the rule's support conjunct for that atom (None when contradictory),
-    # kept once per atom as a dict key, in rule order.
-    supports: list[dict] = [{} for _ in range(n)]
+    # positive body true and its head and negative body false (an atom in
+    # both gives one literal). Negated, they are the rule's clause; less an
+    # atom's own head literal, they are the rule's support conjunct for that
+    # atom (None when contradictory), listed per atom in rule order.
+    supports: list[list] = [[] for _ in range(n)]
     rule_clauses: list[tuple[int, ...]] = []
-    for head, pos, neg in program.rules:
-        lits = sorted([b + 1 for b in pos] + [-(x + 1) for x in head | neg], key=abs)
-        void = not pos.isdisjoint(neg)
-        clash = head & pos
+    for head, pos, neg in _clocked(program.rules):
+        lits = sorted([b + 1 for b in pos] + [-(x + 1) for x in {*head, *neg}], key=abs)
+        void = not set(pos).isdisjoint(neg)
+        clash = [x for x in head if x in pos]
         if not (void or clash):  # else the implication is trivially true
             rule_clauses.append(tuple([-lit for lit in lits]))
         for a in head:
             own = 0 if a in neg else -(a + 1)  # a negated body atom stays
             conjunct = tuple([lit for lit in lits if lit != own])
-            supports[a][None if void or clash and clash != {a} else conjunct] = None
+            supports[a].append(None if void or clash and clash != [a] else conjunct)
 
     clauses = [(-(a + 1),) for a in range(n) if not supports[a]] + rule_clauses
 
-    for a, conjuncts in enumerate(supports):  # a headless atom: its G1 unit again
+    for a, found in enumerate(_clocked(supports)):  # headless: its G1 unit again
+        conjuncts = dict.fromkeys(found)  # each support once, in rule order
         conjuncts.pop(None, None)  # void supports
         if () in conjuncts or (a + 1,) in conjuncts:
             continue  # some rule supports a unconditionally
@@ -100,7 +101,7 @@ def clark_completion(program: GroundProgram) -> CompletionArtifact:
         first.setdefault(tuple(sorted(clause)), clause)
 
     return CompletionArtifact(
-        cnf=CnfFormula(next_var - 1, list(first.values())),
+        cnf=CnfFormula._trusted(next_var - 1, list(first.values())),
         num_atoms=n,
         aux_vars=frozenset(range(n + 1, next_var)),
     )

@@ -26,7 +26,7 @@ from .cnf import CnfFormula, dimacs
 from .completion import CompletionArtifact, clark_completion
 from .depgraph import build_dependency_graph, loop_atoms
 from .program import GroundProgram
-from .sat import checker
+from .sat import _clocked, checker
 
 
 def copy_operation(
@@ -42,20 +42,17 @@ def copy_operation(
     its substituted positive body) are dropped, and a clause equal to an
     earlier one is left out.
     """
-    for x in loops:
-        if x not in copy_map:
-            raise ValueError(f"loop atom {x} has no copy variable")
+    if missing := loops.difference(copy_map):
+        raise ValueError(f"loop atom {min(missing)} has no copy variable")
 
     def f(x: int) -> int:
         return copy_map[x] if x in loops else x + 1
 
     clauses = [(-copy_map[x], x + 1) for x in sorted(loops)]
-    for head, pos_body, neg_body in program.rules:
-        if not head & loops:
+    for head, pos_body, neg_body in _clocked(program.rules):
+        if loops.isdisjoint(head):
             continue
-        lits = {f(x) for x in head}
-        lits |= {-f(b) for b in pos_body}
-        lits |= {c + 1 for c in neg_body}
+        lits = {f(x) for x in head} | {-f(b) for b in pos_body} | {c + 1 for c in neg_body}
         if any(-lit in lits for lit in lits):
             continue
         clauses.append(tuple(sorted(lits, key=abs)))
@@ -110,8 +107,7 @@ def surplus_formula(
     prime = {x: base + 1 + i for i, x in enumerate(ordered)}
     witness = {x: base + 1 + len(ordered) + i for i, x in enumerate(ordered)}
 
-    clauses = list(completion.cnf.clauses)
-    clauses += copy_operation(program, loops, prime)
+    clauses = completion.cnf.clauses + copy_operation(program, loops, prime)
     for x in ordered:
         clauses.append((-witness[x], -prime[x]))
         clauses.append((-witness[x], x + 1))
@@ -120,7 +116,7 @@ def surplus_formula(
     num_vars = base + 2 * len(ordered)
     n = program.num_atoms
     return SurplusArtifact(
-        cnf=CnfFormula(num_vars, clauses),
+        cnf=CnfFormula._trusted(num_vars, clauses),
         projection_out=frozenset(range(n + 1, num_vars + 1)),
         cv_prime=prime,
         aux_vars=completion.aux_vars | frozenset(witness.values()),

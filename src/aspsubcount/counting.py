@@ -109,8 +109,7 @@ def parse_counter_output(text: str) -> int:
     a count (the last such line wins). A count is ASCII digits only; a line
     with any other count token (a sign, say) is skipped.
     """
-    bare = None
-    arb = None
+    bare = arb = None
     for raw in text.splitlines():
         parts = raw.split()
         if not (parts and parts[-1].isascii() and parts[-1].isdigit()):
@@ -121,11 +120,9 @@ def parse_counter_output(text: str) -> int:
             arb = int(parts[5])
         if len(parts) == 1:
             bare = int(parts[0])
-    if arb is not None:
-        return arb
-    if bare is not None:
-        return bare
-    raise BackendOutputError("no model count found in counter output")
+    if arb is None and bare is None:
+        raise BackendOutputError("no model count found in counter output")
+    return bare if arb is None else arb
 
 
 def external_projected_count(dimacs_path: str, config: BackendConfig) -> int:
@@ -138,15 +135,8 @@ def external_projected_count(dimacs_path: str, config: BackendConfig) -> int:
     process the counter starts is killed when the call ends."""
     if not config.executable:
         raise ValueError("external_projected_count needs an external backend")
-    argv = [config.executable]
-    replaced = False
-    for arg in config.args_template:
-        if "{cnf}" in arg:
-            argv.append(arg.replace("{cnf}", dimacs_path))
-            replaced = True
-        else:
-            argv.append(arg)
-    if not replaced:
+    argv = [config.executable] + [a.replace("{cnf}", dimacs_path) for a in config.args_template]
+    if not any("{cnf}" in arg for arg in config.args_template):
         argv.append(dimacs_path)
     left = _time_left()
     if left is not None and left <= 0:

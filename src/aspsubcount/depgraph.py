@@ -7,11 +7,12 @@ depend on what supports them. A successor repeats when rules repeat it.
 """
 
 from .program import GroundProgram, Rule
+from .sat import _clocked
 
 
 def build_dependency_graph(program: GroundProgram) -> list[list[int]]:
     successors: list[list[int]] = [[] for _ in range(program.num_atoms)]
-    for head, pos_body, _ in program.rules:
+    for head, pos_body, _ in _clocked(program.rules):
         if pos_body:
             for y in head:
                 successors[y].extend(pos_body)
@@ -83,15 +84,11 @@ def _restrict(
     """The program over ``atoms`` (ascending) and ``rules``, with atoms
     renumbered in order, and its loop atoms."""
     new_id = {x: i for i, x in enumerate(atoms)}
-
-    def renumber(ids):
-        return frozenset(new_id[x] for x in ids)
-
     sub = GroundProgram(
         [program.atoms[x] for x in atoms],
-        [Rule(renumber(h), renumber(p), renumber(n)) for h, p, n in rules],
+        [[[new_id[x] for x in ids] for ids in rule] for rule in rules],
     )
-    return sub, renumber(loops.intersection(atoms))
+    return sub, frozenset(new_id[x] for x in loops.intersection(atoms))
 
 
 def split(
@@ -121,9 +118,9 @@ def split(
         return x
 
     for head, pos_body, neg_body in program.rules:
-        atoms = head | pos_body | neg_body
+        atoms = head + pos_body + neg_body
         if atoms:
-            root = find(min(atoms))
+            root = find(atoms[0])
             for x in atoms:
                 parent[find(x)] = root
     components: dict[int, list[int]] = {}
@@ -134,7 +131,7 @@ def split(
     part_of = {x: i for i, c in enumerate(groups) for x in c}
     rules: list[list[Rule]] = [[] for _ in range(len(groups) + 1)]
     for rule in program.rules:
-        some = next(iter(rule.head or rule.pos_body or rule.neg_body), None)
+        some = (rule.head or rule.pos_body or rule.neg_body or (None,))[0]
         rules[part_of.get(some, len(groups))].append(rule)
     parts = [(a, r) for a, r in zip(groups + [rest], rules) if a or r]
     if len(parts) == 1:

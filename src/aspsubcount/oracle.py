@@ -11,7 +11,7 @@ model, for diagnostics and for comparison with the reduct checks.
 from .completion import CompletionArtifact, clark_completion, completion_model_check
 from .copyenc import copy_checker, surplus_formula
 from .depgraph import build_dependency_graph, loop_atoms
-from .program import GroundProgram, Interpretation, Rule, satisfies_program
+from .program import GroundProgram, Interpretation, satisfies_program
 from .sat import solve_clauses
 
 BRUTE_FORCE_ATOM_LIMIT = 25
@@ -20,19 +20,8 @@ BRUTE_FORCE_ATOM_LIMIT = 25
 def gl_reduct(program: GroundProgram, interp: Interpretation) -> GroundProgram:
     """The reduct, over the same atoms: drop every rule whose negative body
     meets ``interp``, and empty the negative bodies of the rest."""
-    rules = [Rule(head, pos, frozenset()) for head, pos, neg in program.rules if not neg & interp]
+    rules = [(head, pos, ()) for head, pos, neg in program.rules if interp.isdisjoint(neg)]
     return GroundProgram(program.atoms, rules)
-
-
-def _reduct_clauses(reduct: GroundProgram) -> list[tuple[int, ...]]:
-    clauses = []
-    for head, pos_body, _ in reduct.rules:
-        if head & pos_body:
-            continue
-        clause = [x + 1 for x in sorted(head)]
-        clause += [-(b + 1) for b in sorted(pos_body)]
-        clauses.append(tuple(sorted(clause, key=abs)))
-    return clauses
 
 
 def _smaller_reduct_model(
@@ -42,7 +31,11 @@ def _smaller_reduct_model(
     atom false in ``interp`` false and every true atom outside
     ``droppable`` true, and makes some atom of ``droppable`` false; the
     set of its true atoms, or None when there is none."""
-    clauses = _reduct_clauses(gl_reduct(program, interp))
+    clauses = [  # the reduct's rules, less those with a head atom in the body
+        tuple(sorted([x + 1 for x in head] + [-(b + 1) for b in pos_body], key=abs))
+        for head, pos_body, neg_body in program.rules
+        if interp.isdisjoint(neg_body) and set(head).isdisjoint(pos_body)
+    ]
     for x in range(program.num_atoms):
         if x not in interp:
             clauses.append((-(x + 1),))

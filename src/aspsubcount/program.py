@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
+from .sat import _clocked
+
 Interpretation = frozenset[int]
 
 
@@ -31,16 +33,16 @@ class ParseError(ValueError):
 
 
 class Rule(NamedTuple):
-    """One rule; all three parts are sets of atom ids.
+    """One rule; all three parts are ascending tuples of atom ids.
 
     An empty head means the rule is a constraint (falsum head); an empty
     body means the rule is a fact. A rule is a tuple, so it equals the
-    plain tuple of its three sets.
+    plain tuple of its three tuples.
     """
 
-    head: frozenset[int]
-    pos_body: frozenset[int]
-    neg_body: frozenset[int]
+    head: tuple[int, ...]
+    pos_body: tuple[int, ...]
+    neg_body: tuple[int, ...]
 
     @property
     def is_constraint(self) -> bool:
@@ -54,17 +56,25 @@ class Rule(NamedTuple):
 @dataclass
 class GroundProgram:
     """A parsed program: ``atoms`` is the list of atom names, and atom id i
-    is named ``atoms[i]``; rules reference atoms by id."""
+    is named ``atoms[i]``; rules reference atoms by id. A rule given as any
+    three iterables of ids becomes a ``Rule`` of strictly ascending tuples."""
 
     atoms: list[str]
     rules: list[Rule]
 
     def __post_init__(self):
-        n = len(self.atoms)
-        for r, (head, pos_body, neg_body) in enumerate(self.rules):
-            for x in head | pos_body | neg_body:
-                if not 0 <= x < n:
-                    raise ValueError(f"rule {r} references unknown atom id {x}")
+        n, rules = len(self.atoms), []
+        for r, (head, pos_body, neg_body) in enumerate(_clocked(self.rules)):
+            rule = Rule(
+                tuple(sorted(set(head))) if head else (),
+                tuple(sorted(set(pos_body))) if pos_body else (),
+                tuple(sorted(set(neg_body))) if neg_body else (),
+            )
+            for ids in rule:
+                if ids and (ids[0] < 0 or ids[-1] >= n):
+                    raise ValueError(f"rule {r} references unknown atom ids {ids}")
+            rules.append(rule)
+        self.rules = rules
 
     @property
     def num_atoms(self) -> int:
@@ -99,9 +109,8 @@ def satisfies(interp: Interpretation, rule: Rule) -> bool:
     The rule holds under ``interp`` iff some head or negated-body atom is
     true, or some positive body atom is false.
     """
-    if (rule.head | rule.neg_body) & interp:
-        return True
-    return bool(rule.pos_body - interp)
+    head, pos_body, neg_body = rule
+    return not interp.isdisjoint(head + neg_body) or not interp.issuperset(pos_body)
 
 
 def satisfies_program(interp: Interpretation, program: GroundProgram) -> bool:
@@ -112,7 +121,7 @@ def lint(program: GroundProgram) -> list[str]:
     """Warnings for legal-but-suspect rules (head/positive-body overlap)."""
     warnings = []
     for i, (head, pos_body, _) in enumerate(program.rules, start=1):
-        for x in sorted(head & pos_body):
+        for x in filter(pos_body.__contains__, head):
             warnings.append(
                 f"rule {i}: atom '{program.name_of(x)}' appears in both head "
                 "and positive body; the rule is classically trivial"
@@ -128,8 +137,8 @@ _MARKS = frozenset((":-", "|", ",", "."))
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
-def _parse_rule(line: str, line_no: int, intern) -> Rule:
-    """The rule on one line, comment removed; the line is not blank."""
+def _parse_rule(line: str, line_no: int, intern) -> tuple[list[int], ...]:
+    """Head, positive and negative body of one rule's line, comment removed."""
     toks = _TOKEN.findall(line) + [""]  # "" is the end of the line
     head: list[int] = []
     pos_body: list[int] = []
@@ -181,7 +190,7 @@ def _parse_rule(line: str, line_no: int, intern) -> Rule:
     i += 1
     if toks[i]:
         fail("one rule per line")
-    return Rule(frozenset(head), frozenset(pos_body), frozenset(neg_body))
+    return head, pos_body, neg_body
 
 
 def parse_program(text: str) -> GroundProgram:
@@ -199,8 +208,8 @@ def parse_program(text: str) -> GroundProgram:
             atoms.append(name)
         return by_name[name]
 
-    rules: list[Rule] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    rules: list[tuple[list[int], ...]] = []
+    for line_no, raw in enumerate(_clocked(text.splitlines()), start=1):
         line = raw.split("%", 1)[0]
         if not line.strip():
             continue
@@ -209,9 +218,9 @@ def parse_program(text: str) -> GroundProgram:
 
 
 def format_rule(program: GroundProgram, rule: Rule) -> str:
-    head = " | ".join(program.name_of(x) for x in sorted(rule.head))
-    body = [program.name_of(x) for x in sorted(rule.pos_body)]
-    body += ["not " + program.name_of(x) for x in sorted(rule.neg_body)]
+    head = " | ".join(program.name_of(x) for x in rule.head)
+    body = [program.name_of(x) for x in rule.pos_body]
+    body += ["not " + program.name_of(x) for x in rule.neg_body]
     if not body:
         return (head or ":-") + "."
     joined = ", ".join(body)

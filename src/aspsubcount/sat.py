@@ -100,6 +100,16 @@ def _time_left() -> float | None:
     return None if _deadline is None else _deadline[0] - time.monotonic()
 
 
+def _clocked(items: list):
+    """``items`` to iterate over, the clock checked before each 4096 of them."""
+    if len(items) > 4096:
+        return chain.from_iterable(
+            _check_clock() or items[i:i + 4096] for i in range(0, len(items), 4096)
+        )
+    _check_clock()
+    return items
+
+
 def solve_clauses(clauses, num_vars: int) -> dict[int, bool] | None:
     """The first model of ``models(clauses, num_vars)``, or None if there is
     none. Literals are assumed by unit clauses or through ``checker``."""
@@ -207,7 +217,7 @@ class _Trail:
             raise ValueError(f"a literal exceeds num_vars={num_vars}")
         self.num_vars = num_vars
         self.occ = occ = [[] for _ in range(2 * num_vars + 1)]
-        for c, clause in enumerate(clauses):
+        for c, clause in enumerate(_clocked(clauses)):
             for lit in clause:
                 occ[lit].append(c)
         if occ[0]:

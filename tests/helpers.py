@@ -78,8 +78,8 @@ def direct_completion_holds(program, interp) -> bool:
         if not heads[a] and a in interp:
             return False
     for rule in program.rules:
-        body_true = rule.pos_body <= interp and not (rule.neg_body & interp)
-        if body_true and not (rule.head & interp):
+        body_true = interp.issuperset(rule.pos_body) and interp.isdisjoint(rule.neg_body)
+        if body_true and interp.isdisjoint(rule.head):
             return False
     for a in interp:
         if not heads[a]:
@@ -87,9 +87,9 @@ def direct_completion_holds(program, interp) -> bool:
         supported = False
         for rule in heads[a]:
             if (
-                rule.pos_body <= interp
-                and not (rule.neg_body & interp)
-                and not ((rule.head - {a}) & interp)
+                interp.issuperset(rule.pos_body)
+                and interp.isdisjoint(rule.neg_body)
+                and interp.isdisjoint(x for x in rule.head if x != a)
             ):
                 supported = True
                 break
@@ -119,7 +119,8 @@ def cyclic_atoms_dfs(successors) -> frozenset:
 
 def reduct_satisfied(interp, reduct) -> bool:
     return all(
-        (rule.head & interp) or (rule.pos_body - interp) for rule in reduct.rules
+        not interp.isdisjoint(rule.head) or not interp.issuperset(rule.pos_body)
+        for rule in reduct.rules
     )
 
 

@@ -278,6 +278,20 @@ class TestCount:
         assert "timed out" in err
         assert "Traceback" not in err
 
+    def test_timeout_stops_the_front_end(self, capsys, program_file):
+        # parsing and encoding a 200000-rule ring take seconds; they check
+        # the same deadline as the search
+        n = 200_000
+        ring = "".join(f"a{i} :- a{i + 1}.\n" for i in range(n))
+        path = program_file(ring + f"a{n} :- a0.\na0 :- not b.\nb :- not a0.\n")
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "count", path, "--timeout", "0.5")
+        assert time.monotonic() - start < 2
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert "timed out" in err
+        assert "Traceback" not in err
+
     def test_json_matches_library(self, capsys, worked_path, example1):
         code, out, _ = run_cli(capsys, "count", worked_path, "--json")
         assert code == 0

@@ -247,6 +247,16 @@ class TestShape:
         assert seconds(20000) <= 8 * seconds(5000)
 
 
+class TestRepeatedAtoms:
+    def test_head_and_negative_body_atom_gives_one_literal(self):
+        program = parse_program("a | a :- not a, not a.\n")
+        assert program.rules == [((0,), (), (0,))]
+        cnf = clark_completion(program).cnf
+        assert cnf.clauses == [(1,), (-1,)]
+        assert count_models(cnf) == tt_count(cnf) == 0
+        assert completion_model_count_by_direct_eval(program) == 0
+
+
 class TestEachClauseOnce:
     @settings(max_examples=150, deadline=None)
     @given(program=random_programs)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aspsubcount import (
+    CnfFormula,
+    GroundProgram,
     build_dependency_graph,
     clark_completion,
     copy_operation,
@@ -30,6 +32,16 @@ from helpers import (
 
 def program_loops(program):
     return loop_atoms(build_dependency_graph(program))
+
+
+@st.composite
+def repeating_programs(draw):
+    """Programs over up to five atoms whose rules may name an atom twice in
+    one part and in several parts, heads and negative bodies included."""
+    n = draw(st.integers(1, 5))
+    ids = st.lists(st.integers(0, n - 1), max_size=3)
+    rules = draw(st.lists(st.tuples(ids, ids, ids), max_size=8))
+    return GroundProgram([f"a{i}" for i in range(n)], rules)
 
 
 class TestCopyOperation:
@@ -228,6 +240,20 @@ class TestSurplusProperties:
             text = random_program_text(random.Random(seed), max_atoms=6, force_loop=True)
             clauses = surplus_formula(parse_program(text)).cnf.clauses
             assert len({frozenset(c) for c in clauses}) == len(clauses), seed
+
+    @settings(max_examples=300, deadline=None)
+    @given(program=repeating_programs())
+    def test_encoders_build_valid_formulas(self, program):
+        # the encoders skip CnfFormula's checks; the checking constructor
+        # must accept what they build, and no clause names a literal twice
+        completion = clark_completion(program)
+        surplus = surplus_formula(program, completion)
+        for cnf in (completion.cnf, surplus.cnf):
+            assert CnfFormula(cnf.num_vars, cnf.clauses) == cnf
+            for clause in cnf.clauses:
+                assert type(clause) is tuple
+                assert len(set(clause)) == len(clause)
+        assert count_models(completion.cnf) == completion_models_by_definition(program)
 
     def test_dimacs_and_map_are_deterministic(self, example1):
         a = surplus_formula(example1)

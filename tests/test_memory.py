@@ -1,0 +1,39 @@
+"""Memory held by a parsed program and taken by a tight count, per rule,
+as traced by ``tracemalloc`` on ``pairs_text(4000)``: a rule is three
+tuples of atom ids, and the encoders keep no second copy of a clause."""
+
+import gc
+import tracemalloc
+
+from aspsubcount import parse_program, subtractive_count
+
+from helpers import pairs_text
+
+RULES = 4000
+
+
+def traced(run):
+    """(bytes still allocated after ``run()``, while its result is held;
+    peak bytes during it)."""
+    run()  # first call: leave nothing of a warm-up in the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return current, peak
+
+
+def test_parsed_program_is_compact():
+    text = pairs_text(RULES)
+    kept, _ = traced(lambda: parse_program(text))
+    assert kept <= 450 * RULES
+
+
+def test_tight_count_peak():
+    text = pairs_text(RULES)
+    _, peak = traced(lambda: subtractive_count(parse_program(text)))
+    assert peak <= 1650 * RULES

@@ -37,22 +37,18 @@ class TestGlReduct:
         assert len(reduct.rules) == 6
         assert all(isinstance(r, Rule) for r in reduct.rules)
         a = example1.atom_id
-        assert reduct.rules[0] == Rule(
-            frozenset({a("p0"), a("p1")}), frozenset(), frozenset()
-        )
-        assert reduct.rules[5] == Rule(
-            frozenset({a("w")}), frozenset({a("p1"), a("q1")}), frozenset()
-        )
+        assert reduct.rules[0] == Rule((a("p0"), a("p1")), (), ())
+        assert reduct.rules[5] == Rule((a("w"),), (a("p1"), a("q1")), ())
 
     def test_empty_interp_keeps_everything(self, example1):
         reduct = gl_reduct(example1, frozenset())
         assert len(reduct.rules) == 7
-        assert reduct.rules[-1] == Rule(frozenset(), frozenset(), frozenset())
+        assert reduct.rules[-1] == Rule((), (), ())
 
     def test_negative_cycle(self):
         p = parse_program("a :- not b.\nb :- not a.\n")
         reduct = gl_reduct(p, p.interpretation(["a"]))
-        assert reduct.rules == [Rule(frozenset({0}), frozenset(), frozenset())]
+        assert reduct.rules == [Rule((0,), (), ())]
 
     def test_num_atoms_carried(self, example1):
         assert gl_reduct(example1, frozenset()).num_atoms == 5

@@ -59,13 +59,13 @@ class TestParsing:
         assert example1.atoms == ["p0", "p1", "q0", "q1", "w"]
         assert len(example1.rules) == 7
         r7 = example1.rules[6]
-        assert r7.head == frozenset()
-        assert r7.pos_body == frozenset()
-        assert r7.neg_body == {example1.atom_id("w")}
+        assert r7.head == ()
+        assert r7.pos_body == ()
+        assert r7.neg_body == (example1.atom_id("w"),)
         assert r7.is_constraint
         r6 = example1.rules[5]
-        assert r6.pos_body == {example1.atom_id("p1"), example1.atom_id("q1")}
-        assert r6.head == {example1.atom_id("w")}
+        assert r6.pos_body == (example1.atom_id("p1"), example1.atom_id("q1"))
+        assert r6.head == (example1.atom_id("w"),)
 
     def test_atom_ids_follow_first_occurrence(self):
         p = parse_program("b :- a.\nc | a :- not d.\n")
@@ -75,10 +75,10 @@ class TestParsing:
         p = parse_program("h.\n:- b1, not c1.\n")
         fact, constraint = p.rules
         assert fact.is_fact and not fact.is_constraint
-        assert fact.head == {p.atom_id("h")}
+        assert fact.head == (p.atom_id("h"),)
         assert constraint.is_constraint
-        assert constraint.pos_body == {p.atom_id("b1")}
-        assert constraint.neg_body == {p.atom_id("c1")}
+        assert constraint.pos_body == (p.atom_id("b1"),)
+        assert constraint.neg_body == (p.atom_id("c1"),)
 
     def test_comments_and_blank_lines(self):
         p = parse_program("% a comment\n\na.  % trailing\n   \nb :- a.\n")
@@ -91,7 +91,7 @@ class TestParsing:
 
     def test_empty_constraint_and_empty_body_fact(self):
         p = parse_program(":-.\na :-.\n")
-        assert p.rules[0] == Rule(frozenset(), frozenset(), frozenset())
+        assert p.rules[0] == Rule((), (), ())
         assert p.rules[1].is_fact
 
     def test_empty_text_gives_empty_program(self):
@@ -127,15 +127,15 @@ class TestParsing:
     @pytest.mark.parametrize(
         "text,names,rule",
         [
-            ("a|b :- c , not d .  ", ["a", "b", "c", "d"], ({0, 1}, {2}, {3})),
-            ("a :- not\tb.", ["a", "b"], ({0}, set(), {1})),
-            ("nota :- a.", ["nota", "a"], ({0}, {1}, set())),
+            ("a|b :- c , not d .  ", ["a", "b", "c", "d"], ((0, 1), (2,), (3,))),
+            ("a :- not\tb.", ["a", "b"], ((0,), (), (1,))),
+            ("nota :- a.", ["nota", "a"], ((0,), (1,), ())),
         ],
     )
     def test_blanks_separate_tokens(self, text, names, rule):
         p = parse_program(text)
         assert p.atoms == names
-        assert p.rules == [Rule(*map(frozenset, rule))]
+        assert p.rules == [Rule(*rule)]
 
     @pytest.mark.parametrize(
         "text",
@@ -169,6 +169,22 @@ class TestParsing:
     def test_program_invariant_validation(self):
         with pytest.raises(ValueError):
             GroundProgram(["a"], [Rule(frozenset({3}), frozenset(), frozenset())])
+        with pytest.raises(ValueError):
+            GroundProgram(["a"], [((0,), (), (-1,))])
+        with pytest.raises(ValueError):
+            GroundProgram(["a", "b"], [([1], [0, 2], [])])
+
+    def test_rules_are_normalized_to_ascending_tuples(self):
+        p = GroundProgram(["a", "b"], [Rule(frozenset({1, 0}), [1, 1], ())])
+        assert p.rules == [Rule((0, 1), (1,), ())]
+        assert all(type(ids) is tuple for ids in p.rules[0])
+        assert p == parse_program("a | b :- b, b.\n") == GroundProgram(
+            ["a", "b"], [(iter([1, 0]), {1}, frozenset())]
+        )
+
+    def test_repeated_atoms_give_one_id_each(self):
+        p = parse_program("a | a :- not a, not a.\n")
+        assert p.rules == [Rule((0,), (), (0,))]
 
 
 class TestSatisfies:
