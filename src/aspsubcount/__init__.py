@@ -12,7 +12,6 @@ from .cnf import CnfFormula, dimacs, parse_dimacs
 from .completion import CompletionArtifact, clark_completion, completion_model_check
 from .copyenc import SurplusArtifact, copy_checker, copy_operation, surplus_formula
 from .counting import (
-    BackendConfig,
     BackendError,
     BackendFailure,
     BackendOutputError,

@@ -17,7 +17,6 @@ import sys
 from .completion import clark_completion, completion_model_check
 from .copyenc import surplus_formula
 from .counting import (
-    BackendConfig,
     BackendTimeout,
     BackendError,
     HYBRID_THRESHOLD,
@@ -146,15 +145,16 @@ def _read_program(path: str):
     return parse_program(text)
 
 
-def _backend_config(args) -> BackendConfig:
+def _backend_config(args) -> str | None:
+    """The external counter's path, or None for the builtin counter."""
     spec = args.backend or os.environ.get(ENV_BACKEND) or "builtin"
     if spec == "builtin":
-        return BackendConfig()
+        return None
     if spec.startswith("exec:"):
         exe = spec[len("exec:") :]
         if not exe:
             raise SystemExit(_usage_error("empty executable in --backend"))
-        return BackendConfig(executable=exe)
+        return exe
     raise SystemExit(_usage_error(f"unknown backend {spec!r}"))
 
 
@@ -229,8 +229,8 @@ def _cmd_encode(args) -> int:
 def _cmd_count(args) -> int:
     with time_limit(args.timeout):
         program = _read_program(args.path)
-        config = _backend_config(args)
-        if args.mode == "enumerate" and args.backend and config.executable:
+        counter = _backend_config(args)
+        if args.mode == "enumerate" and args.backend and counter:
             return _usage_error("--mode enumerate runs no model counter; drop --backend")
         if args.mode == "subtractive" and args.threshold is not None:
             return _usage_error("--mode subtractive takes no --threshold")
@@ -247,9 +247,9 @@ def _cmd_count(args) -> int:
                     f"note: stopped at limit {args.threshold}; count is a lower bound\n"
                 )
         elif args.mode == "hybrid":
-            report = hybrid_count(program, args.threshold or HYBRID_THRESHOLD, config)
+            report = hybrid_count(program, args.threshold or HYBRID_THRESHOLD, counter)
         else:
-            report = subtractive_count(program, config)
+            report = subtractive_count(program, counter)
     if args.json:
         _emit_json(report.to_json_dict())
     elif args.mode == "enumerate":

@@ -25,7 +25,7 @@ import signal
 import subprocess
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .completion import clark_completion, CompletionArtifact
 from .copyenc import copy_checker, surplus_formula, SurplusArtifact
@@ -58,29 +58,15 @@ class IntegrityError(RuntimeError):
 
 
 @dataclass
-class BackendConfig:
-    """How to obtain model counts.
-
-    Without an ``executable`` the in-process counter counts; with one, that
-    external counter runs on a DIMACS file. ``args_template`` entries are
-    passed through, with "{cnf}" replaced by the file path (appended when no
-    entry mentions it). ``sat.time_limit`` bounds either.
-    """
-
-    executable: str | None = None
-    args_template: list[str] = field(default_factory=list)
-
-    def label(self) -> str:
-        return f"exec:{self.executable}" if self.executable else "builtin"
-
-
-@dataclass
 class CountReport:
     """Result of one counting run. In subtractive and hybrid mode
     ``answer_sets == overcount - surplus``, and the overcount is the product
-    of the parts' completion-model counts. Enumeration reports the plain
-    count with surplus zero, and whether it is below the cap
-    (``exhausted``, None in the other modes). ``encode_time`` covers the
+    of the parts' completion-model counts. A report whose mode is
+    "enumeration" (from ``enumerate_count``, or from ``hybrid_count`` below
+    its threshold) gives the plain count with surplus zero, and whether it
+    is below the cap (``exhausted``); in the other modes ``exhausted`` is
+    None. ``backend`` is "builtin", or "exec:PATH" once a part was counted
+    by the external counter at PATH. ``encode_time`` covers the
     analysis and the parts' formulas: each completion, and each loop
     part's surplus formula; ``count_time`` covers the rest."""
 
@@ -125,29 +111,27 @@ def parse_counter_output(text: str) -> int:
     return bare if arb is None else arb
 
 
-def external_projected_count(dimacs_path: str, config: BackendConfig) -> int:
-    """Run the configured external counter on a DIMACS file and parse the
-    reported count. Projection is communicated through the file's
-    ``c p show`` line; counters without projection support simply count all
-    models, which is only sound for formulas whose extra variables are
-    defined functionally. Inside ``sat.time_limit`` the counter is stopped
-    at the deadline, and not started past it (``BackendTimeout``). Every
-    process the counter starts is killed when the call ends."""
-    if not config.executable:
-        raise ValueError("external_projected_count needs an external backend")
-    argv = [config.executable] + [a.replace("{cnf}", dimacs_path) for a in config.args_template]
-    if not any("{cnf}" in arg for arg in config.args_template):
-        argv.append(dimacs_path)
+def external_projected_count(dimacs_path: str, counter: str) -> int:
+    """Run the external counter at path ``counter`` as ``counter
+    dimacs_path`` and parse the reported count. Projection is communicated
+    through the file's ``c p show`` line; counters without projection
+    support simply count all models, which is only sound for formulas whose
+    extra variables are defined functionally. Inside ``sat.time_limit`` the
+    counter is stopped at the deadline, and not started past it
+    (``BackendTimeout``). Every process the counter starts is killed when
+    the call ends."""
+    if not counter:
+        raise ValueError("external_projected_count needs a counter path")
     left = _time_left()
     if left is not None and left <= 0:
         raise BackendTimeout("counter timed out: no time left to start it")
     try:
         proc = subprocess.Popen(
-            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            errors="replace", start_new_session=True,
+            [counter, dimacs_path], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, errors="replace", start_new_session=True,
         )
     except OSError as exc:
-        raise BackendFailure(f"could not run {argv[0]}: {exc}") from exc
+        raise BackendFailure(f"could not run {counter}: {exc}") from exc
     with proc:  # closes the pipes and reaps the counter
         try:
             stdout, stderr = proc.communicate(timeout=left)
@@ -192,16 +176,17 @@ def _count_part(
     program: GroundProgram,
     completion: CompletionArtifact,
     surplus_art: SurplusArtifact | None,
-    config: BackendConfig,
-    tmp_dir: str | None,
+    counter: str | None,
 ) -> tuple[int, int]:
     """Count one part's completion formula and, when the part has loop
-    atoms, its surplus formula projected onto the atoms. Returns
-    (overcount, surplus). An external counter reads DIMACS files written to
-    ``tmp_dir``."""
-    if config.executable:
-        paths = write_formulas(tmp_dir, program, completion, surplus_art, variable_map=False)
-        counts = [external_projected_count(path, config) for path in paths]
+    atoms, its surplus formula projected onto the atoms, in process or by
+    the external counter at path ``counter``. Returns (overcount, surplus).
+    The external counter reads DIMACS files written to a temporary
+    directory, which is removed when the call ends, however it ends."""
+    if counter:
+        with tempfile.TemporaryDirectory(prefix="aspsubcount-") as tmp:
+            paths = write_formulas(tmp, program, completion, surplus_art, variable_map=False)
+            counts = [external_projected_count(path, counter) for path in paths]
         return counts[0], sum(counts[1:])  # no phi2.cnf: surplus 0
     over = count_models(completion.cnf)
     if surplus_art is None:
@@ -234,14 +219,14 @@ def _count_by_parts(
     program: GroundProgram,
     mode: str,
     limit: int | None = None,
-    config: BackendConfig | None = None,
+    counter: str | None = None,
 ) -> CountReport:
     """The counting loop of every mode ("subtractive", "enumeration" or
     "hybrid"), over the parts of ``split(program, loops)``, where the
     program's loop atoms are found once, here, as are each part's
     completion and each loop part's surplus formula.
 
-    A part is counted by ``_count_part`` under ``config`` in "subtractive"
+    A part is counted by ``_count_part`` with ``counter`` in "subtractive"
     mode, and in "hybrid" mode when it is tight or its enumeration reaches
     ``limit``; such a loop part is counted after every enumeration. Any
     other part is enumerated up to ``limit`` answer sets. Either way it
@@ -252,7 +237,6 @@ def _count_by_parts(
     """
     if limit is not None and limit < 1:
         raise ValueError(f"{mode} limit must be at least 1")
-    config = config or BackendConfig()
     t0 = time.perf_counter()
     program_loops = loop_atoms(build_dependency_graph(program))
     parts = split(program, program_loops)
@@ -266,37 +250,30 @@ def _count_by_parts(
 
     t1 = time.perf_counter()
     overcount, answer_sets, counted = 1, 1, False
-    if config.executable:
-        scratch = tempfile.TemporaryDirectory(prefix="aspsubcount-")
-    else:
-        scratch = contextlib.nullcontext()
-    with scratch as tmp:
-        for i, part, completion, surplus_art, count in queue:
-            if count:
-                over, surplus = _count_part(
-                    part, completion, surplus_art, config, tmp and os.path.join(tmp, f"part{i}")
-                )
-                counted = True
-            else:
-                over, found, exhausted = _enumerate_part(completion, surplus_art, limit)
-                if not exhausted and mode == "hybrid":
-                    # counted once every other part has had its turn
-                    queue.append((i, part, completion, surplus_art, True))
-                    continue
-                surplus = over - found
-            if surplus > over:
-                where = f" in part {i + 1} of {len(parts)}" if len(parts) > 1 else ""
-                raise IntegrityError(
-                    f"surplus {surplus} exceeds overcount {over}{where}; "
-                    "encoding or backend is inconsistent"
-                )
-            overcount *= over
-            answer_sets *= over - surplus
-            if (overcount if mode == "subtractive" else answer_sets) == 0:
-                break
+    for i, part, completion, surplus_art, count in queue:
+        if count:
+            over, surplus = _count_part(part, completion, surplus_art, counter)
+            counted = True
+        else:
+            over, found, exhausted = _enumerate_part(completion, surplus_art, limit)
+            if not exhausted and mode == "hybrid":
+                # counted once every other part has had its turn
+                queue.append((i, part, completion, surplus_art, True))
+                continue
+            surplus = over - found
+        if surplus > over:
+            where = f" in part {i + 1} of {len(parts)}" if len(parts) > 1 else ""
+            raise IntegrityError(
+                f"surplus {surplus} exceeds overcount {over}{where}; "
+                "encoding or backend is inconsistent"
+            )
+        overcount *= over
+        answer_sets *= over - surplus
+        if (overcount if mode == "subtractive" else answer_sets) == 0:
+            break
     count_time = time.perf_counter() - t1
 
-    backend = config.label() if counted else "builtin"
+    backend = f"exec:{counter}" if counted and counter else "builtin"
     times = (encode_time, count_time, len(program_loops))
     if mode == "subtractive" or (mode == "hybrid" and answer_sets >= limit):
         return CountReport(
@@ -307,16 +284,15 @@ def _count_by_parts(
     return CountReport(found, 0, found, "enumeration", backend, *times, exhausted)
 
 
-def subtractive_count(
-    program: GroundProgram, config: BackendConfig | None = None
-) -> CountReport:
-    """Count answer sets as completion models minus surplus, part by part.
+def subtractive_count(program: GroundProgram, counter: str | None = None) -> CountReport:
+    """Count answer sets as completion models minus surplus, part by part,
+    in process or by the external counter at path ``counter``.
 
     A part without loop atoms has surplus zero by construction, and its
     surplus is not counted. Raises IntegrityError if the counted surplus of
     a part exceeds its overcount.
     """
-    return _count_by_parts(program, "subtractive", None, config)
+    return _count_by_parts(program, "subtractive", None, counter)
 
 
 def enumerate_count(program: GroundProgram, limit: int | None = None) -> CountReport:
@@ -329,10 +305,11 @@ def enumerate_count(program: GroundProgram, limit: int | None = None) -> CountRe
 def hybrid_count(
     program: GroundProgram,
     threshold: int = HYBRID_THRESHOLD,
-    config: BackendConfig | None = None,
+    counter: str | None = None,
 ) -> CountReport:
-    """Count tight parts under ``config``; enumerate each loop part up to
-    ``threshold`` answer sets and count it when the threshold is hit. The
-    mode is "enumeration" when the answer sets number fewer than the
-    threshold, and "hybrid" otherwise."""
-    return _count_by_parts(program, "hybrid", threshold, config)
+    """Count tight parts, in process or by the external counter at path
+    ``counter``; enumerate each loop part up to ``threshold`` answer sets
+    and count it when the threshold is hit. The mode is "enumeration" when
+    the answer sets number fewer than the threshold, and "hybrid"
+    otherwise."""
+    return _count_by_parts(program, "hybrid", threshold, counter)

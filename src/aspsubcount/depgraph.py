@@ -7,7 +7,7 @@ depend on what supports them. A successor repeats when rules repeat it.
 """
 
 from .program import GroundProgram, Rule
-from .sat import _clocked
+from .sat import _check_clock, _clocked
 
 
 def build_dependency_graph(program: GroundProgram) -> list[list[int]]:
@@ -23,7 +23,8 @@ def _sccs(successors: list[list[int]]):
     """Tarjan's algorithm, iterative, over list-indexed arrays. Returns
     each SCC it meets as a list of nodes. The search starts only at nodes
     with a successor: any other node is a singleton SCC without a
-    self-loop, which holds no loop atom."""
+    self-loop, which holds no loop atom. The clock is checked before each
+    4096 roots and each 4096 nodes found."""
     n = len(successors)
     index = [0] * n  # discovery order from 1; 0 when unvisited
     low = [0] * n
@@ -32,7 +33,7 @@ def _sccs(successors: list[list[int]]):
     counter = 0
     sccs = []
 
-    for root in range(n):
+    for root in _clocked(range(n)):
         if index[root] or not successors[root]:
             continue
         counter += 1
@@ -45,6 +46,8 @@ def _sccs(successors: list[list[int]]):
             for nxt in succs:
                 if not index[nxt]:
                     counter += 1
+                    if not counter & 4095:
+                        _check_clock()
                     index[nxt] = low[nxt] = counter
                     stack.append(nxt)
                     on_stack[nxt] = 1
@@ -71,7 +74,7 @@ def _sccs(successors: list[list[int]]):
 def loop_atoms(successors: list[list[int]]) -> frozenset[int]:
     """Atoms lying on a directed cycle: members of a multi-node SCC, plus
     self-looped nodes."""
-    loops = {y for y, succs in enumerate(successors) if y in succs}
+    loops = {y for y, succs in enumerate(_clocked(successors)) if y in succs}
     for component in _sccs(successors):
         if len(component) > 1:
             loops.update(component)
@@ -117,20 +120,20 @@ def split(
             x = parent[x]
         return x
 
-    for head, pos_body, neg_body in program.rules:
+    for head, pos_body, neg_body in _clocked(program.rules):
         atoms = head + pos_body + neg_body
         if atoms:
             root = find(atoms[0])
             for x in atoms:
                 parent[find(x)] = root
     components: dict[int, list[int]] = {}
-    for x in range(program.num_atoms):
+    for x in _clocked(range(program.num_atoms)):
         components.setdefault(find(x), []).append(x)
     groups = [c for c in components.values() if not loops.isdisjoint(c)]
     rest = sorted(x for c in components.values() if loops.isdisjoint(c) for x in c)
     part_of = {x: i for i, c in enumerate(groups) for x in c}
     rules: list[list[Rule]] = [[] for _ in range(len(groups) + 1)]
-    for rule in program.rules:
+    for rule in _clocked(program.rules):
         some = (rule.head or rule.pos_body or rule.neg_body or (None,))[0]
         rules[part_of.get(some, len(groups))].append(rule)
     parts = [(a, r) for a, r in zip(groups + [rest], rules) if a or r]

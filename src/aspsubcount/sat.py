@@ -140,13 +140,12 @@ def checker(clauses, num_vars: int):
     have a model that makes the literals true (ValueError on a literal 0 or
     beyond num_vars), on one engine that each test assigns, searches, undoes."""
     engine = _started(clauses, num_vars)
-    valid = frozenset(range(-num_vars, num_vars + 1)) - {0}
     if engine is not None:
         mark, ids = len(engine.trail), range(len(engine.clauses))
 
     def test(lits) -> bool:
         lits = list(lits)
-        if not valid.issuperset(lits):
+        if lits and (0 in lits or min(lits) < -num_vars or max(lits) > num_vars):
             raise ValueError(f"a literal is 0 or exceeds num_vars={num_vars}")
         if engine is None:
             return False

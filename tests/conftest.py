@@ -65,12 +65,6 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 )
 
 
-@pytest.fixture(scope="session")
-def stub_counter():
-    """BackendConfig argv pieces for the DIMACS-round-trip stub counter."""
-    return [sys.executable, STUB]
-
-
 def pytest_terminal_summary(terminalreporter):
     """Echo the acceptance-criteria verdict lines where output capture
     cannot swallow them."""
@@ -87,7 +81,8 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture(scope="session")
 def wrapper_factory(tmp_path_factory):
     """Build a single-file executable wrapping the stub with fixed flags,
-    for CLI --backend exec:PATH tests. The shell execs the stub, or with
+    the counter path that the library's ``counter`` parameter and the CLI's
+    --backend exec:PATH take. The shell execs the stub, or with
     ``exec_stub=False`` runs it as its child and exits with its status."""
     made = {}
 

@@ -13,7 +13,6 @@ import time
 import pytest
 
 from aspsubcount import (
-    BackendConfig,
     build_dependency_graph,
     clark_completion,
     completion_model_check,
@@ -280,7 +279,6 @@ def test_acceptance_8_external_differential(fixture_programs, tmp_path):
         REPORT_LINES.append(line)
         print(line)
         pytest.skip("no external counter available")
-    config = BackendConfig(executable=exe)
     bad = []
     for name, program in fixture_programs.items():
         if program.num_atoms > 12 or not loop_atoms(
@@ -292,7 +290,7 @@ def test_acceptance_8_external_differential(fixture_programs, tmp_path):
         path.write_text(sur.to_dimacs(program))
         builtin = projected_count(sur.cnf, sur.projection_out)
         with time_limit(60):
-            external = external_projected_count(str(path), config)
+            external = external_projected_count(str(path), exe)
         if builtin != external:
             bad.append((name, builtin, external))
     ok = not bad

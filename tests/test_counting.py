@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 import aspsubcount.counting
 import aspsubcount.oracle
 from aspsubcount import (
-    BackendConfig,
     BackendFailure,
     BackendOutputError,
     BackendTimeout,
@@ -30,7 +30,7 @@ from aspsubcount import (
 
 from aspsubcount.cli import main
 
-from conftest import EXAMPLE1, FIXTURES, STUB
+from conftest import EXAMPLE1, FIXTURES
 from helpers import (
     answer_sets_by_definition,
     chain_text,
@@ -47,10 +47,6 @@ from helpers import (
 def enumerated(program, limit=None):
     report = enumerate_count(program, limit)
     return report.answer_sets, report.exhausted
-
-
-def stub_config(*flags):
-    return BackendConfig(executable=sys.executable, args_template=[STUB, *flags, "{cnf}"])
 
 
 class TestSubtractive:
@@ -322,42 +318,43 @@ class TestOutputParsing:
 
 
 class TestExternalBackend:
-    def test_matches_builtin_on_fixtures(self, fixture_programs):
+    def test_matches_builtin_on_fixtures(self, fixture_programs, wrapper_factory):
+        counter = wrapper_factory()
         for name in ("worked", "two_pairs", "mixloop", "constraint_unsat"):
             program = fixture_programs[name]
             builtin = subtractive_count(program)
-            external = subtractive_count(program, stub_config())
+            external = subtractive_count(program, counter)
             assert external.answer_sets == builtin.answer_sets, name
             assert external.overcount == builtin.overcount, name
             assert external.surplus == builtin.surplus, name
-            assert external.backend == f"exec:{sys.executable}"
+            assert external.backend == f"exec:{counter}"
 
-    def test_alternative_wire_formats(self, example1):
+    def test_alternative_wire_formats(self, example1, wrapper_factory):
         for fmt in ("arbint", "bare"):
-            report = subtractive_count(example1, stub_config("--format", fmt))
+            report = subtractive_count(example1, wrapper_factory("--format", fmt))
             assert (report.overcount, report.surplus) == (2, 1)
 
-    def test_timeout(self, example1):
+    def test_timeout(self, example1, wrapper_factory):
         with pytest.raises(BackendTimeout), sat.time_limit(0.5):
-            subtractive_count(example1, stub_config("--sleep", "5"))
+            subtractive_count(example1, wrapper_factory("--sleep", "5"))
 
-    def test_time_limit_bounds_every_call_together(self):
+    def test_time_limit_bounds_every_call_together(self, wrapper_factory):
         # six loop parts make twelve counter calls of 0.4 s each; one
         # deadline covers them all, not 1 s per call
         program = parse_program(cycles_text(6))
         start = time.monotonic()
         with pytest.raises(BackendTimeout), sat.time_limit(1):
-            subtractive_count(program, stub_config("--sleep", "0.4"))
+            subtractive_count(program, wrapper_factory("--sleep", "0.4"))
         assert time.monotonic() - start < 3
-        assert subtractive_count(program, stub_config()).answer_sets == 64
+        assert subtractive_count(program, wrapper_factory()).answer_sets == 64
 
-    def test_no_call_starts_after_the_deadline(self, tmp_path):
+    def test_no_call_starts_after_the_deadline(self, tmp_path, wrapper_factory):
         log = tmp_path / "listing"
         log.write_text("")
-        config = stub_config("--list-dir", str(log))
+        counter = wrapper_factory("--list-dir", str(log))
         with pytest.raises(BackendTimeout), sat.time_limit(1e-9):
             time.sleep(0.01)
-            external_projected_count(str(tmp_path / "phi1.cnf"), config)
+            external_projected_count(str(tmp_path / "phi1.cnf"), counter)
         assert log.read_text() == ""
 
     def test_timeout_ends_what_the_counter_started(self, tmp_path, wrapper_factory):
@@ -367,7 +364,7 @@ class TestExternalBackend:
         cnf = tmp_path / "phi1.cnf"
         cnf.write_text("p cnf 1 0\n")
         with pytest.raises(BackendTimeout), sat.time_limit(0.5):
-            external_projected_count(str(cnf), BackendConfig(executable=wrapper))
+            external_projected_count(str(cnf), wrapper)
 
         def running():
             table = subprocess.run(
@@ -383,31 +380,60 @@ class TestExternalBackend:
             time.sleep(0.05)
         assert running() == []
 
-    def test_nonzero_exit(self, example1):
+    def test_nonzero_exit(self, example1, wrapper_factory):
         with pytest.raises(BackendFailure):
-            subtractive_count(example1, stub_config("--fail"))
+            subtractive_count(example1, wrapper_factory("--fail"))
 
     def test_missing_executable(self, example1):
-        config = BackendConfig(executable="/nonexistent/counter-binary")
         with pytest.raises(BackendFailure):
-            subtractive_count(example1, config)
+            subtractive_count(example1, "/nonexistent/counter-binary")
 
-    def test_unparseable_output(self, example1):
+    def test_unparseable_output(self, example1, wrapper_factory):
         with pytest.raises(BackendOutputError):
-            subtractive_count(example1, stub_config("--garbage"))
+            subtractive_count(example1, wrapper_factory("--garbage"))
 
-    def test_inconsistent_counts_are_caught(self, example1):
+    def test_inconsistent_counts_are_caught(self, example1, wrapper_factory):
         # force surplus 5 against overcount 1: the subtraction would go
         # negative, which the pipeline must refuse to report
-        config = stub_config("--plain-value", "1", "--projected-value", "5")
+        counter = wrapper_factory("--plain-value", "1", "--projected-value", "5")
         with pytest.raises(IntegrityError):
-            subtractive_count(example1, config)
+            subtractive_count(example1, counter)
 
-    def test_config_validation(self):
-        assert BackendConfig().label() == "builtin"
-        assert BackendConfig(executable="/bin/x").label() == "exec:/bin/x"
+    def test_report_names_the_backend(self, example1, fixture_programs, wrapper_factory):
+        counter = wrapper_factory()
+        tight = fixture_programs["two_pairs"]
+        assert subtractive_count(example1).backend == "builtin"
+        assert hybrid_count(tight).backend == "builtin"
+        assert subtractive_count(example1, counter).backend == f"exec:{counter}"
+        assert hybrid_count(tight, counter=counter).backend == f"exec:{counter}"
+        # hybrid enumerates the worked example's one loop part: no part is
+        # counted, so no counter ran
+        report = hybrid_count(example1, counter=counter)
+        assert (report.mode, report.backend) == ("enumeration", "builtin")
 
-    def test_counter_sees_only_the_cnf_files(self, tmp_path):
+    def test_no_directory_outlives_a_count(
+        self, example1, tmp_path, monkeypatch, wrapper_factory
+    ):
+        # the counter's formulas go to a directory under tempfile's, which
+        # is gone once the count ends: by success, failure or the deadline
+        flags = [(), ("--fail",), ("--sleep", "5")]
+        counters = [wrapper_factory(*f) for f in flags]
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert subtractive_count(example1, counters[0]).answer_sets == 1
+        with pytest.raises(BackendFailure):
+            subtractive_count(example1, counters[1])
+        with pytest.raises(BackendTimeout), sat.time_limit(0.5):
+            subtractive_count(example1, counters[2])
+        assert list(tmp_path.iterdir()) == []
+        # with no tempfile directory to make one in, a count that counts a
+        # part fails, and a hybrid count that counts none does not
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        with pytest.raises(FileNotFoundError):
+            subtractive_count(example1, counters[0])
+        report = hybrid_count(example1, counter=counters[0])
+        assert (report.answer_sets, report.backend) == (1, "builtin")
+
+    def test_counter_sees_only_the_cnf_files(self, tmp_path, wrapper_factory):
         # a loop part (two calls), then a tight program (one call)
         log = tmp_path / "listing"
         for text, listing in (
@@ -415,17 +441,17 @@ class TestExternalBackend:
             (FIXTURES["two_pairs"], ["phi1.cnf"]),
         ):
             log.write_text("")
-            config = stub_config("--list-dir", str(log))
-            subtractive_count(parse_program(text), config)
+            counter = wrapper_factory("--list-dir", str(log))
+            subtractive_count(parse_program(text), counter)
             assert log.read_text().splitlines() == listing
 
-    def test_tight_programs_skip_the_surplus_call(self):
+    def test_tight_programs_skip_the_surplus_call(self, wrapper_factory):
         # a stub that lies about projected counts is never consulted on a
         # tight program, so the lie cannot reach the report
         rng = random.Random(53)
         program = parse_program(random_tight_program_text(rng))
-        config = stub_config("--projected-value", "999")
-        report = subtractive_count(program, config)
+        counter = wrapper_factory("--projected-value", "999")
+        report = subtractive_count(program, counter)
         assert report.surplus == 0
         assert report.answer_sets == subtractive_count(program).answer_sets
 

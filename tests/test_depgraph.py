@@ -1,6 +1,8 @@
 import random
 
-from aspsubcount import build_dependency_graph, loop_atoms, parse_program
+import pytest
+
+from aspsubcount import build_dependency_graph, loop_atoms, parse_program, sat, split
 
 from helpers import cyclic_atoms_dfs, random_program_text
 
@@ -124,3 +126,19 @@ class TestLoopAtoms:
         p = parse_program(text + f"x{first} :- x{n - 1}.\n")
         loops = loop_atoms(build_dependency_graph(p))
         assert loops == {p.atom_id(f"x{i}") for i in range(first, n)}
+
+
+def test_loop_atoms_and_split_stop_at_the_deadline():
+    # both walk every atom or rule of a ring; past the deadline they raise
+    # as the searches do, however little is left of the walk
+    n = 10000
+    ring = "".join(f"a{i} :- a{i + 1}.\n" for i in range(n))
+    program = parse_program(ring + f"a{n} :- a0.\na0 :- not b.\nb :- not a0.\n")
+    graph = build_dependency_graph(program)
+    loops = loop_atoms(graph)
+    with sat.time_limit(0):
+        with pytest.raises(sat.SearchTimeout):
+            loop_atoms(graph)
+        with pytest.raises(sat.SearchTimeout):
+            split(program, loops)
+    assert split(program, loops) == [(program, loops)]

@@ -31,7 +31,7 @@ from aspsubcount import (
 from aspsubcount.cli import main
 
 from conftest import EXAMPLE1
-from test_counting import emit_cnf, enumerated, stub_config
+from test_counting import emit_cnf, enumerated
 from helpers import (
     completion_models_by_definition,
     cycles_text,
@@ -164,23 +164,24 @@ class TestSplitCounts:
         assert projected_count(surplus.cnf, surplus.projection_out) == 0
         assert subtractive_count(program).answer_sets == count_answer_sets_bruteforce(program)
 
-    def test_external_stub_on_two_components(self):
+    def test_external_stub_on_two_components(self, wrapper_factory):
         program = parse_program(LOOPS_TWICE)
         builtin = subtractive_count(program)
-        external = subtractive_count(program, stub_config())
+        counter = wrapper_factory()
+        external = subtractive_count(program, counter)
         assert (external.overcount, external.surplus, external.answer_sets) == (
             builtin.overcount,
             builtin.surplus,
             builtin.answer_sets,
         )
         assert builtin.answer_sets == count_answer_sets_bruteforce(program)
-        assert external.backend == f"exec:{sys.executable}"
+        assert external.backend == f"exec:{counter}"
 
-    def test_lying_stub_on_many_parts(self):
+    def test_lying_stub_on_many_parts(self, wrapper_factory):
         program = parse_program(LOOPS_TWICE + pairs_text(2, "t"))
-        config = stub_config("--plain-value", "1", "--projected-value", "5")
+        counter = wrapper_factory("--plain-value", "1", "--projected-value", "5")
         with pytest.raises(IntegrityError, match="in part 1 of 3"):
-            subtractive_count(program, config)
+            subtractive_count(program, counter)
 
     def test_one_component_keeps_formula_sizes(self, example1, tmp_path):
         completion = clark_completion(example1)
@@ -295,11 +296,11 @@ class TestPerPart:
         assert report.overcount == 2**14
         assert walked[0] == 0
 
-    def test_zero_part_starts_no_counter(self, walked):
+    def test_zero_part_starts_no_counter(self, walked, wrapper_factory):
         # each cycle part reaches the threshold, so it would go to the
         # failing counter, were it not for the loop part with no answer set
         program = parse_program(cycles_text(3) + ZERO_LOOP)
-        report = hybrid_count(program, threshold=2, config=stub_config("--fail"))
+        report = hybrid_count(program, threshold=2, counter=wrapper_factory("--fail"))
         assert (report.mode, report.answer_sets, report.overcount) == ("enumeration", 0, 0)
         assert report.backend == "builtin"
         assert walked[0] <= 3 * 3 + 1
