@@ -1,8 +1,11 @@
 """CNF formulas over integer variables 1..num_vars, plus DIMACS text.
 
-The encoders share one variable layout: atom id i is variable i + 1, and
-every variable above the atoms (auxiliaries, copies, witnesses) is
-auxiliary, projected away when a formula is counted onto its atoms.
+The encoders share one variable layout, and it is their only variable
+map: atom id i is variable i + 1; above the atoms come the completion's
+auxiliaries, then a surplus formula's prime copies and then its
+witnesses, one of each per loop atom, in ascending order of the loop
+atoms. Every variable above the atoms is auxiliary, projected away when a
+formula is counted onto its atoms.
 """
 
 from dataclasses import dataclass

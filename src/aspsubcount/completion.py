@@ -28,15 +28,14 @@ from .sat import _clocked, checker
 
 @dataclass
 class CompletionArtifact:
-    """CNF of the completion plus the variable bookkeeping.
-
-    The first ``num_atoms`` variables are the atoms; aux_vars are the
-    Tseitin definitions above them, each fixed by the atoms' values.
+    """CNF of the completion, in the layout of ``cnf``: the first
+    ``num_atoms`` variables are the atoms, and the auxiliaries
+    ``range(num_atoms + 1, cnf.num_vars + 1)`` are the Tseitin definitions
+    above them, each fixed by the atoms' values.
     """
 
     cnf: CnfFormula
     num_atoms: int
-    aux_vars: frozenset[int]
 
     def to_dimacs(self, program: GroundProgram) -> str:
         return dimacs(self.cnf, atom_names=dict(enumerate(program.atoms, 1)))
@@ -100,11 +99,7 @@ def clark_completion(program: GroundProgram) -> CompletionArtifact:
     for clause in clauses:
         first.setdefault(tuple(sorted(clause)), clause)
 
-    return CompletionArtifact(
-        cnf=CnfFormula._trusted(next_var - 1, list(first.values())),
-        num_atoms=n,
-        aux_vars=frozenset(range(n + 1, next_var)),
-    )
+    return CompletionArtifact(CnfFormula._trusted(next_var - 1, list(first.values())), n)
 
 
 def completion_model_check(

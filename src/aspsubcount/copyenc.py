@@ -11,10 +11,10 @@ clause families:
 
 The surplus formula conjoins the completion with one copy (prime) and
 demands that it lie strictly below the atoms somewhere: a witness e_x
-implies x and not x' for each loop atom x, and some witness holds. Atom id
-i is variable i + 1; the copies and the witnesses come after the
-completion's variables, and counting the formula's models projected onto
-the atoms (everything above them projected away) counts exactly the
+implies x and not x' for each loop atom x, and some witness holds. In the
+layout of ``cnf``, the primes and then the witnesses follow the
+completion's variables, each in ascending order of the loop atoms.
+Counting the formula's models projected onto the atoms counts exactly the
 completion models that are not answer sets, so subtracting yields the
 answer-set count. The clauses it adds to the completion also decide a
 single completion model, on one engine for many models (``copy_checker``).
@@ -61,29 +61,34 @@ def copy_operation(
 
 @dataclass
 class SurplusArtifact:
-    """The projected-counting side of the subtraction.
-
-    The atoms are variables 1..n; projection_out holds every variable
-    above them (the prime copies, the witnesses and the completion's
-    auxiliaries). Counting models of ``cnf`` projected onto the atoms
-    counts completion models that are not answer sets.
+    """The projected-counting side of the subtraction. ``loops`` are the
+    loop atoms, ascending, which number the primes and the witnesses;
+    projection_out is every variable above the atoms. Counting models of
+    ``cnf`` projected onto the atoms counts completion models that are
+    not answer sets.
     """
 
     cnf: CnfFormula
-    projection_out: frozenset[int]
-    cv_prime: dict[int, int]
-    aux_vars: frozenset[int]
+    projection_out: range
+    loops: tuple[int, ...]
+
+    @property
+    def cv_prime(self) -> dict[int, int]:
+        """Each loop atom's prime copy variable."""
+        base = self.cnf.num_vars - 2 * len(self.loops)
+        return {x: v for v, x in enumerate(self.loops, base + 1)}
 
     def to_dimacs(self, program: GroundProgram) -> str:
         names = dict(enumerate(program.atoms, 1))
         return dimacs(self.cnf, atom_names=names, show=sorted(names))
 
     def variable_map(self, program: GroundProgram) -> dict:
-        name = program.name_of
+        name, primes = program.name_of, self.cv_prime
+        copies = set(primes.values())
         return {
             "atoms": {a: v for v, a in enumerate(program.atoms, 1)},
-            "cv_prime": {name(a): v for a, v in sorted(self.cv_prime.items())},
-            "aux": sorted(self.aux_vars),
+            "cv_prime": {name(a): v for a, v in primes.items()},
+            "aux": [v for v in self.projection_out if v not in copies],
         }
 
 
@@ -102,24 +107,23 @@ def surplus_formula(
         completion = clark_completion(program)
     if loops is None:
         loops = loop_atoms(build_dependency_graph(program))
-    ordered = sorted(loops)
-    base = completion.cnf.num_vars
-    prime = {x: base + 1 + i for i, x in enumerate(ordered)}
-    witness = {x: base + 1 + len(ordered) + i for i, x in enumerate(ordered)}
+    ordered = tuple(sorted(loops))
+    base, k = completion.cnf.num_vars, len(ordered)
 
-    clauses = completion.cnf.clauses + copy_operation(program, loops, prime)
-    for x in ordered:
-        clauses.append((-witness[x], -prime[x]))
-        clauses.append((-witness[x], x + 1))
-    clauses.append(tuple(witness[x] for x in ordered))
+    # ordered[i] has the prime base + 1 + i, and its witness k above that
+    clauses = completion.cnf.clauses + copy_operation(
+        program, loops, {x: v for v, x in enumerate(ordered, base + 1)}
+    )
+    for v, x in enumerate(ordered, base + 1):
+        clauses.append((-(v + k), -v))
+        clauses.append((-(v + k), x + 1))
+    clauses.append(tuple(range(base + k + 1, base + 2 * k + 1)))
 
-    num_vars = base + 2 * len(ordered)
-    n = program.num_atoms
+    num_vars = base + 2 * k
     return SurplusArtifact(
         cnf=CnfFormula._trusted(num_vars, clauses),
-        projection_out=frozenset(range(n + 1, num_vars + 1)),
-        cv_prime=prime,
-        aux_vars=completion.aux_vars | frozenset(witness.values()),
+        projection_out=range(program.num_atoms + 1, num_vars + 1),
+        loops=ordered,
     )
 
 

@@ -158,27 +158,24 @@ def checker(clauses, num_vars: int):
 
 def count_models(formula: CnfFormula) -> int:
     """Exact number of satisfying assignments over all num_vars variables."""
-    return _count_from(formula.clauses, formula.num_vars, ())
+    return _count_from(formula, ())
 
 
 def projected_count(formula: CnfFormula, project_out) -> int:
     """Number of distinct assignments to the kept variables (those not in
-    ``project_out``) extendable to a model of the formula."""
-    out = set(project_out)
-    for var in out:
+    ``project_out``) extendable to a model of the formula. ``project_out``
+    is any iterable of variables, repeats allowed, and is walked once."""
+    return _count_from(formula, project_out)
+
+
+def _count_from(formula: CnfFormula, out) -> int:
+    kept = bytearray([1]) * (2 * formula.num_vars + 1)
+    for var in out:  # checked as cleared: a generator is walked once
         if not 1 <= var <= formula.num_vars:
             raise ValueError(f"projected variable {var} out of range")
-    return _count_from(formula.clauses, formula.num_vars, out)
-
-
-def _count_from(clauses, num_vars: int, out) -> int:
-    engine = _started(clauses, num_vars)
-    if engine is None:
-        return 0
-    kept = bytearray([1]) * (2 * engine.num_vars + 1)
-    for var in out:
         kept[var] = kept[-var] = 0
-    return engine.count(kept)
+    engine = _started(formula.clauses, formula.num_vars)
+    return 0 if engine is None else engine.count(kept)
 
 
 def _started(clauses, num_vars: int):

@@ -259,6 +259,15 @@ def chain_text(n: int) -> str:
     return "".join(lines)
 
 
+def ring_text(n: int) -> str:
+    """``a_i :- a_{i+1}.`` for i < n, closed by ``a_n :- a_0.``, plus the even
+    cycle ``a_0 :- not b. b :- not a_0.``: one positive loop through every
+    a_i, and 2 answer sets and completion models."""
+    lines = [f"a{i} :- a{i + 1}.\n" for i in range(n)]
+    lines.append(f"a{n} :- a0.\na0 :- not b.\nb :- not a0.\n")
+    return "".join(lines)
+
+
 def pigeonhole_text(pigeons: int, holes: int) -> str:
     """Each pigeon in one of the holes, ``p_i_h_0 | ... | p_i_h_{holes-1}.``,
     and no two in one hole: no answer set when there are more pigeons than

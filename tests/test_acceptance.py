@@ -216,10 +216,7 @@ def test_acceptance_6_encoding_size():
         sur = surplus_formula(program)
         max_ratio = max(max_ratio, sur.cnf.num_clauses / literals)
         loops = loop_atoms(build_dependency_graph(program))
-        if (
-            sur.cnf.num_vars - len(sur.aux_vars)
-            != program.num_atoms + len(loops)
-        ):
+        if sur.cnf.num_vars != clark_completion(program).cnf.num_vars + 2 * len(loops):
             exact_vars = False
     ok = max_ratio <= 12 and exact_vars
     report(

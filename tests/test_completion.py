@@ -97,7 +97,7 @@ class TestWorkedExample:
             (6, -2, -4),                  # aux 6 <-> (p1 and q1)
             (-5, 1, 6),                   # w -> (p0 or (p1 and q1))
         ]
-        assert art.aux_vars == frozenset({6})
+        assert (art.num_atoms, art.cnf.num_vars) == (5, 6)  # one auxiliary, 6
 
     def test_var_allocation(self, example1):
         art = clark_completion(example1)
@@ -163,7 +163,7 @@ class TestSmallPrograms:
     def test_single_rule_support_without_aux(self):
         p = parse_program("a :- b, c.\nb.\nc.\n")
         art = clark_completion(p)
-        assert art.aux_vars == frozenset()
+        assert art.cnf.num_vars == art.num_atoms == 3  # no auxiliary
         assert count_models(art.cnf) == 1
 
     def test_fact_makes_support_vacuous(self):
@@ -201,14 +201,16 @@ class TestAgainstDirectEvaluation:
             art = clark_completion(program)
             direct = completion_model_count_by_direct_eval(program)
             assert count_models(art.cnf) == direct
-            assert projected_count(art.cnf, art.aux_vars) == direct
+            aux = range(art.num_atoms + 1, art.cnf.num_vars + 1)
+            assert projected_count(art.cnf, aux) == direct
 
     def test_counts_preserved_on_fixtures(self, fixtures_and_support_cases):
         for name, program in fixtures_and_support_cases.items():
             art = clark_completion(program)
             direct = completion_model_count_by_direct_eval(program)
             assert count_models(art.cnf) == direct, name
-            assert projected_count(art.cnf, art.aux_vars) == direct, name
+            aux = range(art.num_atoms + 1, art.cnf.num_vars + 1)
+            assert projected_count(art.cnf, aux) == direct, name
 
 
 class TestShape:

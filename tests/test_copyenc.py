@@ -97,9 +97,10 @@ class TestSurplusWorkedExample:
         sur = surplus_formula(example1)
         # atoms are variables 1..5; everything above them is projected away
         assert sur.cnf.num_vars == 10
+        assert sur.loops == (3, 4)
         assert sur.cv_prime == {3: 7, 4: 8}
-        assert sur.aux_vars == frozenset({6, 9, 10})
-        assert sur.projection_out == frozenset(range(6, 11))
+        assert sur.variable_map(example1)["aux"] == [6, 9, 10]
+        assert sur.projection_out == range(6, 11)
         assert "\nc p show 1 2 3 4 5 0\n" in sur.to_dimacs(example1)
 
     def test_strictness_clauses(self, example1):
@@ -147,7 +148,7 @@ class TestSurplusWorkedExample:
         # the witnesses are one-sided, so the one model over the atoms and
         # the copies extends to one total model per nonempty witness set
         sur = surplus_formula(example1)
-        assert projected_count(sur.cnf, sur.aux_vars) == 1
+        assert projected_count(sur.cnf, {6, 9, 10}) == 1
         assert count_models(sur.cnf) == 3
 
     def test_explicit_completion_argument(self, example1):
@@ -169,15 +170,29 @@ class TestSurplusProperties:
         rng = random.Random(31)
         for _ in range(150):
             program = parse_program(random_program_text(rng))
-            sur = surplus_formula(program)
+            completion = clark_completion(program)
+            sur = surplus_formula(program, completion)
             loops = program_loops(program)
-            assert (
-                sur.cnf.num_vars - len(sur.aux_vars)
-                == program.num_atoms + len(loops)
-            )
-            assert sur.projection_out == frozenset(
-                range(program.num_atoms + 1, sur.cnf.num_vars + 1)
-            )
+            n, base, k = program.num_atoms, completion.cnf.num_vars, len(loops)
+            assert sur.cnf.num_vars == base + 2 * k
+            assert sur.projection_out == range(n + 1, sur.cnf.num_vars + 1)
+            assert sur.loops == tuple(sorted(loops))
+            # the primes: base + 1 to base + k, in atom order
+            assert list(sur.cv_prime) == sorted(loops)
+            assert list(sur.cv_prime.values()) == list(range(base + 1, base + k + 1))
+            # each witness w of x is found by its clauses (-w, -x') and
+            # (-w, x + 1); no copy clause has two negative literals
+            added = sur.cnf.clauses[len(completion.cnf.clauses):]
+            witnesses = []
+            for x, prime in sur.cv_prime.items():
+                [w] = [
+                    -c[0] for c in added if len(c) == 2 and c[0] < 0 and c[1] == -prime
+                ]
+                assert w > base and (-w, x + 1) in added
+                witnesses.append(w)
+            assert added[-1] == tuple(witnesses)
+            aux = sur.variable_map(program)["aux"]
+            assert aux == [*range(n + 1, base + 1), *witnesses]
 
     def test_total_models_respect_copy_order(self, fixture_programs):
         # every total model keeps prime pointwise at most the atoms,

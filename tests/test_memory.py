@@ -1,13 +1,22 @@
 """Memory held by a parsed program and taken by a tight count, per rule,
 as traced by ``tracemalloc`` on ``pairs_text(4000)``: a rule is three
-tuples of atom ids, and the encoders keep no second copy of a clause."""
+tuples of atom ids, and the encoders keep no second copy of a clause.
+Memory held by a surplus formula on the 4000-rule ring: its variables are
+numbered by the layout, with no set or map of them."""
 
 import gc
 import tracemalloc
 
-from aspsubcount import parse_program, subtractive_count
+from aspsubcount import (
+    build_dependency_graph,
+    clark_completion,
+    loop_atoms,
+    parse_program,
+    subtractive_count,
+    surplus_formula,
+)
 
-from helpers import pairs_text
+from helpers import pairs_text, ring_text
 
 RULES = 4000
 
@@ -37,3 +46,11 @@ def test_tight_count_peak():
     text = pairs_text(RULES)
     _, peak = traced(lambda: subtractive_count(parse_program(text)))
     assert peak <= 1650 * RULES
+
+
+def test_surplus_formula_is_compact():
+    program = parse_program(ring_text(RULES))
+    completion = clark_completion(program)
+    loops = loop_atoms(build_dependency_graph(program))
+    kept, _ = traced(lambda: surplus_formula(program, completion, loops))
+    assert kept <= 650 * RULES

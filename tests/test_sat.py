@@ -153,6 +153,21 @@ class TestProjectedCount:
         with pytest.raises(ValueError):
             projected_count(CnfFormula(1, [(1,)]), {4})
 
+    def test_any_iterable_projects_once(self):
+        # kept: 1 and 2, each of whose four values extends with 3 true
+        f = CnfFormula(4, [(1, 2, 3), (3, 4), (-1, -4)])
+        assert count_models(f) == 7
+        for out in (
+            (v for v in (3, 4)),
+            range(3, 5),
+            [4, 3, 4, 3],
+            frozenset({3, 4}),
+        ):
+            assert projected_count(f, out) == 4 == tt_projected_count(f, {3, 4})
+        for out in (range(3, 6), (v for v in (3, 5))):
+            with pytest.raises(ValueError):
+                projected_count(f, out)
+
     def test_projecting_everything_gives_sat_bit(self):
         assert projected_count(CnfFormula(2, [(1, 2)]), {1, 2}) == 1
         assert projected_count(CnfFormula(2, [(1,), (-1,)]), {1, 2}) == 0
