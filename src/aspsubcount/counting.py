@@ -1,24 +1,23 @@
 """Answer-set counting strategies and counter backends.
 
-Every mode runs one loop over the program's atom-disjoint parts and
-multiplies their counts. A part is either counted by subtraction
-(completion models minus the surplus: the completion models that are not
-answer sets, by projected counting) or enumerated (the justified models
-of one search over its completion). A loop part's surplus formula is
-built once and serves both: its projected count is the surplus, and the
-clauses it adds to the completion decide each enumerated model
-(``copy_checker``). Subtractive mode counts every part and
-enumeration mode enumerates every part; hybrid mode counts tight parts and
-enumerates each loop part up to the threshold, counting it when the
-threshold is hit. A part's overcount is the plain model count of its
-completion, whose auxiliaries are all defined by its atoms; its surplus is
-the count of its surplus formula projected onto its atoms. The three entry
-points, ``subtractive_count``, ``enumerate_count`` and ``hybrid_count``,
-each return a ``CountReport``; writing the formulas to files is left to the
-caller (``write_formulas``).
+Every mode takes the program's atom-disjoint parts one at a time: it builds
+a part's formulas, counts or enumerates the part, and lets the formulas go
+before the next part; the parts' numbers multiply. A counted part gives the
+plain model count of its completion (whose auxiliaries are all defined by
+its atoms) less its surplus, the completion models that are not answer
+sets: the count of its surplus formula projected onto its atoms. An
+enumerated part gives the justified models of one search over its
+completion, each decided by the clauses that the surplus formula adds
+(``copy_checker``). Subtractive mode counts every part and enumeration mode
+enumerates every part; hybrid mode counts tight parts and enumerates each
+loop part up to the threshold, counting it when the threshold is hit.
+``subtractive_count``, ``enumerate_count`` and ``hybrid_count`` each return
+a ``CountReport``; writing the formulas to files is left to the caller
+(``write_formulas``).
 """
 
 import contextlib
+import itertools
 import json
 import os
 import signal
@@ -67,8 +66,8 @@ class CountReport:
     is below the cap (``exhausted``); in the other modes ``exhausted`` is
     None. ``backend`` is "builtin", or "exec:PATH" once a part was counted
     by the external counter at PATH. ``encode_time`` covers the
-    analysis and the parts' formulas: each completion, and each loop
-    part's surplus formula; ``count_time`` covers the rest."""
+    analysis and, summed over the parts, their formulas: each completion,
+    and each loop part's surplus formula; ``count_time`` covers the rest."""
 
     overcount: int
     surplus: int
@@ -177,21 +176,30 @@ def _count_part(
     completion: CompletionArtifact,
     surplus_art: SurplusArtifact | None,
     counter: str | None,
+    where: str,
 ) -> tuple[int, int]:
     """Count one part's completion formula and, when the part has loop
     atoms, its surplus formula projected onto the atoms, in process or by
-    the external counter at path ``counter``. Returns (overcount, surplus).
-    The external counter reads DIMACS files written to a temporary
-    directory, which is removed when the call ends, however it ends."""
+    the external counter at path ``counter``. Returns (overcount, surplus),
+    or raises IntegrityError, naming the part by ``where``, when the surplus
+    exceeds the overcount. The external counter reads DIMACS files written
+    to a temporary directory, which is removed when the call ends, however
+    it ends."""
     if counter:
         with tempfile.TemporaryDirectory(prefix="aspsubcount-") as tmp:
             paths = write_formulas(tmp, program, completion, surplus_art, variable_map=False)
             counts = [external_projected_count(path, counter) for path in paths]
-        return counts[0], sum(counts[1:])  # no phi2.cnf: surplus 0
-    over = count_models(completion.cnf)
-    if surplus_art is None:
-        return over, 0
-    return over, projected_count(surplus_art.cnf, surplus_art.projection_out)
+        over, surplus = counts[0], sum(counts[1:])  # no phi2.cnf: surplus 0
+    else:
+        over, surplus = count_models(completion.cnf), 0
+        if surplus_art:
+            surplus = projected_count(surplus_art.cnf, surplus_art.projection_out)
+    if surplus > over:
+        raise IntegrityError(
+            f"surplus {surplus} exceeds overcount {over}{where}; "
+            "encoding or backend is inconsistent"
+        )
+    return over, surplus
 
 
 def _enumerate_part(
@@ -222,56 +230,48 @@ def _count_by_parts(
     counter: str | None = None,
 ) -> CountReport:
     """The counting loop of every mode ("subtractive", "enumeration" or
-    "hybrid"), over the parts of ``split(program, loops)``, where the
-    program's loop atoms are found once, here, as are each part's
-    completion and each loop part's surplus formula.
-
-    A part is counted by ``_count_part`` with ``counter`` in "subtractive"
-    mode, and in "hybrid" mode when it is tight or its enumeration reaches
-    ``limit``; such a loop part is counted after every enumeration. Any
-    other part is enumerated up to ``limit`` answer sets. Either way it
-    gives its completion models and its answer sets, whose products make
-    the report. The loop stops at the first part that makes the reported
-    product zero: the overcount in "subtractive" mode, the answer sets in
-    the others.
-    """
+    "hybrid") over the parts of ``split(program, loops)``, the program's
+    loop atoms found once, here. Each part in turn is built, then counted
+    by ``_count_part`` with ``counter`` (in "subtractive" mode, and a tight
+    part in "hybrid" mode) or enumerated up to ``limit`` answer sets, and
+    its formulas are let go before the next part is built. A "hybrid" loop
+    part whose enumeration reaches ``limit`` keeps its formulas and is
+    counted after every other part. The loop stops at the first part that
+    makes the reported product zero (the overcount in "subtractive" mode,
+    the answer sets in the others), and builds no later part."""
     if limit is not None and limit < 1:
         raise ValueError(f"{mode} limit must be at least 1")
     t0 = time.perf_counter()
     program_loops = loop_atoms(build_dependency_graph(program))
     parts = split(program, program_loops)
-    queue = []
-    for i, (part, loops) in enumerate(parts):
-        count = mode == "subtractive" or (mode == "hybrid" and not loops)
-        completion = clark_completion(part)
-        surplus_art = surplus_formula(part, completion, loops) if loops else None
-        queue.append((i, part, completion, surplus_art, count))
     encode_time = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    overcount, answer_sets, counted = 1, 1, False
-    for i, part, completion, surplus_art, count in queue:
-        if count:
-            over, surplus = _count_part(part, completion, surplus_art, counter)
-            counted = True
+    overcount, answer_sets, counted, waiting = 1, 1, False, []
+    # (index, part, its loop atoms, its formulas once built)
+    fresh = ((i, part, loops, None) for i, (part, loops) in enumerate(parts))
+    for i, part, loops, kept in itertools.chain(fresh, waiting):
+        t1 = time.perf_counter()
+        if kept:
+            completion, surplus_art = kept
         else:
+            completion = clark_completion(part)
+            surplus_art = surplus_formula(part, completion, loops) if loops else None
+        encode_time += time.perf_counter() - t1
+        if mode == "enumeration" or (mode == "hybrid" and loops and not kept):
             over, found, exhausted = _enumerate_part(completion, surplus_art, limit)
             if not exhausted and mode == "hybrid":
-                # counted once every other part has had its turn
-                queue.append((i, part, completion, surplus_art, True))
+                waiting.append((i, part, loops, (completion, surplus_art)))
                 continue
             surplus = over - found
-        if surplus > over:
+        else:
             where = f" in part {i + 1} of {len(parts)}" if len(parts) > 1 else ""
-            raise IntegrityError(
-                f"surplus {surplus} exceeds overcount {over}{where}; "
-                "encoding or backend is inconsistent"
-            )
+            over, surplus = _count_part(part, completion, surplus_art, counter, where)
+            counted = True
+        del completion, surplus_art  # before the next part is built
         overcount *= over
         answer_sets *= over - surplus
         if (overcount if mode == "subtractive" else answer_sets) == 0:
             break
-    count_time = time.perf_counter() - t1
+    count_time = time.perf_counter() - t0 - encode_time
 
     backend = f"exec:{counter}" if counted and counter else "builtin"
     times = (encode_time, count_time, len(program_loops))

@@ -59,6 +59,14 @@ class TestSubtractive:
         assert report.backend == "builtin"
         assert report.loop_atom_count == 2
         assert report.encode_time >= 0.0 and report.count_time >= 0.0
+        # in every mode, on several parts, both times are sums within the call
+        several = parse_program(cycles_text(3) + EXAMPLE1)
+        for count in (subtractive_count, enumerate_count, hybrid_count):
+            start = time.perf_counter()
+            timed = count(several)
+            wall = time.perf_counter() - start
+            assert timed.encode_time > 0.0 and timed.count_time > 0.0
+            assert timed.encode_time + timed.count_time <= wall
 
     def test_tight_program_skips_surplus(self, fixture_programs):
         report = subtractive_count(fixture_programs["two_pairs"])

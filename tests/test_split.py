@@ -20,6 +20,7 @@ from aspsubcount import (
     clark_completion,
     count_answer_sets_bruteforce,
     count_models,
+    enumerate_count,
     hybrid_count,
     loop_atoms,
     parse_program,
@@ -304,6 +305,22 @@ class TestPerPart:
         assert (report.mode, report.answer_sets, report.overcount) == ("enumeration", 0, 0)
         assert report.backend == "builtin"
         assert walked[0] <= 3 * 3 + 1
+
+    @pytest.mark.parametrize("count", [subtractive_count, hybrid_count, enumerate_count])
+    def test_zero_first_part_builds_no_other_part(self, count, monkeypatch):
+        # the first part is a loop with no completion model; the 50 cycle
+        # parts after it are never built
+        calls = [0]
+        original = aspsubcount.counting.clark_completion
+
+        def counted(part):
+            calls[0] += 1
+            return original(part)
+
+        monkeypatch.setattr(aspsubcount.counting, "clark_completion", counted)
+        text = "za :- zb.\nzb :- za.\n:- za.\n:- not za.\n" + cycles_text(50)
+        assert count(parse_program(text)).answer_sets == 0
+        assert calls[0] == 1
 
     @pytest.mark.parametrize(
         "text",
