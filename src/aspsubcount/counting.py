@@ -1,8 +1,9 @@
 """Answer-set counting strategies and counter backends.
 
-Every mode takes the program's atom-disjoint parts one at a time: it builds
-a part's formulas, counts or enumerates the part, and lets the formulas go
-before the next part; the parts' numbers multiply. A counted part gives the
+Every mode takes the program's distinct atom-disjoint parts one at a time:
+it builds a part's formulas, counts or enumerates the part, and lets the
+formulas go before the next part; the parts' numbers multiply, each raised
+to the number of copies of its part. A counted part gives the
 plain model count of its completion (whose auxiliaries are all defined by
 its atoms) less its surplus, the completion models that are not answer
 sets: the count of its surplus formula projected onto its atoms. An
@@ -60,14 +61,16 @@ class IntegrityError(RuntimeError):
 class CountReport:
     """Result of one counting run. In subtractive and hybrid mode
     ``answer_sets == overcount - surplus``, and the overcount is the product
-    of the parts' completion-model counts. A report whose mode is
+    of the parts' completion-model counts, a distinct part's counted once
+    and raised to the number of its copies. A report whose mode is
     "enumeration" (from ``enumerate_count``, or from ``hybrid_count`` below
     its threshold) gives the plain count with surplus zero, and whether it
     is below the cap (``exhausted``); in the other modes ``exhausted`` is
     None. ``backend`` is "builtin", or "exec:PATH" once a part was counted
     by the external counter at PATH. ``encode_time`` covers the
-    analysis and, summed over the parts, their formulas: each completion,
-    and each loop part's surplus formula; ``count_time`` covers the rest."""
+    analysis and, summed over the distinct parts, their formulas: each
+    completion, and each loop part's surplus formula; ``count_time`` covers
+    the rest."""
 
     overcount: int
     surplus: int
@@ -230,25 +233,29 @@ def _count_by_parts(
     counter: str | None = None,
 ) -> CountReport:
     """The counting loop of every mode ("subtractive", "enumeration" or
-    "hybrid") over the parts of ``split(program, loops)``, the program's
-    loop atoms found once, here. Each part in turn is built, then counted
-    by ``_count_part`` with ``counter`` (in "subtractive" mode, and a tight
-    part in "hybrid" mode) or enumerated up to ``limit`` answer sets, and
-    its formulas are let go before the next part is built. A "hybrid" loop
-    part whose enumeration reaches ``limit`` keeps its formulas and is
-    counted after every other part. The loop stops at the first part that
-    makes the reported product zero (the overcount in "subtractive" mode,
-    the answer sets in the others), and builds no later part."""
-    if limit is not None and limit < 1:
+    "hybrid") over the distinct parts of ``split(program, loops)``, the
+    program's loop atoms found once, here. Each part in turn is built, then
+    counted by ``_count_part`` with ``counter`` (in "subtractive" mode, and
+    a tight part in "hybrid" mode) or enumerated up to ``limit`` answer
+    sets, and its formulas are let go before the next part is built. Its
+    numbers are folded into the products once, raised to the number of its
+    copies: copies are the same program up to atom names, so they count
+    alike. A "hybrid" loop part whose enumeration reaches ``limit`` keeps
+    its formulas and copies and is counted after every other part. The
+    loop stops at the first part that makes the reported product zero (the
+    overcount in "subtractive" mode, the answer sets in the others), and
+    builds no later part. An IntegrityError names its part as "part i of
+    N", numbering the distinct parts."""
+    if (limit is None and mode == "hybrid") or (limit is not None and limit < 1):
         raise ValueError(f"{mode} limit must be at least 1")
     t0 = time.perf_counter()
     program_loops = loop_atoms(build_dependency_graph(program))
     parts = split(program, program_loops)
     encode_time = time.perf_counter() - t0
     overcount, answer_sets, counted, waiting = 1, 1, False, []
-    # (index, part, its loop atoms, its formulas once built)
-    fresh = ((i, part, loops, None) for i, (part, loops) in enumerate(parts))
-    for i, part, loops, kept in itertools.chain(fresh, waiting):
+    # (index, part, its loop atoms, its copies, its formulas once built)
+    fresh = ((i, *part, None) for i, part in enumerate(parts))
+    for i, part, loops, copies, kept in itertools.chain(fresh, waiting):
         t1 = time.perf_counter()
         if kept:
             completion, surplus_art = kept
@@ -259,7 +266,7 @@ def _count_by_parts(
         if mode == "enumeration" or (mode == "hybrid" and loops and not kept):
             over, found, exhausted = _enumerate_part(completion, surplus_art, limit)
             if not exhausted and mode == "hybrid":
-                waiting.append((i, part, loops, (completion, surplus_art)))
+                waiting.append((i, part, loops, copies, (completion, surplus_art)))
                 continue
             surplus = over - found
         else:
@@ -267,8 +274,8 @@ def _count_by_parts(
             over, surplus = _count_part(part, completion, surplus_art, counter, where)
             counted = True
         del completion, surplus_art  # before the next part is built
-        overcount *= over
-        answer_sets *= over - surplus
+        overcount *= over**copies
+        answer_sets *= (over - surplus) ** copies
         if (overcount if mode == "subtractive" else answer_sets) == 0:
             break
     count_time = time.perf_counter() - t0 - encode_time

@@ -81,24 +81,11 @@ def loop_atoms(successors: list[list[int]]) -> frozenset[int]:
     return frozenset(loops)
 
 
-def _restrict(
-    program: GroundProgram, atoms: list[int], rules: list[Rule], loops: frozenset[int]
-) -> tuple[GroundProgram, frozenset[int]]:
-    """The program over ``atoms`` (ascending) and ``rules``, with atoms
-    renumbered in order, and its loop atoms."""
-    new_id = {x: i for i, x in enumerate(atoms)}
-    sub = GroundProgram(
-        [program.atoms[x] for x in atoms],
-        [[[new_id[x] for x in ids] for ids in rule] for rule in rules],
-    )
-    return sub, frozenset(new_id[x] for x in loops.intersection(atoms))
-
-
 def split(
     program: GroundProgram, loops: frozenset[int]
-) -> list[tuple[GroundProgram, frozenset[int]]]:
-    """Atom-disjoint parts of the program, each with its loop atoms;
-    ``loops`` are the program's loop atoms.
+) -> list[tuple[GroundProgram, frozenset[int], int]]:
+    """The distinct atom-disjoint parts of the program, each with its loop
+    atoms and how often it occurs; ``loops`` are the program's loop atoms.
 
     Two atoms share a part when a chain of rules links them. Answer sets
     and completion models of a union of atom-disjoint programs are the
@@ -106,12 +93,14 @@ def split(
     theorem), so the parts can be counted separately. Every component
     holding loop atoms is a part of its own, ordered by its smallest atom;
     the tight components and the rules without atoms form one remainder
-    part, last. A tight program, or one whose parts would be one, is
-    returned whole. Parts keep the atoms' relative order and the rules'
-    original order.
+    part, last. Parts keep the atoms' relative order and the rules'
+    original order, and two parts whose rules are equal once renumbered
+    are the same program up to atom names: such a part is returned once,
+    at its first place, with the number of its copies. A tight program, or
+    one whose parts would be one, is returned whole.
     """
     if not loops:
-        return [(program, loops)]
+        return [(program, loops, 1)]
     parent = list(range(program.num_atoms))
 
     def find(x):
@@ -120,12 +109,20 @@ def split(
             x = parent[x]
         return x
 
+    joins, atomless = 0, False
     for head, pos_body, neg_body in _clocked(program.rules):
         atoms = head + pos_body + neg_body
         if atoms:
             root = find(atoms[0])
             for x in atoms:
-                parent[find(x)] = root
+                x = find(x)
+                if x != root:
+                    parent[x] = root
+                    joins += 1
+        else:
+            atomless = True
+    if joins == program.num_atoms - 1 and not atomless:
+        return [(program, loops, 1)]
     components: dict[int, list[int]] = {}
     for x in _clocked(range(program.num_atoms)):
         components.setdefault(find(x), []).append(x)
@@ -136,7 +133,20 @@ def split(
     for rule in _clocked(program.rules):
         some = (rule.head or rule.pos_body or rule.neg_body or (None,))[0]
         rules[part_of.get(some, len(groups))].append(rule)
-    parts = [(a, r) for a, r in zip(groups + [rest], rules) if a or r]
-    if len(parts) == 1:
-        return [(program, loops)]
-    return [_restrict(program, a, r, loops) for a, r in parts]
+    distinct: dict = {}  # (atom count, renumbered rules) -> [part, its loops, copies]
+    for atoms, part_rules in zip(groups + [rest], rules):
+        if not (atoms or part_rules):
+            continue
+        new_id = {x: i for i, x in enumerate(atoms)}.__getitem__
+        key = len(atoms), tuple([
+            (tuple(map(new_id, h)), tuple(map(new_id, pb)), tuple(map(new_id, nb)))
+            for h, pb, nb in part_rules
+        ])
+        entry = distinct.get(key)
+        if entry:
+            entry[2] += 1
+        else:  # re-keyed on the part's equal rules: no second copy is held
+            part = GroundProgram([program.atoms[x] for x in atoms], key[1])
+            part_loops = frozenset(i for i, x in enumerate(atoms) if x in loops)
+            distinct[len(atoms), tuple(part.rules)] = [part, part_loops, 1]
+    return [tuple(entry) for entry in distinct.values()]

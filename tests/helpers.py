@@ -249,6 +249,18 @@ def cycles_text(k: int, p: str = "") -> str:
     )
 
 
+def distinct_cycles_text(k: int, p: str = "") -> str:
+    """k atom-disjoint blocks ``a|b. x0:-x1. ... x{L-1}:-x0. x0:-a.``, block
+    i with a loop of L = i + 2 atoms: like ``cycles_text(k)``, 2^k answer
+    sets and 3^k completion models, but no two blocks are the same program
+    up to atom names, so each block is a part of its own."""
+    blocks = []
+    for i in range(k):
+        ring = "".join(f"{p}x{i}_{j} :- {p}x{i}_{(j + 1) % (i + 2)}.\n" for j in range(i + 2))
+        blocks.append(f"{p}a{i} | {p}b{i}.\n{ring}{p}x{i}_0 :- {p}a{i}.\n")
+    return "".join(blocks)
+
+
 def chain_text(n: int) -> str:
     """``x0 | y0.`` and ``x_{i+1} :- x_i. x_{i+1} | z_{i+1}.`` for i < n:
     n+2 answer sets and completion models, tight. Once x_i holds, every

@@ -11,7 +11,7 @@ from aspsubcount import cli, parse_program, subtractive_count
 from aspsubcount.cli import main
 
 from conftest import EXAMPLE1
-from helpers import chain_text, cycles_text, pigeonhole_text
+from helpers import chain_text, distinct_cycles_text, pigeonhole_text
 
 # The worked example's completion clauses, shared by phi1.cnf and phi2.cnf.
 WORKED_CLAUSES = (
@@ -462,7 +462,7 @@ class TestCountExternal:
         # six loop parts make twelve counter calls of 0.4 s each; --timeout 1
         # is one deadline for all of them, not 1 s per call
         wrapper = wrapper_factory("--sleep", "0.4")
-        path = program_file(cycles_text(6))
+        path = program_file(distinct_cycles_text(6))
         start = time.monotonic()
         code, out, err = run_cli(
             capsys, "count", path, "--backend", f"exec:{wrapper}", "--timeout", "1"

@@ -35,6 +35,7 @@ from helpers import (
     answer_sets_by_definition,
     chain_text,
     cycles_text,
+    distinct_cycles_text,
     qbf_count,
     qbf_saturation_text,
     random_program_text,
@@ -60,7 +61,7 @@ class TestSubtractive:
         assert report.loop_atom_count == 2
         assert report.encode_time >= 0.0 and report.count_time >= 0.0
         # in every mode, on several parts, both times are sums within the call
-        several = parse_program(cycles_text(3) + EXAMPLE1)
+        several = parse_program(distinct_cycles_text(3) + EXAMPLE1)
         for count in (subtractive_count, enumerate_count, hybrid_count):
             start = time.perf_counter()
             timed = count(several)
@@ -215,8 +216,11 @@ class TestHybrid:
         assert high.encode_time > 0.0 and high.count_time > 0.0
 
     def test_threshold_validation(self, example1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="hybrid limit must be at least 1"):
             hybrid_count(example1, threshold=0)
+        # no threshold is no valid threshold either, not a TypeError
+        with pytest.raises(ValueError, match="hybrid limit must be at least 1"):
+            hybrid_count(example1, threshold=None)
 
     def test_agreement_across_thresholds(self, fixture_programs):
         for name, program in fixture_programs.items():
@@ -349,12 +353,22 @@ class TestExternalBackend:
     def test_time_limit_bounds_every_call_together(self, wrapper_factory):
         # six loop parts make twelve counter calls of 0.4 s each; one
         # deadline covers them all, not 1 s per call
-        program = parse_program(cycles_text(6))
+        program = parse_program(distinct_cycles_text(6))
         start = time.monotonic()
         with pytest.raises(BackendTimeout), sat.time_limit(1):
             subtractive_count(program, wrapper_factory("--sleep", "0.4"))
         assert time.monotonic() - start < 3
         assert subtractive_count(program, wrapper_factory()).answer_sets == 64
+
+    def test_copies_share_their_counter_calls(self, tmp_path, wrapper_factory):
+        # six copies of one loop part: one completion call and one surplus
+        # call, both on the first copy's formulas
+        log = tmp_path / "listing"
+        log.write_text("")
+        counter = wrapper_factory("--list-dir", str(log))
+        report = subtractive_count(parse_program(cycles_text(6)), counter)
+        assert (report.overcount, report.answer_sets) == (3**6, 2**6)
+        assert log.read_text().splitlines() == ["phi1.cnf phi2.cnf"] * 2
 
     def test_no_call_starts_after_the_deadline(self, tmp_path, wrapper_factory):
         log = tmp_path / "listing"

@@ -141,4 +141,4 @@ def test_loop_atoms_and_split_stop_at_the_deadline():
             loop_atoms(graph)
         with pytest.raises(sat.SearchTimeout):
             split(program, loops)
-    assert split(program, loops) == [(program, loops)]
+    assert split(program, loops) == [(program, loops, 1)]

@@ -3,8 +3,10 @@ as traced by ``tracemalloc`` on ``pairs_text(4000)``: a rule is three
 tuples of atom ids, and the encoders keep no second copy of a clause.
 Memory held by a surplus formula on the 4000-rule ring: its variables are
 numbered by the layout, with no set or map of them. The peak of a count
-per part, on 250 cycle parts and a tight part: each part's formulas are
-let go before the next part's are built."""
+per part, on 60 distinct cycle parts and a tight part: each part's
+formulas are let go before the next part's are built. What the split
+keeps of 4000 copies of one cycle block: the block once, not 4000 part
+programs."""
 
 import gc
 import tracemalloc
@@ -14,11 +16,12 @@ from aspsubcount import (
     clark_completion,
     loop_atoms,
     parse_program,
+    split,
     subtractive_count,
     surplus_formula,
 )
 
-from helpers import cycles_text, pairs_text, ring_text
+from helpers import cycles_text, distinct_cycles_text, pairs_text, ring_text
 
 RULES = 4000
 
@@ -59,8 +62,17 @@ def test_surplus_formula_is_compact():
 
 
 def test_parts_are_counted_one_at_a_time():
-    # 251 parts; holding every part's formulas at once peaks at 6500 B a part
-    k = 250
-    text = cycles_text(k) + pairs_text(k, "p")
+    # 61 parts of 2070 rules, no two alike; holding every part's formulas
+    # at once peaks at 1270 B a rule, one part at a time at 730 B
+    k = 60
+    text = distinct_cycles_text(k) + pairs_text(k, "p")
     _, peak = traced(lambda: subtractive_count(parse_program(text)))
-    assert peak <= 5400 * (k + 1)
+    assert peak <= 950 * text.count("\n")
+
+
+def test_split_keeps_one_part_of_many_copies():
+    # 4000 part programs, one per copy, keep 1200 B a block
+    program = parse_program(cycles_text(RULES))
+    loops = loop_atoms(build_dependency_graph(program))
+    kept, _ = traced(lambda: split(program, loops))
+    assert kept <= 150 * RULES

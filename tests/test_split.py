@@ -6,6 +6,7 @@ import importlib.util
 import os
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +37,7 @@ from test_counting import emit_cnf, enumerated
 from helpers import (
     completion_models_by_definition,
     cycles_text,
+    distinct_cycles_text,
     pairs_text,
     prefixed,
     random_program_text,
@@ -49,7 +51,8 @@ _spec = importlib.util.spec_from_file_location(
 BENCH_PROGRAMS = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(BENCH_PROGRAMS)
 
-LOOPS_TWICE = "a :- b.\nb :- a.\na | c.\nx :- y.\ny :- x.\nx | z.\n"
+# two loop blocks that are not the same program up to atom names
+LOOPS_TWICE = "a :- b.\nb :- a.\na | c.\nx :- y.\ny :- x.\nx | z.\n:- z.\n"
 
 
 def parts_of(program):
@@ -59,34 +62,35 @@ def parts_of(program):
 class TestSplit:
     def test_tight_program_is_one_part(self):
         program = parse_program(pairs_text(3) + "c :- a0, not b1.\n")
-        assert parts_of(program) == [(program, frozenset())]
+        assert parts_of(program) == [(program, frozenset(), 1)]
 
     def test_one_component_is_the_program_itself(self, example1):
-        [(part, loops)] = parts_of(example1)
-        assert part is example1
+        [(part, loops, copies)] = parts_of(example1)
+        assert part is example1 and copies == 1
         assert loops == loop_atoms(build_dependency_graph(example1))
 
     def test_loop_components_then_remainder(self):
         program = parse_program("p | q.\n" + LOOPS_TWICE + ":- .\nr :- not p.\n")
         parts = parts_of(program)
-        assert [part.atoms for part, _ in parts] == [
+        assert [part.atoms for part, _, _ in parts] == [
             ["a", "b", "c"],
             ["x", "y", "z"],
             ["p", "q", "r"],
         ]
-        assert [sorted(loops) for _, loops in parts] == [[0, 1], [0, 1], []]
+        assert [sorted(loops) for _, loops, _ in parts] == [[0, 1], [0, 1], []]
+        assert [copies for _, _, copies in parts] == [1, 1, 1]
         remainder = parts[2][0]
         # rules keep their order; the atomless constraint stays in the remainder
         assert [len(r.head) for r in remainder.rules] == [2, 0, 1]
-        assert sum(len(part.rules) for part, _ in parts) == len(program.rules)
+        assert sum(len(part.rules) for part, _, _ in parts) == len(program.rules)
 
     def test_parts_renumber_in_original_order(self):
         program = parse_program("c | z.\nx :- y.\ny :- x.\nx :- c.\n")
-        [(part, loops)] = parts_of(program)
-        assert part is program
+        [(part, loops, copies)] = parts_of(program)
+        assert part is program and copies == 1
         program = parse_program("z.\nx :- y.\ny :- x.\nx :- c.\n")
         parts = parts_of(program)
-        assert [part.atoms for part, _ in parts] == [["x", "y", "c"], ["z"]]
+        assert [part.atoms for part, _, _ in parts] == [["x", "y", "c"], ["z"]]
         assert parts[0][1] == frozenset({0, 1})
 
     def test_components_of_unmentioned_atoms(self):
@@ -94,8 +98,32 @@ class TestSplit:
         program = parse_program("a | b.\nc :- d.\nd :- c.\ne :- a.\n")
         program = GroundProgram(program.atoms + ["u"], program.rules)
         parts = parts_of(program)
-        assert [part.atoms for part, _ in parts] == [["c", "d"], ["a", "b", "e", "u"]]
-        assert [len(part.rules) for part, _ in parts] == [2, 2]
+        assert [part.atoms for part, _, _ in parts] == [["c", "d"], ["a", "b", "e", "u"]]
+        assert [len(part.rules) for part, _, _ in parts] == [2, 2]
+
+    def test_copies_are_returned_once(self):
+        # three copies of one loop block: the first, renumbered, with the
+        # number of copies, then the tight rest
+        parts = parts_of(parse_program(cycles_text(3) + pairs_text(2, "t")))
+        [(block, loops, copies), (rest, no_loops, once)] = parts
+        assert block.atoms == ["a0", "b0", "x0", "y0"]
+        assert block.rules == parse_program(cycles_text(1)).rules
+        assert (loops, copies) == (frozenset({2, 3}), 3)
+        assert (rest.atoms, no_loops, once) == (["ta0", "tb0", "ta1", "tb1"], frozenset(), 1)
+
+    def test_rules_in_another_order_make_another_part(self):
+        # the second block is the first up to atom names and rule order
+        program = parse_program("a :- b.\nb :- a.\na | c.\nx :- y.\nx | z.\ny :- x.\n")
+        parts = parts_of(program)
+        assert [(part.atoms, copies) for part, _, copies in parts] == [
+            (["a", "b", "c"], 1),
+            (["x", "y", "z"], 1),
+        ]
+        report = subtractive_count(program)
+        assert report.answer_sets == count_answer_sets_bruteforce(program) == 4
+        assert report.overcount == completion_models_by_definition(program)
+        assert enumerated(program) == (4, True)
+        assert hybrid_count(program, threshold=2).answer_sets == 4
 
 
 class TestSplitCounts:
@@ -139,6 +167,50 @@ class TestSplitCounts:
             assert hybrid.mode == "hybrid"
             assert hybrid.overcount == completions
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        copies=st.integers(2, 4),
+        loopy=st.booleans(),
+        threshold=st.integers(1, 64),
+    )
+    def test_copies_count_as_powers(self, seed, copies, loopy, threshold):
+        rng = random.Random(seed)
+        block = random_program_text(rng, max_atoms=5, max_rules=7, force_loop=True)
+        if loopy:
+            other = random_program_text(rng, max_atoms=5, max_rules=7)
+        else:
+            other = random_tight_program_text(rng, max_atoms=5, max_rules=7)
+        alone = [(parse_program(block), copies), (parse_program(other), 1)]
+        answers = completions = 1
+        expected = Counter()
+        for program, times in alone:
+            answers *= count_answer_sets_bruteforce(program) ** times
+            completions *= completion_models_by_definition(program) ** times
+            for part, loops, n in parts_of(program):
+                if loops:
+                    expected[part.num_atoms, tuple(part.rules)] += n * times
+        texts = [prefixed(block, f"c{i}") for i in range(copies)]
+        union = parse_program("".join(texts) + prefixed(other, "o"))
+        # each loop part of the block comes back once, with its copies in
+        # every renamed block counted
+        parts = parts_of(union)
+        assert {(p.num_atoms, tuple(p.rules)): n for p, loops, n in parts if loops} == expected
+        assert parts[0][2] >= copies
+        report = subtractive_count(union)
+        assert report.answer_sets == answers
+        assert report.overcount == completions
+        assert report.surplus == completions - answers
+        assert enumerated(union) == (answers, True)
+        hybrid = hybrid_count(union, threshold=threshold)
+        assert hybrid.answer_sets == answers
+        if answers < threshold:
+            assert hybrid.mode == "enumeration" and hybrid.exhausted is True
+            assert (hybrid.overcount, hybrid.surplus) == (answers, 0)
+        else:
+            assert hybrid.mode == "hybrid"
+            assert (hybrid.overcount, hybrid.surplus) == (completions, completions - answers)
+
     def test_always_false_constraint(self):
         assert subtractive_count(parse_program(":- .\n")).answer_sets == 0
         program = parse_program(":- .\n" + LOOPS_TWICE)
@@ -160,7 +232,7 @@ class TestSplitCounts:
     def test_count_surplus_anyway(self):
         # the surplus of a tight part, which counting skips, counted for real
         program = parse_program(pairs_text(2, "t") + LOOPS_TWICE)
-        [tight] = [part for part, loops in parts_of(program) if not loops]
+        [tight] = [part for part, loops, _ in parts_of(program) if not loops]
         surplus = surplus_formula(tight, clark_completion(tight), frozenset())
         assert projected_count(surplus.cnf, surplus.projection_out) == 0
         assert subtractive_count(program).answer_sets == count_answer_sets_bruteforce(program)
@@ -286,8 +358,20 @@ class TestPerPart:
         monkeypatch.setattr(aspsubcount.counting, "models", counted)
         return calls
 
+    @pytest.fixture
+    def completions(self, monkeypatch):
+        calls = [0]
+        original = aspsubcount.counting.clark_completion
+
+        def counted(part):
+            calls[0] += 1
+            return original(part)
+
+        monkeypatch.setattr(aspsubcount.counting, "clark_completion", counted)
+        return calls
+
     def test_hybrid_enumerates_loop_parts_one_by_one(self, walked):
-        report = hybrid_count(parse_program(cycles_text(12)))
+        report = hybrid_count(parse_program(distinct_cycles_text(12)))
         assert (report.mode, report.answer_sets) == ("enumeration", 2**12)
         assert walked[0] == 12 * 3
 
@@ -307,31 +391,29 @@ class TestPerPart:
         assert walked[0] <= 3 * 3 + 1
 
     @pytest.mark.parametrize("count", [subtractive_count, hybrid_count, enumerate_count])
-    def test_zero_first_part_builds_no_other_part(self, count, monkeypatch):
+    def test_zero_first_part_builds_no_other_part(self, count, completions):
         # the first part is a loop with no completion model; the 50 cycle
         # parts after it are never built
-        calls = [0]
-        original = aspsubcount.counting.clark_completion
-
-        def counted(part):
-            calls[0] += 1
-            return original(part)
-
-        monkeypatch.setattr(aspsubcount.counting, "clark_completion", counted)
-        text = "za :- zb.\nzb :- za.\n:- za.\n:- not za.\n" + cycles_text(50)
+        text = "za :- zb.\nzb :- za.\n:- za.\n:- not za.\n" + distinct_cycles_text(50)
         assert count(parse_program(text)).answer_sets == 0
-        assert calls[0] == 1
+        assert completions[0] == 1
+
+    @pytest.mark.parametrize("count", [subtractive_count, hybrid_count, enumerate_count])
+    def test_copies_are_built_once(self, count, completions):
+        report = count(parse_program(cycles_text(200)))
+        assert report.answer_sets == 2**200
+        assert completions[0] == 1
 
     @pytest.mark.parametrize(
         "text",
-        [BENCH_PROGRAMS.reach(5, 6, 1, 1), BENCH_PROGRAMS.cycles(4)],
+        [BENCH_PROGRAMS.reach(5, 6, 1, 1), distinct_cycles_text(4)],
         ids=["reach-5-6", "cycles-4"],
     )
     def test_hybrid_builds_two_engines_per_loop_part(self, text, monkeypatch):
         # one engine walks a loop part's completion models and one copy-
         # checks them all; none is built per model
         program = parse_program(text)
-        loop_parts = sum(1 for _, loops in parts_of(program) if loops)
+        loop_parts = sum(1 for _, loops, _ in parts_of(program) if loops)
         engines = [0]
 
         class Counted(aspsubcount.sat._Trail):
