@@ -22,8 +22,18 @@ over the free variables, multiplies their counts, and branches in each
 component on the kept variable of lowest rank, then of highest
 Jeroslow-Wang score (the sum over the clauses not yet satisfied that hold
 it, of either sign, of 2^-n for a clause with n literals not yet false),
-then the smallest. A component without kept variables is a leaf
-satisfiability check.
+then the smallest. A component without kept variables, or a branch that
+leaves none, is one satisfiability check. A component of one clause
+over k free variables counts 2^k - 1 if all k are kept, else 2^kept.
+
+Before its engine is built, a count of ``MERGE_CLAUSES`` clauses or more
+merges the variables that complementary binary clauses make equal, (a, b)
+and (-a, -b) making a equal to -b, with a union-find kept with parity
+(``_merged``; Lagniez and Marquis, AAAI 2014, do this with every
+equivalent literal). Each class keeps one variable, a kept one if it has
+one, and the others are no longer kept, so plain and projected counts
+stay exact. ``models``, ``checker`` and the emitted files see the formula
+as given.
 
 Ranks follow a level structure, as in nested dissection (George, SIAM J.
 Numer. Anal. 1973), and are set once per count. Every variable has rank
@@ -50,7 +60,8 @@ every 64 steps and raises ``SearchTimeout`` once the limit has passed.
 import time
 from array import array
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, compress
+from operator import neg
 
 from .cnf import CnfFormula
 
@@ -67,6 +78,10 @@ WEIGHT_CAP = 24
 # a count ranks the variables of a top-level component with more than this
 # many variables, unless one of its layers holds its size over this or more
 WIDTH_RATIO = 16
+
+# a count merges equal variables in a formula of this many clauses or more;
+# below it the merge takes about as long as the whole search it could save
+MERGE_CLAUSES = 64
 
 # (time.monotonic() deadline, seconds) while inside time_limit, else None
 _deadline = None
@@ -174,16 +189,86 @@ def _count_from(formula: CnfFormula, out) -> int:
         if not 1 <= var <= formula.num_vars:
             raise ValueError(f"projected variable {var} out of range")
         kept[var] = kept[-var] = 0
-    engine = _started(formula.clauses, formula.num_vars)
+    engine = _started(formula.clauses, formula.num_vars, kept)
     return 0 if engine is None else engine.count(kept)
 
 
-def _started(clauses, num_vars: int):
-    """A ``_Trail`` over ``clauses`` with the literals of its unit clauses
-    made true and propagated; None if a clause is empty or propagation
-    conflicts. ``SearchTimeout`` past the deadline: no search starts then."""
+def _merged(clauses: list, num_vars: int, kept: bytearray) -> list | None:
+    """``clauses`` with each class of equal variables replaced by its
+    representative, and ``kept`` cleared on the others; rewritten clauses
+    lose repeated literals and tautologies. None if a class holds x and -x."""
+    # (a, b) is a * m + b with |a| <= |b|: (-a, -b) and (-b, -a) are its negation
+    m = 2 * num_vars + 1
+    keys = [
+        a * m + b if a * a <= b * b else b * m + a
+        for a, b in compress(_clocked(clauses), map((2).__eq__, map(len, clauses)))
+    ]
+    found = set(keys).intersection(map(neg, filter((0).__gt__, keys)))
+    if not found:
+        return clauses
+    # up[x]: a literal equal to x, x itself at a root; up[-x] is -up[x]
+    up = array("q", chain(range(num_vars + 1), range(-num_vars, 0)))
+
+    def find(lit: int) -> int:
+        """The root literal equal to ``lit``, now linked from each literal
+        on the way."""
+        path = []
+        while up[lit] != lit:
+            path.append(lit)
+            lit = up[lit]
+        for x in path:
+            up[x], up[-x] = lit, -lit
+        return lit
+
+    away = []  # each variable linked below a root, in the order linked
+    for key in found:
+        a = (key + num_vars) // m
+        a, b = find(a), find(a * m - key)  # a == -(key - a * m)
+        if a == -b:
+            return None
+        if a != b:
+            if kept[b] or not kept[a]:
+                a, b = b, a
+            away.append(abs(b))
+            up[b], up[-b] = a, -a
+    # a variable is linked to a root, or to one linked after it
+    for v in reversed(away):
+        up[v] = root = up[up[v]]
+        up[-v] = -root
+        kept[v] = kept[-v] = 0
+    merged = []  # a clause left as it is stays the same object
+    for c in _clocked(clauses):
+        if len(c) == 2:
+            a, b = up[c[0]], up[c[1]]
+            if a == b:
+                merged.append((a,))
+            elif a != -b:
+                merged.append(c if a == c[0] and b == c[1] else (a, b))
+            continue
+        d = tuple(map(up.__getitem__, c))
+        if d == c:
+            merged.append(c)
+        elif (lits := set(d)).isdisjoint(map(neg, d)):
+            merged.append(d if len(lits) == len(d) else tuple(dict.fromkeys(d)))
+    return merged
+
+
+def _started(clauses, num_vars: int, kept: bytearray | None = None):
+    """A ``_Trail`` over ``clauses``, ``_merged`` first if ``kept`` is given
+    and there are ``MERGE_CLAUSES`` clauses or more, with the literals of
+    its unit clauses made true and propagated; None if a clause is empty or
+    propagation conflicts. ValueError on a literal 0 or beyond num_vars.
+    ``SearchTimeout`` past the deadline: no search starts then."""
     _check_clock()
     clauses = list(clauses)
+    if max(map(abs, chain.from_iterable(clauses)), default=0) > num_vars:
+        raise ValueError(f"a literal exceeds num_vars={num_vars}")
+    if not all(chain.from_iterable(clauses)):
+        raise ValueError("0 is not a literal")
+    if kept is not None and len(clauses) >= MERGE_CLAUSES:
+        clauses = _merged(clauses, num_vars, kept)
+        if clauses is None:
+            return None
     engine = _Trail(clauses, num_vars)
     if all(clauses) and engine.assign([c[0] for c in clauses if len(c) == 1]):
         return engine
@@ -209,15 +294,11 @@ class _Trail:
 
     def __init__(self, clauses: list, num_vars: int):
         self.clauses = clauses
-        if max(map(abs, chain.from_iterable(clauses)), default=0) > num_vars:
-            raise ValueError(f"a literal exceeds num_vars={num_vars}")
         self.num_vars = num_vars
         self.occ = occ = [[] for _ in range(2 * num_vars + 1)]
         for c, clause in enumerate(_clocked(clauses)):
             for lit in clause:
                 occ[lit].append(c)
-        if occ[0]:
-            raise ValueError("0 is not a literal")
         self.value = [0] * (2 * num_vars + 1)
         self.ntrue = [0] * len(clauses)
         self.nfree = list(map(len, clauses))
@@ -320,18 +401,18 @@ class _Trail:
         being taken, trail mark, sum of the branches done, and its parent's
         components, the index of the next of them and their product so
         far]."""
-        trail = self.trail
+        trail, nfree = self.trail, self.nfree
         deadline, steps = _deadline, 0
         cache, cache_bytes = {}, 0
         every = range(1, self.num_vars + 1)
-        comps = self.split(every, kept, False)
+        comps = self.split(every, kept)
         ranked = [
             self.rank_by_layers(items)
             for _, nkept, _, items in comps
             if nkept and len(items) > WIDTH_RATIO
         ]
         if any(ranked):
-            comps = self.split(every, kept, False)
+            comps = self.split(every, kept)
         free = sum(kept[v] for v in every if not self.value[v])
         product = 1 << (free - sum(comp[1] for comp in comps))
         index = 0
@@ -343,11 +424,16 @@ class _Trail:
             if product and index < len(comps):
                 key, nkept, var, items = comps[index]
                 index += 1
-                sub = cache.get(key)  # a key of None is never stored
+                if len(key[0]) == 4:  # one clause: 2^kept, less the one
+                    # falsifying assignment if every variable is kept, unless
+                    # a repeated literal or a tautology leaves it to search
+                    nvars = len(key[1]) >> 2
+                    if nkept < nvars or nfree[array("i", key[0])[0]] == nvars:
+                        product = (product << nkept) - product * (nkept == nvars)
+                        continue
+                sub = cache.get(key)
                 if sub is None and not nkept:
-                    sub = int(self.satisfiable(items))
-                    if key is not None:
-                        cache[key] = sub
+                    sub = cache[key] = int(self.satisfiable(items))
                 if sub is not None:
                     product *= sub
                     continue
@@ -364,12 +450,11 @@ class _Trail:
                 else:
                     stack.pop()
                     key, total = node[0], node[5]
-                    if key is not None:
-                        if cache_bytes > CACHE_BYTES:
-                            cache.clear()
-                            cache_bytes = 0
-                        cache[key] = total
-                        cache_bytes += CACHE_ENTRY_BYTES + len(key[0]) + len(key[1])
+                    if cache_bytes > CACHE_BYTES:
+                        cache.clear()
+                        cache_bytes = 0
+                    cache[key] = total
+                    cache_bytes += CACHE_ENTRY_BYTES + len(key[0]) + len(key[1])
                     comps, index, product = node[6], node[7], node[8] * total
                     continue
             # take the branch node[3] of the component on top of the stack;
@@ -381,17 +466,21 @@ class _Trail:
                 comps, product = (), 1
             else:
                 left = node[1] - sum(map(kept.__getitem__, trail[mark:]))
-                comps = self.split(node[2], kept, True)
-                product = 1 << (left - sum(comp[1] for comp in comps))
+                if left:
+                    comps = self.split(node[2], kept)
+                    product = 1 << (left - sum(comp[1] for comp in comps))
+                else:  # no kept variable left: one satisfiability check
+                    ids = memoryview(node[0][0]).cast("i")
+                    comps, product = (), int(self.satisfiable(ids))
 
-    def split(self, seeds, kept, keyed: bool) -> list:
+    def split(self, seeds, kept) -> list:
         """The components of the clauses not yet satisfied that hold a free
         variable among ``seeds`` (ascending), in order of their smallest
         variable. Free variables in no such clause are left out.
 
         Each component is (key, kept variable count, decision variable,
         items). The key is the bytes of its sorted clause ids and of its
-        sorted variables, or None without ``keyed``. The decision variable
+        sorted variables. The decision variable
         is the kept variable of lowest ``rank``, then of highest score, then
         the smallest: each of its clauses adds ``weight[n]``, exactly
         2^(WEIGHT_CAP - n) for a clause with n literals not yet false (n
@@ -438,11 +527,8 @@ class _Trail:
                 continue
             cs.sort()
             vs.sort()
-            if keyed:
-                key = (array("i", cs).tobytes(), array("i", vs).tobytes())
-                items = memoryview(key[1] if nkept else key[0]).cast("i")
-            else:
-                key, items = None, array("i", vs if nkept else cs)
+            key = (array("i", cs).tobytes(), array("i", vs).tobytes())
+            items = memoryview(key[1] if nkept else key[0]).cast("i")
             comps.append((key, nkept, var, items))
         return comps
 

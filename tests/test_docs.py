@@ -95,7 +95,7 @@ def test_program_format_examples_parse():
 
 def test_engine_constants_are_stated_with_their_values():
     text = open(README).read()
-    for name in ("WEIGHT_CAP", "WIDTH_RATIO"):
+    for name in ("WEIGHT_CAP", "WIDTH_RATIO", "MERGE_CLAUSES"):
         stated = f"`sat.{name} = {getattr(sat, name)}`"
         assert stated in text, f"README does not state {stated}"
 

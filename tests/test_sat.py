@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from aspsubcount import (
     CnfFormula,
+    clark_completion,
     count_models,
+    parse_program,
     projected_count,
     solve_clauses,
 )
@@ -20,6 +22,7 @@ from helpers import (
     random_cnf,
     reference_assign,
     reference_propagate,
+    ring_text,
     tt_count,
     tt_projected_count,
 )
@@ -291,6 +294,132 @@ class TestRawClauseLists:
         assert projected_count(f, out) == tt_projected_count(f, out)
 
 
+def equal_literals_cnf(rng: random.Random) -> CnfFormula:
+    """A random CNF over at most 12 variables seeded with what the merge of
+    equal variables and the closed form of one-clause components act on:
+    complementary binary pairs in both clause orders, chains of equal
+    literals, now and then closed into a class that holds x and -x, a
+    clause over variables of its own, and repeated literals."""
+    n = rng.randint(2, 12)
+    order = rng.sample(range(1, n + 1), n)
+    k = rng.randint(0, min(3, n - 1))
+    own, rest = order[:k], order[k:]
+
+    def lit(v):
+        return v if rng.random() < 0.5 else -v
+
+    def clause(vs):
+        c = list(map(lit, vs))
+        return tuple(c + [rng.choice(c)] if rng.random() < 0.2 else c)
+
+    def equal(a, b):  # a == b, the pair's two clauses in either order
+        second = (a, -b) if rng.random() < 0.5 else (-b, a)
+        return [(-a, b), second] if rng.random() < 0.5 else [second, (-a, b)]
+
+    clauses = [
+        clause(rng.sample(rest, rng.randint(1, min(len(rest), 3))))
+        for _ in range(rng.randint(0, 8))
+    ]
+    runs = rng.sample(rest, len(rest))
+    while len(runs) > 1 and rng.random() < 0.8:
+        size = rng.randint(2, 4)
+        chain, runs = list(map(lit, runs[:size])), runs[size:]
+        for a, b in zip(chain, chain[1:]):
+            clauses += equal(a, b)
+        if len(chain) > 1 and rng.random() < 0.1:
+            clauses += equal(chain[-1], -chain[0])
+    if own:
+        clauses.append(clause(own))
+    rng.shuffle(clauses)
+    return CnfFormula(n, clauses)
+
+
+class TestMergedVariables:
+    """Counts merge the variables that complementary binary clauses make
+    equal, then count one-clause components in closed form; both keep
+    plain and projected counts exact. Here every formula is merged, however
+    few its clauses."""
+
+    @pytest.fixture(autouse=True)
+    def merge_every_formula(self, monkeypatch):
+        monkeypatch.setattr(sat, "MERGE_CLAUSES", 0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_counts_agree_with_truth_tables(self, seed):
+        rng = random.Random(seed)
+        f = equal_literals_cnf(rng)
+        out = {v for v in range(1, f.num_vars + 1) if rng.random() < 0.4}
+        assert count_models(f) == tt_count(f)
+        assert projected_count(f, out) == tt_projected_count(f, out)
+
+    def test_a_kept_variable_represents_its_class(self):
+        # 1 == 2 == 3 == -4; only 3 is kept, so it stays and the others go
+        clauses = [(1, -2), (-1, 2), (-3, 2), (3, -2), (3, 4), (-3, -4), (1, 5)]
+        kept = bytearray([1]) * 11
+        for v in (1, 2, 4, 5):
+            kept[v] = kept[-v] = 0
+        assert sat._merged(clauses, 5, kept) == [(3, 5)]
+        assert [kept[v] for v in range(1, 6)] == [0, 0, 1, 0, 0]
+        f = CnfFormula(5, clauses)
+        assert projected_count(f, {1, 2, 4, 5}) == 2 == tt_projected_count(f, {1, 2, 4, 5})
+
+    def test_merged_variables_are_not_free(self):
+        # 1 == -2 leaves no clause over 2, and 2 still takes one value per
+        # value of 1; 3 is in no clause and free
+        f = CnfFormula(3, [(1, 2), (-1, -2)])
+        assert count_models(f) == 4 == tt_count(f)
+        assert projected_count(f, {1}) == 4 == projected_count(f, {2})
+        assert projected_count(f, {1, 3}) == 2 == projected_count(f, {2, 3})
+        assert sat._merged([(1, 2), (-2, -1), (2, 1)], 2, bytearray(5)) == []
+
+    def test_a_class_with_x_and_not_x_has_no_model(self):
+        clauses = [(1, 2), (-1, -2), (2, -3), (-2, 3), (1, -3), (-1, 3)]
+        assert sat._merged(clauses, 3, bytearray([1]) * 7) is None
+        assert count_models(CnfFormula(3, clauses)) == 0
+        assert count_models(CnfFormula(1, [(1, 1), (-1, -1)])) == 0
+
+    def test_formulas_without_pairs_are_left_as_they_are(self):
+        clauses = [(1, 2), (-1, 2), (1, -2, 3)]
+        assert sat._merged(clauses, 3, bytearray([1]) * 7) is clauses
+
+    def test_one_clause_components_count_in_closed_form(self, monkeypatch):
+        splits = [0]
+        split = sat._Trail.split
+
+        def counted(engine, *args):
+            splits[0] += 1
+            return split(engine, *args)
+
+        monkeypatch.setattr(sat._Trail, "split", counted)
+        # two one-clause components: 7 * 7, or 7 * 2^2 with 6 projected
+        # out; each count splits only at its start
+        f = CnfFormula(6, [(1, 2, -3), (-4, 5, -6)])
+        assert count_models(f) == 7 * 7
+        assert projected_count(f, {6}) == 7 * 4 == tt_projected_count(f, {6})
+        assert splits[0] == 2
+        # a clause with a repeated literal or a tautology, as encoders may
+        # hand the engine, is searched
+        assert count_models(CnfFormula(2, [(1, 1, 2)])) == 3
+        assert count_models(CnfFormula._trusted(2, [(1, -1, 2)])) == 4
+
+    def test_a_branch_that_leaves_no_kept_variable_is_one_check(self, monkeypatch):
+        # with only 1 kept, either branch on it leaves a satisfiable rest
+        # over projected-out variables: one check each, no split
+        f = CnfFormula(5, [(1, 2, 3), (-1, 2, -3), (2, 4, 5), (-2, -4, 5), (-5, 3, 4)])
+        splits = []
+        split = sat._Trail.split
+
+        def recording(engine, seeds, kept):
+            splits.append(list(seeds))
+            return split(engine, seeds, kept)
+
+        monkeypatch.setattr(sat._Trail, "split", recording)
+        out = {2, 3, 4, 5}
+        assert projected_count(f, out) == 2 == tt_projected_count(f, out)
+        assert splits == [list(range(1, 6))]
+
+
 class TestModels:
     """``models`` walks the search once and yields every model, each once."""
 
@@ -358,13 +487,27 @@ class TestTimeLimit:
         with pytest.raises(sat.SearchTimeout), sat.time_limit(0):
             count_models(CnfFormula(1, [(1,)]))
 
+    def test_the_merge_stops_at_the_limit(self):
+        # the completion of a 10000-rule ring is one class of equal
+        # variables; the merge walks its clauses as the searches do
+        program = parse_program(ring_text(10000))
+        f = clark_completion(program).cnf
+        kept = bytearray([1]) * (2 * f.num_vars + 1)
+        with sat.time_limit(0):
+            with pytest.raises(sat.SearchTimeout):
+                sat._merged(f.clauses, f.num_vars, kept)
+            with pytest.raises(sat.SearchTimeout):
+                count_models(f)
+        assert sat._merged(f.clauses, f.num_vars, kept) == []
+        assert count_models(f) == 2
+
     def test_ranking_stops_at_the_limit(self):
         # ranking a chain of 20000 variables takes tens of milliseconds; its
         # breadth-first searches check the clock as the other searches do
         f = implication_chain(20000)
         engine = sat._started(f.clauses, f.num_vars)
         kept = bytearray([1]) * (2 * f.num_vars + 1)
-        [(_, _, _, items)] = engine.split(range(1, f.num_vars + 1), kept, False)
+        [(_, _, _, items)] = engine.split(range(1, f.num_vars + 1), kept)
         with pytest.raises(sat.SearchTimeout), sat.time_limit(0):
             engine.rank_by_layers(items)
         assert engine.rank == [0] * (f.num_vars + 1)
@@ -520,7 +663,7 @@ class TestComponents:
             if ranked:
                 ranks = [rng.randrange(3) for _ in ranks]
                 engine.rank[:] = ranks
-            comps = engine.split(range(1, engine.num_vars + 1), kept, True)
+            comps = engine.split(range(1, engine.num_vars + 1), kept)
             assert engine.rank == ranks
             groups = []
             for key, nkept, var, items in comps:
@@ -556,7 +699,7 @@ class TestComponents:
         clauses = [(1, 3, 4, 5), (1, 6, 7, 8), (1, -3, -6, 9), (2, 4), (-2, 7)]
         engine = sat._Trail(clauses, 9)
         kept = bytearray([1]) * 19
-        [(_, nkept, var, _)] = engine.split(range(1, 10), kept, False)
+        [(_, nkept, var, _)] = engine.split(range(1, 10), kept)
         assert (nkept, var) == (9, 2)
 
     def test_clauses_longer_than_the_weight_cap(self):
@@ -605,7 +748,7 @@ class TestRanks:
         whether ``rank_by_layers`` ranked them."""
         engine = sat._started(clauses, n)
         kept = bytearray([1]) * (2 * n + 1)
-        [(_, _, _, items)] = engine.split(range(1, n + 1), kept, False)
+        [(_, _, _, items)] = engine.split(range(1, n + 1), kept)
         return engine, items, engine.rank_by_layers(items)
 
     def test_rank_overrides_jeroslow_wang_on_a_chain(self):
@@ -613,11 +756,11 @@ class TestRanks:
         f = implication_chain(n)
         engine = sat._started(f.clauses, f.num_vars)
         kept = bytearray([1]) * (2 * n + 1)
-        [(_, _, var, items)] = engine.split(range(1, n + 1), kept, False)
+        [(_, _, var, items)] = engine.split(range(1, n + 1), kept)
         # every inner variable is in two binary clauses, the ends in one
         assert var == 2
         assert engine.rank_by_layers(items)
-        [(_, _, var, _)] = engine.split(range(1, n + 1), kept, False)
+        [(_, _, var, _)] = engine.split(range(1, n + 1), kept)
         # each layer is one variable, the middle one gets rank 0 and each
         # half's middle rank 1
         middle = (n + 1) // 2
@@ -674,7 +817,7 @@ class TestRanks:
             engine, _, ranked = self.ranked(clauses, n)
             assert not ranked
             kept = bytearray([1]) * (2 * n + 1)
-            [(_, _, var, _)] = engine.split(range(1, n + 1), kept, False)
+            [(_, _, var, _)] = engine.split(range(1, n + 1), kept)
             assert engine.rank == [0] * (n + 1) and var == 1
 
     def test_count_ranks_large_components_with_kept_variables(self, monkeypatch):
@@ -778,9 +921,9 @@ class TestComponentCache:
         searched = []
         split = sat._Trail.split
 
-        def recording_split(engine, seeds, kept, keyed):
+        def recording_split(engine, seeds, kept):
             searched.append(tuple(seeds))
-            return split(engine, seeds, kept, keyed)
+            return split(engine, seeds, kept)
 
         monkeypatch.setattr(sat._Trail, "split", recording_split)
         # the kept variable 1 is in the most clauses, all binary, so it has

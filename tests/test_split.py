@@ -6,6 +6,7 @@ import importlib.util
 import os
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -451,12 +452,12 @@ class TestDecisions:
 
     @pytest.mark.parametrize("n", [17, 150, 1000])
     def test_chains_are_cut_in_halves(self, n, splits):
-        # about one split per answer set: each decision on x_i sets every
-        # later x or every earlier one, and ranking adds a second split of
-        # the whole formula
+        # under one split per answer set: each decision on x_i sets every
+        # later x or every earlier one, ranking adds a second split of the
+        # whole formula, and a one-clause component needs none
         report = subtractive_count(parse_program(BENCH_PROGRAMS.chain(n)))
         assert report.answer_sets == n + 2
-        assert splits[0] <= n + 2
+        assert splits[0] <= {17: 16, 150: 128, 1000: 980}[n]
 
     @pytest.mark.parametrize("n", [150, 1000, 2000])
     def test_chains_are_searched_to_logarithmic_depth(self, n, monkeypatch):
@@ -485,8 +486,23 @@ class TestDecisions:
         assert report.answer_sets == n + 2
         assert depth[0] <= 2 * n.bit_length(), depth[0]
 
+    def test_fan_in_is_linear(self, splits):
+        # goal :- x_i. x_i | y_i.: each y_i is not x_i, and once goal is
+        # decided one clause over every x_i is left, counted in closed form
+        calls = {}
+        for n in (1000, 2000, 4000):
+            text = "".join(f"goal :- x{i}.\nx{i} | y{i}.\n" for i in range(n))
+            program = parse_program(text)
+            splits[0] = 0
+            start = time.monotonic()
+            assert subtractive_count(program).answer_sets == 2**n
+            if n == 2000:
+                assert time.monotonic() - start < 1
+            calls[n] = splits[0]
+        assert calls[4000] <= 4 * calls[1000], calls
+
     def test_reach_pool(self, splits):
         for g in BENCH_PROGRAMS.REACH_POOL:
             report = subtractive_count(parse_program(BENCH_PROGRAMS.reach(10, 20, g, 23)))
             assert report.answer_sets == 2**20
-        assert splits[0] <= 2589
+        assert splits[0] <= 1968
