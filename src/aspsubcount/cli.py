@@ -163,67 +163,51 @@ def _usage_error(message: str) -> int:
     return 1
 
 
-def _emit_json(obj):
-    json.dump(obj, sys.stdout)
-    sys.stdout.write("\n")
+def _report(args, payload: dict, lines: list[str]) -> int:
+    """Every subcommand's output: ``payload`` as one JSON object, after
+    ``"schema": 1``, under --json, and ``lines`` otherwise. Returns the
+    exit status, 0."""
+    print(json.dumps({"schema": 1, **payload}) if args.json else "\n".join(lines))
+    return 0
 
 
 def _cmd_analyze(args) -> int:
     program = _read_program(args.path)
-    loops = loop_atoms(build_dependency_graph(program))
-    loop_names = sorted(program.name_of(x) for x in loops)
+    loops = sorted(map(program.name_of, loop_atoms(build_dependency_graph(program))))
     warnings = lint(program)
-    if args.json:
-        _emit_json(
-            {
-                "schema": 1,
-                "atoms": program.num_atoms,
-                "rules": len(program.rules),
-                "loop_atoms": loop_names,
-                "tight": not loops,
-                "disjunctive": program.is_disjunctive,
-                "warnings": warnings,
-            }
-        )
-        return 0
-    print(f"atoms: {program.num_atoms}")
-    print(f"rules: {len(program.rules)}")
-    if loop_names:
-        print(f"loop atoms: {len(loop_names)} ({', '.join(loop_names)})")
-    else:
-        print("loop atoms: 0")
-    print(f"tight: {'yes' if not loops else 'no'}")
-    print(f"disjunctive: {'yes' if program.is_disjunctive else 'no'}")
-    for warning in warnings:
-        sys.stderr.write(f"warning: {warning}\n")
+    payload = {
+        "atoms": program.num_atoms,
+        "rules": len(program.rules),
+        "loop_atoms": loops,
+        "tight": not loops,
+        "disjunctive": program.is_disjunctive,
+        "warnings": warnings,
+    }
+    listed = f" ({', '.join(loops)})" if loops else ""
+    _report(args, payload, [
+        f"atoms: {program.num_atoms}",
+        f"rules: {len(program.rules)}",
+        f"loop atoms: {len(loops)}{listed}",
+        f"tight: {'no' if loops else 'yes'}",
+        f"disjunctive: {'yes' if program.is_disjunctive else 'no'}",
+    ])
+    if not args.json:
+        sys.stderr.writelines(f"warning: {warning}\n" for warning in warnings)
     return 0
 
 
 def _cmd_encode(args) -> int:
     program = _read_program(args.path)
     completion = clark_completion(program)
-    loops = loop_atoms(build_dependency_graph(program))
-    surplus = surplus_formula(program, completion, loops)
-    phi1_path, phi2_path, map_path = write_formulas(
-        args.emit_cnf, program, completion, surplus
-    )
-    if args.json:
-        _emit_json(
-            {
-                "schema": 1,
-                "phi1": phi1_path,
-                "phi2": phi2_path,
-                "map": map_path,
-                "atoms": program.num_atoms,
-                "phi1_vars": completion.cnf.num_vars,
-                "phi2_vars": surplus.cnf.num_vars,
-            }
-        )
-        return 0
-    print(f"wrote {phi1_path}")
-    print(f"wrote {phi2_path}")
-    print(f"wrote {map_path}")
-    return 0
+    surplus = surplus_formula(program, completion)
+    paths = write_formulas(args.emit_cnf, program, completion, surplus)
+    payload = {
+        **dict(zip(["phi1", "phi2", "map"], paths)),
+        "atoms": program.num_atoms,
+        "phi1_vars": completion.cnf.num_vars,
+        "phi2_vars": surplus.cnf.num_vars,
+    }
+    return _report(args, payload, [f"wrote {path}" for path in paths])
 
 
 def _cmd_count(args) -> int:
@@ -242,27 +226,24 @@ def _cmd_count(args) -> int:
             write_formulas(args.emit_cnf, program, completion, surplus)
         if args.mode == "enumerate":
             report = enumerate_count(program, args.threshold)
-            if not report.exhausted:
-                sys.stderr.write(
-                    f"note: stopped at limit {args.threshold}; count is a lower bound\n"
-                )
         elif args.mode == "hybrid":
             report = hybrid_count(program, args.threshold or HYBRID_THRESHOLD, counter)
         else:
             report = subtractive_count(program, counter)
-    if args.json:
-        _emit_json(report.to_json_dict())
-    elif args.mode == "enumerate":
-        print(f"mode: enumeration ({'exhausted' if report.exhausted else 'capped'})")
-        print(f"answer sets: {report.answer_sets}")
+    if report.exhausted is False:
+        sys.stderr.write(f"note: stopped at limit {args.threshold}; count is a lower bound\n")
+    if args.mode == "enumerate":
+        lines = [f"mode: enumeration ({'exhausted' if report.exhausted else 'capped'})"]
     else:
-        print(f"mode: {report.mode}")
-        print(f"backend: {report.backend}")
-        print(f"loop atoms: {report.loop_atom_count}")
-        print(f"overcount: {report.overcount}")
-        print(f"surplus: {report.surplus}")
-        print(f"answer sets: {report.answer_sets}")
-    return 0
+        lines = [
+            f"mode: {report.mode}",
+            f"backend: {report.backend}",
+            f"loop atoms: {report.loop_atom_count}",
+            f"overcount: {report.overcount}",
+            f"surplus: {report.surplus}",
+        ]
+    lines.append(f"answer sets: {report.answer_sets}")
+    return _report(args, report.to_json_dict(), lines)
 
 
 def _cmd_oracle(args) -> int:
@@ -272,20 +253,10 @@ def _cmd_oracle(args) -> int:
             f"oracle is capped at {BRUTE_FORCE_ATOM_LIMIT} atoms "
             f"(program has {program.num_atoms})"
         )
-    sets = answer_sets_bruteforce(program)
-    if args.json:
-        _emit_json(
-            {
-                "schema": 1,
-                "answer_sets": len(sets),
-                "sets": [program.atom_names(s) for s in sets],
-            }
-        )
-        return 0
-    for interp in sets:
-        print("{" + ", ".join(program.atom_names(interp)) + "}")
-    print(f"answer sets: {len(sets)}")
-    return 0
+    sets = [program.atom_names(interp) for interp in answer_sets_bruteforce(program)]
+    lines = ["{" + ", ".join(names) + "}" for names in sets]
+    lines.append(f"answer sets: {len(sets)}")
+    return _report(args, {"answer_sets": len(sets), "sets": sets}, lines)
 
 
 def _cmd_check(args) -> int:
@@ -307,51 +278,34 @@ def _cmd_check(args) -> int:
         copy_sat = copy_check(program, interp, loops, completion)
     answer = models_program and just_all is None
 
-    def witness_text(witness):
-        return "{" + ", ".join(program.atom_names(witness)) + "}"
-
-    def verdict(checked, witness):
+    def justification(checked, witness, why):
+        """A justification check's JSON verdict and its text."""
         if not checked:
-            return None
-        names = None if witness is None else program.atom_names(witness)
-        return {"sat": witness is not None, "witness": names}
+            return None, f"skipped (not {why})"
+        if witness is None:
+            return {"sat": False, "witness": None}, "UNSAT"
+        names = program.atom_names(witness)
+        return {"sat": True, "witness": names}, "SAT (witness: {" + ", ".join(names) + "})"
 
-    if args.json:
-        _emit_json(
-            {
-                "schema": 1,
-                "model_of_program": models_program,
-                "model_of_completion": models_completion,
-                "justification_all": verdict(models_program, just_all),
-                "justification_loops": verdict(models_completion, just_loops),
-                "copy_check": None if not models_completion else copy_sat,
-                "answer_set": answer,
-            }
-        )
-        return 0
-    print(f"model of program: {'yes' if models_program else 'no'}")
-    print(f"model of completion: {'yes' if models_completion else 'no'}")
-    if models_program:
-        if just_all is not None:
-            print(f"justification (all atoms): SAT (witness: {witness_text(just_all)})")
-        else:
-            print("justification (all atoms): UNSAT")
-    else:
-        print("justification (all atoms): skipped (not a model)")
-    if models_completion:
-        if just_loops is not None:
-            print(
-                "justification (loop atoms): SAT "
-                f"(witness: {witness_text(just_loops)})"
-            )
-        else:
-            print("justification (loop atoms): UNSAT")
-        print(f"copy check: {'SAT' if copy_sat else 'UNSAT'}")
-    else:
-        print("justification (loop atoms): skipped (not a completion model)")
-        print("copy check: skipped (not a completion model)")
-    print(f"answer set: {'yes' if answer else 'no'}")
-    return 0
+    all_json, all_text = justification(models_program, just_all, "a model")
+    loops_json, loops_text = justification(models_completion, just_loops, "a completion model")
+    copy_text = {True: "SAT", False: "UNSAT", None: "skipped (not a completion model)"}
+    payload = {
+        "model_of_program": models_program,
+        "model_of_completion": models_completion,
+        "justification_all": all_json,
+        "justification_loops": loops_json,
+        "copy_check": copy_sat,
+        "answer_set": answer,
+    }
+    return _report(args, payload, [
+        f"model of program: {'yes' if models_program else 'no'}",
+        f"model of completion: {'yes' if models_completion else 'no'}",
+        f"justification (all atoms): {all_text}",
+        f"justification (loop atoms): {loops_text}",
+        f"copy check: {copy_text[copy_sat]}",
+        f"answer set: {'yes' if answer else 'no'}",
+    ])
 
 
 _COMMANDS = {

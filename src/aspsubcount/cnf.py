@@ -57,8 +57,11 @@ def dimacs(
 
     ``atom_names`` (var -> name) become ``c atom <name> <var>`` comment
     lines; ``show`` lists the variables a projected counter must keep and is
-    emitted as ``c p show v1 ... 0`` right after the header.
+    emitted as ``c p show v1 ... 0`` right after the header. Inside
+    ``sat.time_limit`` the clauses are written on the clock (SearchTimeout).
     """
+    from .sat import _clocked  # sat imports this module
+
     lines = []
     if atom_names:
         for var in sorted(atom_names):
@@ -66,7 +69,7 @@ def dimacs(
     lines.append(f"p cnf {cnf.num_vars} {cnf.num_clauses}")
     if show is not None:
         lines.append("c p show " + " ".join(str(v) for v in sorted(show)) + " 0")
-    for clause in cnf.clauses:
+    for clause in _clocked(cnf.clauses):
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
     return "\n".join(lines) + "\n"
 

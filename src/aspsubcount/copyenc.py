@@ -86,9 +86,9 @@ class SurplusArtifact:
         name, primes = program.name_of, self.cv_prime
         copies = set(primes.values())
         return {
-            "atoms": {a: v for v, a in enumerate(program.atoms, 1)},
+            "atoms": {a: v for v, a in enumerate(_clocked(program.atoms), 1)},
             "cv_prime": {name(a): v for a, v in primes.items()},
-            "aux": [v for v in self.projection_out if v not in copies],
+            "aux": [v for v in _clocked(self.projection_out) if v not in copies],
         }
 
 

@@ -31,7 +31,7 @@ from .completion import clark_completion, CompletionArtifact
 from .copyenc import copy_checker, surplus_formula, SurplusArtifact
 from .depgraph import build_dependency_graph, loop_atoms, split
 from .program import GroundProgram
-from .sat import _time_left, count_models, models, projected_count
+from .sat import _check_clock, _time_left, count_models, models, projected_count
 
 HYBRID_THRESHOLD = 10_000  # hybrid_count's default switch point
 
@@ -155,23 +155,25 @@ def write_formulas(
     program: GroundProgram,
     completion: CompletionArtifact,
     surplus_art: SurplusArtifact | None = None,
-    variable_map: bool = True,
 ) -> list[str]:
     """Write ``phi1.cnf`` (the completion) and, given the surplus formula,
-    ``phi2.cnf`` (with a show line over the atoms) and, if ``variable_map``,
-    ``phi2.map.json`` into ``directory``. Returns the paths written, in
-    that order."""
+    ``phi2.cnf`` (with a show line over the atoms) and ``phi2.map.json``
+    into ``directory``. Returns the paths written, in that order. Inside
+    ``sat.time_limit`` the texts are built on the clock, and a deadline
+    that passes while they are built leaves no file (``SearchTimeout``)."""
     os.makedirs(directory, exist_ok=True)
-    texts = [(os.path.join(directory, "phi1.cnf"), completion.to_dimacs(program))]
+    texts = {"phi1.cnf": completion.to_dimacs(program)}
     if surplus_art is not None:
-        texts.append((os.path.join(directory, "phi2.cnf"), surplus_art.to_dimacs(program)))
-    if surplus_art is not None and variable_map:
-        mapping = json.dumps(surplus_art.variable_map(program), indent=2, sort_keys=True)
-        texts.append((os.path.join(directory, "phi2.map.json"), mapping + "\n"))
-    for path, text in texts:
-        with open(path, "w") as handle:
+        texts["phi2.cnf"] = surplus_art.to_dimacs(program)
+        # json's indenting encoder runs in Python: its text is joined on the clock
+        encoder = json.JSONEncoder(indent=2, sort_keys=True)
+        chunks = encoder.iterencode(surplus_art.variable_map(program))
+        batches = iter(lambda: "".join(itertools.islice(chunks, 65536)), "")
+        texts["phi2.map.json"] = "".join(_check_clock() or batch for batch in batches) + "\n"
+    for name, text in texts.items():
+        with open(os.path.join(directory, name), "w") as handle:
             handle.write(text)
-    return [path for path, _ in texts]
+    return [os.path.join(directory, name) for name in texts]
 
 
 def _count_part(
@@ -190,7 +192,11 @@ def _count_part(
     it ends."""
     if counter:
         with tempfile.TemporaryDirectory(prefix="aspsubcount-") as tmp:
-            paths = write_formulas(tmp, program, completion, surplus_art, variable_map=False)
+            paths = []
+            for i, formula in enumerate(filter(None, [completion, surplus_art]), 1):
+                paths.append(os.path.join(tmp, f"phi{i}.cnf"))
+                with open(paths[-1], "w") as handle:
+                    handle.write(formula.to_dimacs(program))
             counts = [external_projected_count(path, counter) for path in paths]
         over, surplus = counts[0], sum(counts[1:])  # no phi2.cnf: surplus 0
     else:
@@ -281,14 +287,15 @@ def _count_by_parts(
     count_time = time.perf_counter() - t0 - encode_time
 
     backend = f"exec:{counter}" if counted and counter else "builtin"
-    times = (encode_time, count_time, len(program_loops))
-    if mode == "subtractive" or (mode == "hybrid" and answer_sets >= limit):
-        return CountReport(
-            overcount, overcount - answer_sets, answer_sets, mode, backend, *times
-        )
-    exhausted = limit is None or answer_sets < limit
-    found = answer_sets if exhausted else limit
-    return CountReport(found, 0, found, "enumeration", backend, *times, exhausted)
+    exhausted = None
+    if mode == "enumeration" or (mode == "hybrid" and answer_sets < limit):
+        exhausted = limit is None or answer_sets < limit
+        mode, overcount = "enumeration", answer_sets if exhausted else limit
+        answer_sets = overcount
+    return CountReport(
+        overcount, overcount - answer_sets, answer_sets, mode, backend,
+        encode_time, count_time, len(program_loops), exhausted,
+    )
 
 
 def subtractive_count(program: GroundProgram, counter: str | None = None) -> CountReport:

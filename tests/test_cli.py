@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 import time
@@ -733,3 +734,297 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0
         assert "answer sets: 1" in proc.stdout
+
+
+# Each subcommand's exit code, stdout and stderr on the worked example and
+# on two pairs, byte for byte: (program, arguments after the program's path,
+# exit code, stdout, stderr). The run's directory reads TMP, DIR is the
+# output directory TMP/out, and count's times read T.
+GOLDEN = [
+    ("worked", "analyze", 0,
+     "atoms: 5\n"
+     "rules: 7\n"
+     "loop atoms: 2 (q1, w)\n"
+     "tight: no\n"
+     "disjunctive: yes\n",
+     ""),
+    ("worked", "analyze --json", 0,
+     '{"schema": 1, "atoms": 5, "rules": 7, "loop_atoms": ["q1", "w"], '
+     '"tight": false, "disjunctive": true, "warnings": []}\n',
+     ""),
+    ("worked", "encode --emit-cnf DIR", 0,
+     "wrote TMP/out/phi1.cnf\n"
+     "wrote TMP/out/phi2.cnf\n"
+     "wrote TMP/out/phi2.map.json\n",
+     ""),
+    ("worked", "encode --emit-cnf DIR --json", 0,
+     '{"schema": 1, "phi1": "TMP/out/phi1.cnf", '
+     '"phi2": "TMP/out/phi2.cnf", "map": "TMP/out/phi2.map.json", '
+     '"atoms": 5, "phi1_vars": 6, "phi2_vars": 10}\n',
+     ""),
+    ("worked", "count", 0,
+     "mode: subtractive\n"
+     "backend: builtin\n"
+     "loop atoms: 2\n"
+     "overcount: 2\n"
+     "surplus: 1\n"
+     "answer sets: 1\n",
+     ""),
+    ("worked", "count --json", 0,
+     '{"schema": 1, "overcount": 2, "surplus": 1, "answer_sets": 1, '
+     '"mode": "subtractive", "backend": "builtin", "encode_time": T, '
+     '"count_time": T, "loop_atom_count": 2}\n',
+     ""),
+    ("worked", "count --mode enumerate --threshold 1", 0,
+     "mode: enumeration (capped)\n"
+     "answer sets: 1\n",
+     "note: stopped at limit 1; count is a lower bound\n"),
+    ("worked", "count --mode enumerate --threshold 1 --json", 0,
+     '{"schema": 1, "overcount": 1, "surplus": 0, "answer_sets": 1, '
+     '"mode": "enumeration", "backend": "builtin", "encode_time": T, '
+     '"count_time": T, "loop_atom_count": 2, "exhausted": false}\n',
+     "note: stopped at limit 1; count is a lower bound\n"),
+    ("worked", "count --mode enumerate", 0,
+     "mode: enumeration (exhausted)\n"
+     "answer sets: 1\n",
+     ""),
+    ("worked", "count --mode enumerate --json", 0,
+     '{"schema": 1, "overcount": 1, "surplus": 0, "answer_sets": 1, '
+     '"mode": "enumeration", "backend": "builtin", "encode_time": T, '
+     '"count_time": T, "loop_atom_count": 2, "exhausted": true}\n',
+     ""),
+    ("worked", "count --mode hybrid --threshold 100", 0,
+     "mode: enumeration\n"
+     "backend: builtin\n"
+     "loop atoms: 2\n"
+     "overcount: 1\n"
+     "surplus: 0\n"
+     "answer sets: 1\n",
+     ""),
+    ("worked", "count --mode hybrid --threshold 100 --json", 0,
+     '{"schema": 1, "overcount": 1, "surplus": 0, "answer_sets": 1, '
+     '"mode": "enumeration", "backend": "builtin", "encode_time": T, '
+     '"count_time": T, "loop_atom_count": 2, "exhausted": true}\n',
+     ""),
+    ("worked", "count --mode hybrid --threshold 1", 0,
+     "mode: hybrid\n"
+     "backend: builtin\n"
+     "loop atoms: 2\n"
+     "overcount: 2\n"
+     "surplus: 1\n"
+     "answer sets: 1\n",
+     ""),
+    ("worked", "count --mode hybrid --threshold 1 --json", 0,
+     '{"schema": 1, "overcount": 2, "surplus": 1, "answer_sets": 1, '
+     '"mode": "hybrid", "backend": "builtin", "encode_time": T, '
+     '"count_time": T, "loop_atom_count": 2}\n',
+     ""),
+    ("worked", "oracle", 0,
+     "{p0, q0, q1, w}\n"
+     "answer sets: 1\n",
+     ""),
+    ("worked", "oracle --json", 0,
+     '{"schema": 1, "answer_sets": 1, "sets": [["p0", "q0", "q1", "w"]]}\n',
+     ""),
+    ("worked", "check --model p0,q0,q1,w", 0,
+     "model of program: yes\n"
+     "model of completion: yes\n"
+     "justification (all atoms): UNSAT\n"
+     "justification (loop atoms): UNSAT\n"
+     "copy check: UNSAT\n"
+     "answer set: yes\n",
+     ""),
+    ("worked", "check --model p0,q0,q1,w --json", 0,
+     '{"schema": 1, "model_of_program": true, '
+     '"model_of_completion": true, "justification_all": {"sat": false, '
+     '"witness": null}, "justification_loops": {"sat": false, '
+     '"witness": null}, "copy_check": false, "answer_set": true}\n',
+     ""),
+    ("worked", "check --model p1,q0,q1,w", 0,
+     "model of program: yes\n"
+     "model of completion: yes\n"
+     "justification (all atoms): SAT (witness: {p1, q0})\n"
+     "justification (loop atoms): SAT (witness: {p1, q0})\n"
+     "copy check: SAT\n"
+     "answer set: no\n",
+     ""),
+    ("worked", "check --model p1,q0,q1,w --json", 0,
+     '{"schema": 1, "model_of_program": true, '
+     '"model_of_completion": true, "justification_all": {"sat": true, '
+     '"witness": ["p1", "q0"]}, "justification_loops": {"sat": true, '
+     '"witness": ["p1", "q0"]}, "copy_check": true, "answer_set": false}\n',
+     ""),
+    ("worked", "check --model p1,q1,w", 0,
+     "model of program: no\n"
+     "model of completion: no\n"
+     "justification (all atoms): skipped (not a model)\n"
+     "justification (loop atoms): skipped (not a completion model)\n"
+     "copy check: skipped (not a completion model)\n"
+     "answer set: no\n",
+     ""),
+    ("worked", "check --model p1,q1,w --json", 0,
+     '{"schema": 1, "model_of_program": false, '
+     '"model_of_completion": false, "justification_all": null, '
+     '"justification_loops": null, "copy_check": null, "answer_set": false}\n',
+     ""),
+    ("worked", "check --model p0,p1,q0,q1,w", 0,
+     "model of program: yes\n"
+     "model of completion: no\n"
+     "justification (all atoms): SAT (witness: {p1, q0, q1, w})\n"
+     "justification (loop atoms): skipped (not a completion model)\n"
+     "copy check: skipped (not a completion model)\n"
+     "answer set: no\n",
+     ""),
+    ("worked", "check --model p0,p1,q0,q1,w --json", 0,
+     '{"schema": 1, "model_of_program": true, '
+     '"model_of_completion": false, "justification_all": {"sat": true, '
+     '"witness": ["p1", "q0", "q1", "w"]}, "justification_loops": null, '
+     '"copy_check": null, "answer_set": false}\n',
+     ""),
+    ("pairs", "analyze", 0,
+     "atoms: 4\n"
+     "rules: 2\n"
+     "loop atoms: 0\n"
+     "tight: yes\n"
+     "disjunctive: yes\n",
+     ""),
+    ("pairs", "analyze --json", 0,
+     '{"schema": 1, "atoms": 4, "rules": 2, "loop_atoms": [], '
+     '"tight": true, "disjunctive": true, "warnings": []}\n',
+     ""),
+    ("pairs", "encode --emit-cnf DIR", 0,
+     "wrote TMP/out/phi1.cnf\n"
+     "wrote TMP/out/phi2.cnf\n"
+     "wrote TMP/out/phi2.map.json\n",
+     ""),
+    ("pairs", "encode --emit-cnf DIR --json", 0,
+     '{"schema": 1, "phi1": "TMP/out/phi1.cnf", '
+     '"phi2": "TMP/out/phi2.cnf", "map": "TMP/out/phi2.map.json", '
+     '"atoms": 4, "phi1_vars": 4, "phi2_vars": 4}\n',
+     ""),
+    ("pairs", "count", 0,
+     "mode: subtractive\n"
+     "backend: builtin\n"
+     "loop atoms: 0\n"
+     "overcount: 4\n"
+     "surplus: 0\n"
+     "answer sets: 4\n",
+     ""),
+    ("pairs", "count --json", 0,
+     '{"schema": 1, "overcount": 4, "surplus": 0, "answer_sets": 4, '
+     '"mode": "subtractive", "backend": "builtin", "encode_time": T, '
+     '"count_time": T, "loop_atom_count": 0}\n',
+     ""),
+    ("pairs", "count --mode enumerate --threshold 1", 0,
+     "mode: enumeration (capped)\n"
+     "answer sets: 1\n",
+     "note: stopped at limit 1; count is a lower bound\n"),
+    ("pairs", "count --mode enumerate --threshold 1 --json", 0,
+     '{"schema": 1, "overcount": 1, "surplus": 0, "answer_sets": 1, '
+     '"mode": "enumeration", "backend": "builtin", "encode_time": T, '
+     '"count_time": T, "loop_atom_count": 0, "exhausted": false}\n',
+     "note: stopped at limit 1; count is a lower bound\n"),
+    ("pairs", "count --mode enumerate", 0,
+     "mode: enumeration (exhausted)\n"
+     "answer sets: 4\n",
+     ""),
+    ("pairs", "count --mode enumerate --json", 0,
+     '{"schema": 1, "overcount": 4, "surplus": 0, "answer_sets": 4, '
+     '"mode": "enumeration", "backend": "builtin", "encode_time": T, '
+     '"count_time": T, "loop_atom_count": 0, "exhausted": true}\n',
+     ""),
+    ("pairs", "count --mode hybrid --threshold 100", 0,
+     "mode: enumeration\n"
+     "backend: builtin\n"
+     "loop atoms: 0\n"
+     "overcount: 4\n"
+     "surplus: 0\n"
+     "answer sets: 4\n",
+     ""),
+    ("pairs", "count --mode hybrid --threshold 100 --json", 0,
+     '{"schema": 1, "overcount": 4, "surplus": 0, "answer_sets": 4, '
+     '"mode": "enumeration", "backend": "builtin", "encode_time": T, '
+     '"count_time": T, "loop_atom_count": 0, "exhausted": true}\n',
+     ""),
+    ("pairs", "count --mode hybrid --threshold 1", 0,
+     "mode: hybrid\n"
+     "backend: builtin\n"
+     "loop atoms: 0\n"
+     "overcount: 4\n"
+     "surplus: 0\n"
+     "answer sets: 4\n",
+     ""),
+    ("pairs", "count --mode hybrid --threshold 1 --json", 0,
+     '{"schema": 1, "overcount": 4, "surplus": 0, "answer_sets": 4, '
+     '"mode": "hybrid", "backend": "builtin", "encode_time": T, '
+     '"count_time": T, "loop_atom_count": 0}\n',
+     ""),
+    ("pairs", "oracle", 0,
+     "{a, c}\n"
+     "{b, c}\n"
+     "{a, d}\n"
+     "{b, d}\n"
+     "answer sets: 4\n",
+     ""),
+    ("pairs", "oracle --json", 0,
+     '{"schema": 1, "answer_sets": 4, "sets": [["a", "c"], ["b", "c"], '
+     '["a", "d"], ["b", "d"]]}\n',
+     ""),
+    ("pairs", "check --model a,c", 0,
+     "model of program: yes\n"
+     "model of completion: yes\n"
+     "justification (all atoms): UNSAT\n"
+     "justification (loop atoms): UNSAT\n"
+     "copy check: UNSAT\n"
+     "answer set: yes\n",
+     ""),
+    ("pairs", "check --model a,c --json", 0,
+     '{"schema": 1, "model_of_program": true, '
+     '"model_of_completion": true, "justification_all": {"sat": false, '
+     '"witness": null}, "justification_loops": {"sat": false, '
+     '"witness": null}, "copy_check": false, "answer_set": true}\n',
+     ""),
+    ("pairs", "check --model a", 0,
+     "model of program: no\n"
+     "model of completion: no\n"
+     "justification (all atoms): skipped (not a model)\n"
+     "justification (loop atoms): skipped (not a completion model)\n"
+     "copy check: skipped (not a completion model)\n"
+     "answer set: no\n",
+     ""),
+    ("pairs", "check --model a --json", 0,
+     '{"schema": 1, "model_of_program": false, '
+     '"model_of_completion": false, "justification_all": null, '
+     '"justification_loops": null, "copy_check": null, "answer_set": false}\n',
+     ""),
+    ("pairs", "check --model a,b,c", 0,
+     "model of program: yes\n"
+     "model of completion: no\n"
+     "justification (all atoms): SAT (witness: {b, c})\n"
+     "justification (loop atoms): skipped (not a completion model)\n"
+     "copy check: skipped (not a completion model)\n"
+     "answer set: no\n",
+     ""),
+    ("pairs", "check --model a,b,c --json", 0,
+     '{"schema": 1, "model_of_program": true, '
+     '"model_of_completion": false, "justification_all": {"sat": true, '
+     '"witness": ["b", "c"]}, "justification_loops": null, '
+     '"copy_check": null, "answer_set": false}\n',
+     ""),
+]
+
+TWO_PAIRS = "a | b.\nc | d.\n"
+TIMES = re.compile(r'"(encode|count)_time": [0-9.e-]+')
+
+
+@pytest.mark.parametrize(
+    "program, args, code, out, err", GOLDEN,
+    ids=[f"{program}: {args}" for program, args, *_ in GOLDEN],
+)
+def test_golden_output(capsys, tmp_path, program, args, code, out, err):
+    path = tmp_path / "program.lp"
+    path.write_text(EXAMPLE1 if program == "worked" else TWO_PAIRS)
+    argv = [str(tmp_path / "out") if arg == "DIR" else arg for arg in args.split()]
+    got_code, got_out, got_err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    got_out = TIMES.sub(r'"\1_time": T', got_out.replace(str(tmp_path), "TMP"))
+    assert (got_code, got_out, got_err) == (code, out, err)

@@ -17,6 +17,7 @@ from aspsubcount import (
     BackendOutputError,
     BackendTimeout,
     IntegrityError,
+    clark_completion,
     count_answer_sets_bruteforce,
     enumerate_count,
     external_projected_count,
@@ -26,6 +27,7 @@ from aspsubcount import (
     sat,
     subtractive_count,
     surplus_formula,
+    write_formulas,
 )
 
 from aspsubcount.cli import main
@@ -42,6 +44,7 @@ from helpers import (
     random_qbf,
     random_tight_program_text,
     reach_text,
+    ring_text,
 )
 
 
@@ -152,6 +155,15 @@ class TestEmittedFiles:
         assert "c p show" not in (out / "phi1.cnf").read_text()
         mapping = json.loads((out / "phi2.map.json").read_text())
         assert mapping == surplus_formula(example1).variable_map(example1)
+
+    def test_no_file_is_written_past_the_deadline(self, tmp_path):
+        program = parse_program(ring_text(10000))
+        completion = clark_completion(program)
+        surplus = surplus_formula(program, completion)
+        out = tmp_path / "enc"
+        with pytest.raises(sat.SearchTimeout), sat.time_limit(0):
+            write_formulas(str(out), program, completion, surplus)
+        assert os.listdir(out) == []
 
     def test_tight_writes_only_the_completion(self, tmp_path):
         out = emit_cnf(tmp_path, FIXTURES["two_pairs"])

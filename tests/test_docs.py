@@ -3,7 +3,8 @@ backticks must exist, and every call it shows must name real parameters,
 so the documented API cannot drift from the code. Likewise every
 command-line flag README names must be accepted, every key of the
 emitted variable map must be named in "Emitted files", and every example
-in "Program format" must parse."""
+in "Program format" must parse. No source line is longer than 95
+characters, so the package's line count cannot fall by packing code."""
 
 import argparse
 import ast
@@ -118,3 +119,11 @@ def test_no_runtime_dependencies():
                 assert top in sys.stdlib_module_names, f"{path} imports {name}"
     pyproject = open(os.path.join(ROOT, "pyproject.toml")).read()
     assert re.findall(r"^dependencies = (.*)$", pyproject, flags=re.M) == ["[]"]
+
+
+def test_source_lines_fit_in_95_characters():
+    sources = glob.glob(os.path.join(ROOT, "src", "aspsubcount", "*.py"))
+    assert len(sources) >= 5
+    for path in sources:
+        for number, line in enumerate(open(path).read().splitlines(), 1):
+            assert len(line) <= 95, f"{path}:{number} has {len(line)} characters"
