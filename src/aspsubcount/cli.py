@@ -100,7 +100,8 @@ def _build_parser() -> _Parser:
         "--threshold",
         type=_positive_int,
         default=None,
-        help=f"hybrid switch point (default {HYBRID_THRESHOLD}); cap for --mode enumerate",
+        help=f"completion models that hybrid walks in a loop part before it counts the "
+        f"part (default {HYBRID_THRESHOLD}); cap on answer sets for --mode enumerate",
     )
     p_count.add_argument(
         "--backend",

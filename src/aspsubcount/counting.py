@@ -10,8 +10,9 @@ sets: the count of its surplus formula projected onto its atoms. An
 enumerated part gives the justified models of one search over its
 completion, each decided by the clauses that the surplus formula adds
 (``copy_checker``). Subtractive mode counts every part and enumeration mode
-enumerates every part; hybrid mode counts tight parts and enumerates each
-loop part up to the threshold, counting it when the threshold is hit.
+enumerates every part; hybrid mode counts tight parts and walks each loop
+part's completion models, counting the part in place once the walk reaches
+the threshold.
 ``subtractive_count``, ``enumerate_count`` and ``hybrid_count`` each return
 a ``CountReport``; writing the formulas to files is left to the caller
 (``write_formulas``).
@@ -63,14 +64,14 @@ class CountReport:
     ``answer_sets == overcount - surplus``, and the overcount is the product
     of the parts' completion-model counts, a distinct part's counted once
     and raised to the number of its copies. A report whose mode is
-    "enumeration" (from ``enumerate_count``, or from ``hybrid_count`` below
-    its threshold) gives the plain count with surplus zero, and whether it
-    is below the cap (``exhausted``); in the other modes ``exhausted`` is
-    None. ``backend`` is "builtin", or "exec:PATH" once a part was counted
-    by the external counter at PATH. ``encode_time`` covers the
-    analysis and, summed over the distinct parts, their formulas: each
-    completion, and each loop part's surplus formula; ``count_time`` covers
-    the rest."""
+    "enumeration" (from ``enumerate_count``, or from ``hybrid_count`` with
+    fewer answer sets than its threshold) gives the plain count with surplus
+    zero, and whether it is below the cap (``exhausted``); in the other modes
+    ``exhausted`` is None. ``backend`` is "builtin", or "exec:PATH" once a
+    part was counted by the external counter at PATH. ``encode_time``
+    covers the analysis and, summed over the distinct parts, their formulas:
+    each completion, and each loop part's surplus formula; ``count_time``
+    covers the rest."""
 
     overcount: int
     surplus: int
@@ -136,9 +137,12 @@ def external_projected_count(dimacs_path: str, counter: str) -> int:
         raise BackendFailure(f"could not run {counter}: {exc}") from exc
     with proc:  # closes the pipes and reaps the counter
         try:
-            stdout, stderr = proc.communicate(timeout=left)
-        except subprocess.TimeoutExpired as exc:
-            raise BackendTimeout("counter timed out at the time limit") from exc
+            while True:  # in slices of a day: selectors refuse a wait past 24.8 days
+                with contextlib.suppress(subprocess.TimeoutExpired):
+                    stdout, stderr = proc.communicate(timeout=left and min(left, 86400))
+                    break
+                if (left := _time_left()) <= 0:
+                    raise BackendTimeout("counter timed out at the time limit")
         finally:
             # the counter leads a process group: end it, whatever ended the call
             with contextlib.suppress(OSError):
@@ -215,21 +219,22 @@ def _enumerate_part(
     completion: CompletionArtifact,
     surplus_art: SurplusArtifact | None,
     limit: int | None,
-) -> tuple[int, int, bool]:
+    hybrid: bool,
+) -> tuple[int, int] | None:
     """Walk one part's completion models until ``limit`` answer sets are
-    found (None: no limit). The copy check on the surplus formula runs
-    only where the part has loop atoms. Returns (models walked, answer sets
-    found, whether the models ran out below the limit)."""
+    found (None: no limit) or, when ``hybrid``, until ``limit`` models are
+    walked. The copy check on the surplus formula runs only where the part
+    has loop atoms. Returns (models walked, those that are not answer sets),
+    or None when a ``hybrid`` walk reaches its limit."""
     not_answer_set = surplus_art and copy_checker(completion, surplus_art)
     walked = found = 0
     for model in models(completion.cnf.clauses, completion.cnf.num_vars):
         walked += 1
-        if not_answer_set and not_answer_set(model):
-            continue
-        found += 1
-        if found == limit:
-            return walked, found, False
-    return walked, found, True
+        if not (not_answer_set and not_answer_set(model)):
+            found += 1
+        if (walked if hybrid else found) == limit:
+            return None if hybrid else (walked, walked - found)
+    return walked, walked - found
 
 
 def _count_by_parts(
@@ -241,40 +246,34 @@ def _count_by_parts(
     """The counting loop of every mode ("subtractive", "enumeration" or
     "hybrid") over the distinct parts of ``split(program, loops)``, the
     program's loop atoms found once, here. Each part in turn is built, then
-    counted by ``_count_part`` with ``counter`` (in "subtractive" mode, and
-    a tight part in "hybrid" mode) or enumerated up to ``limit`` answer
-    sets, and its formulas are let go before the next part is built. Its
+    enumerated by ``_enumerate_part`` (up to ``limit`` answer sets in
+    "enumeration" mode; a loop part in "hybrid" mode) or counted by
+    ``_count_part`` with ``counter`` (the other parts, and a "hybrid" loop
+    part whose walk reaches ``limit`` models, on the formulas the walk
+    used), and its formulas are let go before the next part is built. Its
     numbers are folded into the products once, raised to the number of its
     copies: copies are the same program up to atom names, so they count
-    alike. A "hybrid" loop part whose enumeration reaches ``limit`` keeps
-    its formulas and copies and is counted after every other part. The
-    loop stops at the first part that makes the reported product zero (the
-    overcount in "subtractive" mode, the answer sets in the others), and
-    builds no later part. An IntegrityError names its part as "part i of
-    N", numbering the distinct parts."""
+    alike. The loop stops at the first part that makes the reported product
+    zero (the overcount in "subtractive" mode, the answer sets in the
+    others), and builds no later part. An IntegrityError names its part as
+    "part i of N", numbering the distinct parts."""
     if (limit is None and mode == "hybrid") or (limit is not None and limit < 1):
         raise ValueError(f"{mode} limit must be at least 1")
     t0 = time.perf_counter()
     program_loops = loop_atoms(build_dependency_graph(program))
     parts = split(program, program_loops)
     encode_time = time.perf_counter() - t0
-    overcount, answer_sets, counted, waiting = 1, 1, False, []
-    # (index, part, its loop atoms, its copies, its formulas once built)
-    fresh = ((i, *part, None) for i, part in enumerate(parts))
-    for i, part, loops, copies, kept in itertools.chain(fresh, waiting):
+    overcount, answer_sets, counted = 1, 1, False
+    for i, (part, loops, copies) in enumerate(parts):
         t1 = time.perf_counter()
-        if kept:
-            completion, surplus_art = kept
-        else:
-            completion = clark_completion(part)
-            surplus_art = surplus_formula(part, completion, loops) if loops else None
+        completion = clark_completion(part)
+        surplus_art = surplus_formula(part, completion, loops) if loops else None
         encode_time += time.perf_counter() - t1
-        if mode == "enumeration" or (mode == "hybrid" and loops and not kept):
-            over, found, exhausted = _enumerate_part(completion, surplus_art, limit)
-            if not exhausted and mode == "hybrid":
-                waiting.append((i, part, loops, copies, (completion, surplus_art)))
-                continue
-            surplus = over - found
+        walk = None
+        if mode == "enumeration" or (mode == "hybrid" and loops):
+            walk = _enumerate_part(completion, surplus_art, limit, mode == "hybrid")
+        if walk:
+            over, surplus = walk
         else:
             where = f" in part {i + 1} of {len(parts)}" if len(parts) > 1 else ""
             over, surplus = _count_part(part, completion, surplus_art, counter, where)
@@ -322,8 +321,8 @@ def hybrid_count(
     counter: str | None = None,
 ) -> CountReport:
     """Count tight parts, in process or by the external counter at path
-    ``counter``; enumerate each loop part up to ``threshold`` answer sets
-    and count it when the threshold is hit. The mode is "enumeration" when
-    the answer sets number fewer than the threshold, and "hybrid"
-    otherwise."""
+    ``counter``; walk each loop part's completion models, and count the part
+    in its place once ``threshold`` models are walked. The mode is
+    "enumeration" when the answer sets number fewer than the threshold, and
+    "hybrid" otherwise."""
     return _count_by_parts(program, "hybrid", threshold, counter)

@@ -249,6 +249,13 @@ def cycles_text(k: int, p: str = "") -> str:
     )
 
 
+def self_supporting_pairs_text(k: int) -> str:
+    """``x_i :- y_i. y_i :- x_i. g :- x_i.`` for i < k: one part, joined by
+    g, with 2^k completion models (each pair may hold, supporting itself)
+    and one answer set, the empty one."""
+    return "".join(f"x{i} :- y{i}.\ny{i} :- x{i}.\ng :- x{i}.\n" for i in range(k))
+
+
 def distinct_cycles_text(k: int, p: str = "") -> str:
     """k atom-disjoint blocks ``a|b. x0:-x1. ... x{L-1}:-x0. x0:-a.``, block
     i with a loop of L = i + 2 atoms: like ``cycles_text(k)``, 2^k answer

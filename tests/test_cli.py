@@ -459,6 +459,17 @@ class TestCountExternal:
         assert code == 2
         assert "timed out" in err
 
+    @pytest.mark.parametrize("seconds", ["2200000", "1e9", "1e300"])
+    def test_huge_timeout(self, capsys, worked_path, wrapper_factory, seconds):
+        # a deadline days or centuries away waits for the counter as no
+        # deadline does
+        wrapper = wrapper_factory()
+        code, out, err = run_cli(
+            capsys, "count", worked_path, "--backend", f"exec:{wrapper}", "--timeout", seconds
+        )
+        assert (code, err) == (0, "")
+        assert "answer sets: 1" in out
+
     def test_timeout_bounds_the_whole_count(self, capsys, program_file, wrapper_factory):
         # six loop parts make twelve counter calls of 0.4 s each; --timeout 1
         # is one deadline for all of them, not 1 s per call

@@ -45,6 +45,7 @@ from helpers import (
     random_tight_program_text,
     reach_text,
     ring_text,
+    self_supporting_pairs_text,
 )
 
 
@@ -362,6 +363,10 @@ class TestExternalBackend:
         with pytest.raises(BackendTimeout), sat.time_limit(0.5):
             subtractive_count(example1, wrapper_factory("--sleep", "5"))
 
+    def test_huge_time_limit(self, example1, wrapper_factory):
+        with sat.time_limit(1e9):
+            assert subtractive_count(example1, wrapper_factory()).answer_sets == 1
+
     def test_time_limit_bounds_every_call_together(self, wrapper_factory):
         # six loop parts make twelve counter calls of 0.4 s each; one
         # deadline covers them all, not 1 s per call
@@ -444,6 +449,20 @@ class TestExternalBackend:
         # counted, so no counter ran
         report = hybrid_count(example1, counter=counter)
         assert (report.mode, report.backend) == ("enumeration", "builtin")
+
+    def test_hybrid_counter_calls(self, example1, tmp_path, wrapper_factory):
+        # a loop part with fewer completion models than the threshold is
+        # walked, and no counter starts; one with more is counted by the
+        # counter, one call per formula
+        log = tmp_path / "listing"
+        log.write_text("")
+        counter = wrapper_factory("--list-dir", str(log))
+        assert hybrid_count(example1, counter=counter).backend == "builtin"
+        assert log.read_text() == ""
+        program = parse_program(self_supporting_pairs_text(10))
+        report = hybrid_count(program, threshold=8, counter=counter)
+        assert (report.answer_sets, report.backend) == (1, f"exec:{counter}")
+        assert log.read_text().splitlines() == ["phi1.cnf phi2.cnf"] * 2
 
     def test_no_directory_outlives_a_count(
         self, example1, tmp_path, monkeypatch, wrapper_factory

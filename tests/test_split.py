@@ -16,6 +16,7 @@ import aspsubcount.counting
 import aspsubcount.depgraph
 import aspsubcount.sat
 from aspsubcount import (
+    BackendFailure,
     GroundProgram,
     IntegrityError,
     build_dependency_graph,
@@ -43,6 +44,7 @@ from helpers import (
     prefixed,
     random_program_text,
     random_tight_program_text,
+    self_supporting_pairs_text,
 )
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -383,13 +385,26 @@ class TestPerPart:
         assert walked[0] == 0
 
     def test_zero_part_starts_no_counter(self, walked, wrapper_factory):
-        # each cycle part reaches the threshold, so it would go to the
-        # failing counter, were it not for the loop part with no answer set
+        # below the threshold the cycle part (3 models) and the loop part
+        # with no answer set (1 model) are both walked, and no counter runs
         program = parse_program(cycles_text(3) + ZERO_LOOP)
-        report = hybrid_count(program, threshold=2, counter=wrapper_factory("--fail"))
+        failing = wrapper_factory("--fail")
+        report = hybrid_count(program, threshold=4, counter=failing)
         assert (report.mode, report.answer_sets, report.overcount) == ("enumeration", 0, 0)
         assert report.backend == "builtin"
-        assert walked[0] <= 3 * 3 + 1
+        assert walked[0] == 3 + 1
+        # at threshold 2 the cycle part is counted in its place, before the
+        # zero part is reached
+        with pytest.raises(BackendFailure):
+            hybrid_count(program, threshold=2, counter=failing)
+
+    def test_hybrid_walk_stops_at_the_threshold(self, walked):
+        # 2**10 completion models and one answer set: the walk stops after
+        # 8 models, and the part is counted in its place
+        report = hybrid_count(parse_program(self_supporting_pairs_text(10)), threshold=8)
+        assert (report.mode, report.answer_sets) == ("enumeration", 1)
+        assert report.overcount == 1
+        assert walked[0] <= 8 + 1
 
     @pytest.mark.parametrize("count", [subtractive_count, hybrid_count, enumerate_count])
     def test_zero_first_part_builds_no_other_part(self, count, completions):
