@@ -137,7 +137,7 @@ def _read_program(path: str):
         if path == "-":
             text = sys.stdin.read()
         else:
-            with open(path) as handle:
+            with open(path, encoding="utf-8") as handle:
                 text = handle.read()
     except OSError as exc:
         raise SystemExit(_usage_error(f"cannot read {path!r}: {exc.strerror}"))
@@ -197,18 +197,22 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_encode(args) -> int:
-    program = _read_program(args.path)
+def _emit(program, directory: str) -> dict:
+    """Write the whole program's formulas into ``directory``; return encode's payload."""
     completion = clark_completion(program)
     surplus = surplus_formula(program, completion)
-    paths = write_formulas(args.emit_cnf, program, completion, surplus)
-    payload = {
+    paths = write_formulas(directory, program, completion, surplus)
+    return {
         **dict(zip(["phi1", "phi2", "map"], paths)),
         "atoms": program.num_atoms,
         "phi1_vars": completion.cnf.num_vars,
         "phi2_vars": surplus.cnf.num_vars,
     }
-    return _report(args, payload, [f"wrote {path}" for path in paths])
+
+
+def _cmd_encode(args) -> int:
+    payload = _emit(_read_program(args.path), args.emit_cnf)
+    return _report(args, payload, [f"wrote {payload[k]}" for k in ("phi1", "phi2", "map")])
 
 
 def _cmd_count(args) -> int:
@@ -219,12 +223,8 @@ def _cmd_count(args) -> int:
             return _usage_error("--mode enumerate runs no model counter; drop --backend")
         if args.mode == "subtractive" and args.threshold is not None:
             return _usage_error("--mode subtractive takes no --threshold")
-        if args.emit_cnf is not None:
-            # the whole program's formulas, while counting goes part by part
-            completion = clark_completion(program)
-            loops = loop_atoms(build_dependency_graph(program))
-            surplus = surplus_formula(program, completion, loops) if loops else None
-            write_formulas(args.emit_cnf, program, completion, surplus)
+        if args.emit_cnf is not None:  # the whole program, though counting goes by parts
+            _emit(program, args.emit_cnf)
         if args.mode == "enumerate":
             report = enumerate_count(program, args.threshold)
         elif args.mode == "hybrid":

@@ -10,6 +10,8 @@ formula is counted onto its atoms.
 
 from dataclasses import dataclass
 
+from .sat import _clocked
+
 
 @dataclass
 class CnfFormula:
@@ -60,17 +62,11 @@ def dimacs(
     emitted as ``c p show v1 ... 0`` right after the header. Inside
     ``sat.time_limit`` the clauses are written on the clock (SearchTimeout).
     """
-    from .sat import _clocked  # sat imports this module
-
-    lines = []
-    if atom_names:
-        for var in sorted(atom_names):
-            lines.append(f"c atom {atom_names[var]} {var}")
+    lines = [f"c atom {atom_names[var]} {var}" for var in sorted(atom_names or ())]
     lines.append(f"p cnf {cnf.num_vars} {cnf.num_clauses}")
     if show is not None:
         lines.append("c p show " + " ".join(str(v) for v in sorted(show)) + " 0")
-    for clause in _clocked(cnf.clauses):
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+    lines += [" ".join(map(str, clause)) + " 0" for clause in _clocked(cnf.clauses)]
     return "\n".join(lines) + "\n"
 
 

@@ -126,7 +126,7 @@ def external_projected_count(dimacs_path: str, counter: str) -> int:
     if not counter:
         raise ValueError("external_projected_count needs a counter path")
     left = _time_left()
-    if left is not None and left <= 0:
+    if left <= 0:
         raise BackendTimeout("counter timed out: no time left to start it")
     try:
         proc = subprocess.Popen(
@@ -139,7 +139,7 @@ def external_projected_count(dimacs_path: str, counter: str) -> int:
         try:
             while True:  # in slices of a day: selectors refuse a wait past 24.8 days
                 with contextlib.suppress(subprocess.TimeoutExpired):
-                    stdout, stderr = proc.communicate(timeout=left and min(left, 86400))
+                    stdout, stderr = proc.communicate(timeout=min(left, 86400))
                     break
                 if (left := _time_left()) <= 0:
                     raise BackendTimeout("counter timed out at the time limit")
@@ -158,22 +158,22 @@ def write_formulas(
     directory: str,
     program: GroundProgram,
     completion: CompletionArtifact,
-    surplus_art: SurplusArtifact | None = None,
+    surplus_art: SurplusArtifact,
 ) -> list[str]:
-    """Write ``phi1.cnf`` (the completion) and, given the surplus formula,
-    ``phi2.cnf`` (with a show line over the atoms) and ``phi2.map.json``
-    into ``directory``. Returns the paths written, in that order. Inside
-    ``sat.time_limit`` the texts are built on the clock, and a deadline
-    that passes while they are built leaves no file (``SearchTimeout``)."""
+    """Write ``phi1.cnf`` (the completion), ``phi2.cnf`` (the surplus
+    formula, with a show line over the atoms) and ``phi2.map.json`` into
+    ``directory``, for a tight program too. Returns the paths written, in
+    that order. Inside ``sat.time_limit`` the texts are built on the clock,
+    and a deadline that passes while they are built leaves no file
+    (``SearchTimeout``)."""
     os.makedirs(directory, exist_ok=True)
     texts = {"phi1.cnf": completion.to_dimacs(program)}
-    if surplus_art is not None:
-        texts["phi2.cnf"] = surplus_art.to_dimacs(program)
-        # json's indenting encoder runs in Python: its text is joined on the clock
-        encoder = json.JSONEncoder(indent=2, sort_keys=True)
-        chunks = encoder.iterencode(surplus_art.variable_map(program))
-        batches = iter(lambda: "".join(itertools.islice(chunks, 65536)), "")
-        texts["phi2.map.json"] = "".join(_check_clock() or batch for batch in batches) + "\n"
+    texts["phi2.cnf"] = surplus_art.to_dimacs(program)
+    # json's indenting encoder runs in Python: its text is joined on the clock
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    chunks = encoder.iterencode(surplus_art.variable_map(program))
+    batches = iter(lambda: "".join(itertools.islice(chunks, 65536)), "")
+    texts["phi2.map.json"] = "".join(_check_clock() or batch for batch in batches) + "\n"
     for name, text in texts.items():
         with open(os.path.join(directory, name), "w") as handle:
             handle.write(text)

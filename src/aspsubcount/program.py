@@ -6,11 +6,12 @@ An atom is its position: a program's atoms are a list of names, and atom id
 i is named ``atoms[i]``. Rules reference atoms by id everywhere; ids are
 assigned by first textual occurrence during parsing.
 
-Lexical rules: one rule per line, and ``%`` starts a comment that runs to
-the end of the line. Tokens are identifiers ``[A-Za-z_][A-Za-z0-9_]*`` and
-the marks ``:-``, ``|``, ``,`` and ``.``; blanks (space, tab, CR) between
-them are skipped, and any other character is a parse error. ``not`` is
-reserved: it marks a negated body atom and is never an atom itself.
+Lexical rules: one rule per line, where only ``\\n`` ends a line, and
+``%`` starts a comment that runs to the end of the line. Tokens are
+identifiers ``[A-Za-z_][A-Za-z0-9_]*`` and the marks ``:-``, ``|``, ``,``
+and ``.``; blanks (space, tab, CR) between them are skipped, and any other
+character is a parse error. ``not`` is reserved: it marks a negated body
+atom and is never an atom itself.
 """
 
 import re
@@ -209,7 +210,7 @@ def parse_program(text: str) -> GroundProgram:
         return by_name[name]
 
     rules: list[tuple[list[int], ...]] = []
-    for line_no, raw in enumerate(_clocked(text.splitlines()), start=1):
+    for line_no, raw in enumerate(_clocked(text.split("\n")), start=1):
         line = raw.split("%", 1)[0]
         if not line.strip():
             continue

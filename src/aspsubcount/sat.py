@@ -52,18 +52,18 @@ search runs on an explicit stack, so its depth is not bound by Python's
 recursion limit. Within one count, each component's count is cached under
 the exact key of its clause ids and variables, so a component that the
 search reaches again along another branch is counted once; the cache is
-emptied when it grows past ``CACHE_BYTES``. Inside ``time_limit`` every
-search, the breadth-first ones that rank a component too, checks a clock
-every 64 steps and raises ``SearchTimeout`` once the limit has passed.
+emptied when it grows past ``CACHE_BYTES``. Every search, the breadth-first
+ones that rank a component too, checks the clock every 64 steps and raises
+``SearchTimeout`` once the innermost ``time_limit`` has passed; outside
+every one the deadline is math.inf, and no check fails.
 """
 
+import math
 import time
 from array import array
 from contextlib import contextmanager
 from itertools import chain, compress
 from operator import neg
-
-from .cnf import CnfFormula
 
 # the size past which a count empties its component cache: each entry is
 # taken to cost its key's bytes plus CACHE_ENTRY_BYTES for the tuple, the two
@@ -83,8 +83,8 @@ WIDTH_RATIO = 16
 # below it the merge takes about as long as the whole search it could save
 MERGE_CLAUSES = 64
 
-# (time.monotonic() deadline, seconds) while inside time_limit, else None
-_deadline = None
+# time.monotonic() deadline and seconds of the innermost time_limit, else inf
+_deadline = _seconds = math.inf
 
 
 class SearchTimeout(RuntimeError):
@@ -94,25 +94,29 @@ class SearchTimeout(RuntimeError):
 @contextmanager
 def time_limit(seconds: float | None):
     """Make every search in the block raise ``SearchTimeout`` once ``seconds``
-    have passed from entering it (None: no limit), as it starts or runs, and
-    every external counter call in it stop at that deadline (BackendTimeout)."""
-    global _deadline
-    saved = _deadline
-    _deadline = None if seconds is None else (time.monotonic() + seconds, seconds)
+    have passed from entering it, as it starts or runs, and every external
+    counter call in it stop at that deadline (BackendTimeout). It replaces
+    any enclosing limit; None and math.inf set none, NaN raises ValueError."""
+    global _deadline, _seconds
+    limit = math.inf if seconds is None else seconds
+    if math.isnan(limit):
+        raise ValueError("time limit is NaN")
+    saved = _deadline, _seconds
+    _deadline, _seconds = time.monotonic() + limit, limit
     try:
         yield
     finally:
-        _deadline = saved
+        _deadline, _seconds = saved
 
 
 def _check_clock():
-    if _deadline is not None and time.monotonic() >= _deadline[0]:
-        raise SearchTimeout(f"builtin counter timed out after {_deadline[1]}s")
+    if time.monotonic() >= _deadline:
+        raise SearchTimeout(f"builtin counter timed out after {_seconds}s")
 
 
-def _time_left() -> float | None:
-    """Seconds left on the enclosing ``time_limit``; None outside one."""
-    return None if _deadline is None else _deadline[0] - time.monotonic()
+def _time_left() -> float:
+    """Seconds left on the innermost ``time_limit``; math.inf outside all."""
+    return _deadline - time.monotonic()
 
 
 def _clocked(items: list):
@@ -171,19 +175,19 @@ def checker(clauses, num_vars: int):
     return test
 
 
-def count_models(formula: CnfFormula) -> int:
-    """Exact number of satisfying assignments over all num_vars variables."""
+def count_models(formula) -> int:
+    """Exact number of models of the ``CnfFormula`` over its num_vars variables."""
     return _count_from(formula, ())
 
 
-def projected_count(formula: CnfFormula, project_out) -> int:
+def projected_count(formula, project_out) -> int:
     """Number of distinct assignments to the kept variables (those not in
     ``project_out``) extendable to a model of the formula. ``project_out``
     is any iterable of variables, repeats allowed, and is walked once."""
     return _count_from(formula, project_out)
 
 
-def _count_from(formula: CnfFormula, out) -> int:
+def _count_from(formula, out) -> int:
     kept = bytearray([1]) * (2 * formula.num_vars + 1)
     for var in out:  # checked as cleared: a generator is walked once
         if not 1 <= var <= formula.num_vars:
@@ -359,7 +363,7 @@ class _Trail:
         assignment on the trail. No two leaves share a model. The caller
         undoes the trail afterwards."""
         ntrue, value, clauses, trail = self.ntrue, self.value, self.clauses, self.trail
-        deadline, steps = _deadline, 0
+        steps = 0
         stack = []  # (trail mark, variable, position) per open decision
         pos, end = 0, len(ids)
         while True:
@@ -370,7 +374,7 @@ class _Trail:
                 ok = False
             else:
                 steps += 1
-                if deadline is not None and not steps & 63:
+                if not steps & 63:
                     _check_clock()
                 for lit in reversed(clauses[ids[pos]]):
                     if not value[lit]:
@@ -402,7 +406,7 @@ class _Trail:
         components, the index of the next of them and their product so
         far]."""
         trail, nfree = self.trail, self.nfree
-        deadline, steps = _deadline, 0
+        steps = 0
         cache, cache_bytes = {}, 0
         every = range(1, self.num_vars + 1)
         comps = self.split(every, kept)
@@ -419,7 +423,7 @@ class _Trail:
         stack = []
         while True:
             steps += 1
-            if deadline is not None and not steps & 63:
+            if not steps & 63:
                 _check_clock()
             if product and index < len(comps):
                 key, nkept, var, items = comps[index]
@@ -551,13 +555,11 @@ class _Trail:
             for c in occ[v] + occ[-v]:
                 if nfree[c] > limit and not ntrue[c]:
                     return False
-        deadline, steps = _deadline, 0
         far = vs[0]
         for _ in range(2):
             depth, reached = {far: 0}, [far]
-            for v in reached:
-                steps += 1
-                if deadline is not None and not steps & 63:
+            for steps, v in enumerate(reached):
+                if not steps & 63:
                     _check_clock()
                 d = depth[v] + 1
                 for c in occ[v] + occ[-v]:

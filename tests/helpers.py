@@ -574,7 +574,7 @@ def reference_parse_program(text: str) -> GroundProgram:
         return by_name[name]
 
     rules: list[Rule] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("%", 1)[0]
         if not line.strip():
             continue

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import random
 import re
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from aspsubcount import cli, parse_program, subtractive_count
 from aspsubcount.cli import main
 
-from conftest import EXAMPLE1
+from conftest import EXAMPLE1, FIXTURES
 from helpers import chain_text, distinct_cycles_text, pigeonhole_text
 
 # The worked example's completion clauses, shared by phi1.cnf and phi2.cnf.
@@ -364,7 +365,7 @@ class TestCount:
     @pytest.mark.parametrize(
         "text, files",
         [
-            ("a | b.\nc | d.\n", ["phi1.cnf"]),
+            ("a | b.\nc | d.\n", ["phi1.cnf", "phi2.cnf", "phi2.map.json"]),
             (EXAMPLE1, ["phi1.cnf", "phi2.cnf", "phi2.map.json"]),
         ],
     )
@@ -384,6 +385,21 @@ class TestCount:
         for name in files:
             assert (out_dir / name).read_text() == (reference / name).read_text()
         assert "\nc p show " not in (out_dir / "phi1.cnf").read_text()
+
+    @pytest.mark.parametrize("mode", ["subtractive", "enumerate", "hybrid"])
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_emit_cnf_writes_what_encode_writes(
+        self, capsys, program_file, tmp_path, mode, name
+    ):
+        path = program_file(FIXTURES[name])
+        encoded, emitted = tmp_path / "encode", tmp_path / mode
+        assert run_cli(capsys, "encode", path, "--emit-cnf", str(encoded))[0] == 0
+        code = run_cli(capsys, "count", path, "--mode", mode, "--emit-cnf", str(emitted))[0]
+        assert code == 0
+        files = ["phi1.cnf", "phi2.cnf", "phi2.map.json"]
+        assert sorted(p.name for p in emitted.iterdir()) == files
+        for file in files:
+            assert (emitted / file).read_bytes() == (encoded / file).read_bytes()
 
     @pytest.mark.parametrize("mode", ["enumerate", "hybrid"])
     @pytest.mark.parametrize("threshold", ["0", "-3"])
@@ -745,6 +761,21 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0
         assert "answer sets: 1" in proc.stdout
+
+    def test_program_files_are_utf8_in_any_locale(self, tmp_path):
+        path = tmp_path / "cafe.lp"
+        path.write_bytes("a | b. % café\n".encode("utf-8"))
+        ascii_locale = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "POSIX"}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from aspsubcount.cli import main; sys.exit(main())",
+             "count", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, **ascii_locale},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "answer sets: 2" in proc.stdout
 
 
 # Each subcommand's exit code, stdout and stderr on the worked example and

@@ -166,9 +166,11 @@ class TestEmittedFiles:
             write_formulas(str(out), program, completion, surplus)
         assert os.listdir(out) == []
 
-    def test_tight_writes_only_the_completion(self, tmp_path):
+    def test_tight_writes_both_formulas(self, tmp_path):
+        # phi2 of a tight program is unsatisfiable: its witness disjunction is empty
         out = emit_cnf(tmp_path, FIXTURES["two_pairs"])
-        assert sorted(os.listdir(out)) == ["phi1.cnf"]
+        assert sorted(os.listdir(out)) == ["phi1.cnf", "phi2.cnf", "phi2.map.json"]
+        assert (out / "phi2.cnf").read_text().endswith("\n 0\n")
 
 
 class TestEnumerate:

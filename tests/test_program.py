@@ -13,6 +13,7 @@ from aspsubcount import (
     parse_program,
     satisfies,
     satisfies_program,
+    subtractive_count,
 )
 
 from helpers import random_program_text, reference_parse_program
@@ -84,6 +85,31 @@ class TestParsing:
         p = parse_program("% a comment\n\na.  % trailing\n   \nb :- a.\n")
         assert len(p.rules) == 2
         assert p.num_atoms == 2
+
+    @pytest.mark.parametrize(
+        "brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"]
+    )
+    def test_only_newline_ends_a_comment(self, brk):
+        # the rest of the comment is no rule, whatever line break str.splitlines sees
+        assert parse_program(f"a. % x{brk}:- a.\n").rules == [Rule((0,), (), ())]
+        assert parse_program(f"a. % note{brk}b.").atoms == ["a"]
+
+    def test_a_comment_hides_no_constraint(self):
+        assert subtractive_count(parse_program("a. % x\u2028:- a.")).answer_sets == 1
+
+    def test_crlf_lines_are_lines(self):
+        p = parse_program("a.\r\nb :- a.\r\n")
+        assert p.rules == [Rule((0,), (), ()), Rule((1,), (0,), ())]
+
+    @pytest.mark.parametrize(
+        "text,message,column",
+        [("a.\vb.", "unexpected character '\\x0b'", 3), ("a.\r:- a.", "one rule per line", 4)],
+    )
+    def test_other_line_breaks_are_no_line_ends(self, text, message, column):
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert (err.value.line, err.value.column) == (1, column)
+        assert message in str(err.value)
 
     def test_duplicate_head_atom_collapses(self):
         p = parse_program("a | a.\n")

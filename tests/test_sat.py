@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from array import array
@@ -481,6 +482,31 @@ class TestTimeLimit:
             assert time.monotonic() - start < 2
         # outside the block the limit is gone: this count takes longer
         assert count_models(pigeonhole(8, 7)) == 0
+
+    def test_an_inner_limit_replaces_the_outer_one(self):
+        f = pigeonhole(6, 5)
+        with sat.time_limit(60):
+            with pytest.raises(sat.SearchTimeout, match=r"after 0s$"), sat.time_limit(0):
+                count_models(f)
+            # the outer limit holds again, and is far off: the count ends
+            assert count_models(f) == 0
+            with sat.time_limit(None):
+                assert sat._time_left() == math.inf
+
+    def test_no_limit_outside_every_block(self):
+        assert sat._time_left() == math.inf
+        with sat.time_limit(5):
+            assert 0 < sat._time_left() <= 5
+        assert sat._time_left() == math.inf
+
+    def test_an_infinite_limit_bounds_nothing(self):
+        with sat.time_limit(0), sat.time_limit(math.inf):
+            assert sat._time_left() == math.inf
+            assert count_models(pigeonhole(6, 5)) == 0
+
+    def test_nan_is_refused(self):
+        with pytest.raises(ValueError, match="NaN"), sat.time_limit(math.nan):
+            count_models(pigeonhole(6, 5))  # never reached
 
     def test_no_search_starts_after_the_limit(self):
         # one clause over one variable: found before any check in the search
