@@ -9,6 +9,7 @@ memory), 2 counter timeout (external or builtin), 3 integrity failure
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -322,12 +323,12 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         # counts are exact, and can run past Python's default 4300 digits
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
+    # no command makes reference cycles (tests/test_cli.py checks), so the
+    # collector would only rescan what it builds; the caller's setting returns
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 0
-    try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
@@ -353,6 +354,9 @@ def main(argv=None) -> int:
     except MemoryError:
         sys.stderr.write("aspsubcount: out of memory\n")
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ a ``CountReport``; writing the formulas to files is left to the caller
 """
 
 import contextlib
-import itertools
 import json
 import os
 import signal
@@ -32,7 +31,7 @@ from .completion import clark_completion, CompletionArtifact
 from .copyenc import copy_checker, surplus_formula, SurplusArtifact
 from .depgraph import build_dependency_graph, loop_atoms, split
 from .program import GroundProgram
-from .sat import _check_clock, _time_left, count_models, models, projected_count
+from .sat import _clocked, _time_left, count_models, models, projected_count
 
 HYBRID_THRESHOLD = 10_000  # hybrid_count's default switch point
 
@@ -169,11 +168,17 @@ def write_formulas(
     os.makedirs(directory, exist_ok=True)
     texts = {"phi1.cnf": completion.to_dimacs(program)}
     texts["phi2.cnf"] = surplus_art.to_dimacs(program)
-    # json's indenting encoder runs in Python: its text is joined on the clock
-    encoder = json.JSONEncoder(indent=2, sort_keys=True)
-    chunks = encoder.iterencode(surplus_art.variable_map(program))
-    batches = iter(lambda: "".join(itertools.islice(chunks, 65536)), "")
-    texts["phi2.map.json"] = "".join(_check_clock() or batch for batch in batches) + "\n"
+    # json.dumps(map, indent=2, sort_keys=True), on the clock and making no cycles
+    sections = []
+    for key, value in sorted(surplus_art.variable_map(program).items()):
+        if isinstance(value, dict):
+            ends = "{}"
+            items = [f"{json.dumps(k)}: {v}" for k, v in _clocked(sorted(value.items()))]
+        else:
+            ends, items = "[]", [str(v) for v in _clocked(value)]
+        inner = "\n    " + ",\n    ".join(items) + "\n  " if items else ""
+        sections.append(f"  {json.dumps(key)}: {ends[0]}{inner}{ends[1]}")
+    texts["phi2.map.json"] = "{\n" + ",\n".join(sections) + "\n}\n"
     for name, text in texts.items():
         with open(os.path.join(directory, name), "w") as handle:
             handle.write(text)

@@ -197,8 +197,8 @@ def _parse_rule(line: str, line_no: int, intern) -> tuple[list[int], ...]:
 def parse_program(text: str) -> GroundProgram:
     """Parse program text, one rule per line.
 
-    ``%`` starts a comment; blank lines are skipped. Atom ids follow first
-    textual occurrence. Raises ParseError with line/column on bad input.
+    ``%`` starts a comment; lines of blanks (space, tab, CR) are skipped. Atom
+    ids follow first textual occurrence. Raises ParseError with line/column.
     """
     atoms: list[str] = []
     by_name: dict[str, int] = {}
@@ -212,7 +212,7 @@ def parse_program(text: str) -> GroundProgram:
     rules: list[tuple[list[int], ...]] = []
     for line_no, raw in enumerate(_clocked(text.split("\n")), start=1):
         line = raw.split("%", 1)[0]
-        if not line.strip():
+        if not line.strip(" \t\r"):
             continue
         rules.append(_parse_rule(line, line_no, intern))
     return GroundProgram(atoms, rules)

@@ -576,7 +576,7 @@ def reference_parse_program(text: str) -> GroundProgram:
     rules: list[Rule] = []
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("%", 1)[0]
-        if not line.strip():
+        if not line.strip(" \t\r"):
             continue
         rules.append(_reference_rule(_ReferenceTokens(line, line_no), intern))
     return GroundProgram(atoms, rules)

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -13,7 +14,9 @@ from aspsubcount import cli, parse_program, subtractive_count
 from aspsubcount.cli import main
 
 from conftest import EXAMPLE1, FIXTURES
-from helpers import chain_text, distinct_cycles_text, pigeonhole_text
+from helpers import (
+    chain_text, cycles_text, distinct_cycles_text, pairs_text, pigeonhole_text, reach_text,
+)
 
 # The worked example's completion clauses, shared by phi1.cnf and phi2.cnf.
 WORKED_CLAUSES = (
@@ -776,6 +779,132 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert "answer sets: 2" in proc.stdout
+
+
+class TestCollector:
+    """``main`` runs a command with the cyclic garbage collector off, and
+    gives the caller back its own setting however the command ends."""
+
+    @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+    def collecting(self, request):
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    @pytest.mark.parametrize(
+        "text, args, code",
+        [
+            (EXAMPLE1, ["--json"], 0),
+            ("a |\n", [], 1),  # parse error
+            (EXAMPLE1, ["--threshold", "5"], 1),  # usage error, returned
+            (EXAMPLE1, ["--backend", "nope"], 1),  # usage error, raised
+            (EXAMPLE1, ["--frobnicate"], 1),  # argparse error
+            (pigeonhole_text(10, 9), ["--timeout", "0.1"], 2),
+        ],
+        ids=["count", "parse-error", "usage-error", "bad-backend", "argparse-error",
+             "timeout"],
+    )
+    def test_setting_is_restored(self, capsys, program_file, collecting, text, args, code):
+        assert run_cli(capsys, "count", program_file(text), *args)[0] == code
+        assert gc.isenabled() is collecting
+
+    def test_setting_is_restored_after_recursion_error(
+        self, capsys, monkeypatch, worked_path, collecting
+    ):
+        def fail(*args, **kwargs):
+            raise RecursionError()
+
+        monkeypatch.setattr("aspsubcount.cli.subtractive_count", fail)
+        assert run_cli(capsys, "count", worked_path)[0] == 1
+        assert gc.isenabled() is collecting
+
+    def test_command_runs_with_the_collector_off(
+        self, capsys, monkeypatch, worked_path, collecting
+    ):
+        seen = []
+
+        def count(*args):
+            seen.append(gc.isenabled())
+            return subtractive_count(*args)
+
+        monkeypatch.setattr("aspsubcount.cli.subtractive_count", count)
+        assert run_cli(capsys, "count", worked_path)[0] == 0
+        assert seen == [False]
+
+
+# Every conftest fixture and a few generated programs, each with loop parts,
+# tight parts or both, for the test that no command makes reference cycles.
+CYCLE_PROGRAMS = {
+    **FIXTURES,
+    "cycles-5": cycles_text(5),
+    "distinct-cycles-3": distinct_cycles_text(3),
+    "pairs-8": pairs_text(8),
+    "chain-40": chain_text(40),
+    "reach-6-9": reach_text(random.Random(7), 6, 9),
+    "cycles-3+pairs-3": cycles_text(3) + pairs_text(3, "p"),
+}
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic collector off, as ``main`` runs a command, with no garbage
+    left from before. The argument parser is built first: building it
+    leaves argparse's help formatters in cycles, once per process."""
+    before = gc.isenabled()
+    gc.disable()
+    cli._build_parser()
+    gc.collect()
+    yield
+    if before:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", CYCLE_PROGRAMS)
+def test_no_command_makes_reference_cycles(
+    capsys, program_file, tmp_path, collector_off, name
+):
+    # A cycle that a command makes would stay in memory until the caller
+    # collects: after each command, gc.collect() must find nothing.
+    path, out = program_file(CYCLE_PROGRAMS[name]), str(tmp_path / "out")
+    commands = [
+        ["count"],
+        ["count", "--json"],
+        ["count", "--mode", "enumerate"],
+        ["count", "--mode", "enumerate", "--threshold", "2"],
+        ["count", "--mode", "hybrid"],
+        ["count", "--mode", "hybrid", "--threshold", "2"],
+        ["count", "--emit-cnf", out],
+        ["encode", "--emit-cnf", out],
+        ["analyze"],
+        ["analyze", "--json"],
+        ["check", "--model", ""],
+    ]
+    if name in FIXTURES:  # at most 12 atoms, so brute force is quick
+        commands.append(["oracle"])
+    for command in commands:
+        code = main([command[0], path, *command[1:]])
+        capsys.readouterr()
+        assert code == 0, command
+        assert gc.collect() == 0, command
+
+
+@pytest.mark.parametrize(
+    "text, args, code",
+    [
+        ("a |\n", [], 1),
+        (EXAMPLE1, ["--backend", "nope"], 1),
+        (EXAMPLE1, ["--mode", "subtractive", "--threshold", "5"], 1),
+        (pigeonhole_text(10, 9), ["--timeout", "0.1"], 2),
+        (pairs_text(40), ["--mode", "enumerate", "--timeout", "0.1"], 2),
+    ],
+    ids=["parse-error", "bad-backend", "usage-error", "timeout", "enumerate-timeout"],
+)
+def test_no_failed_count_makes_reference_cycles(
+    capsys, program_file, collector_off, text, args, code
+):
+    assert run_cli(capsys, "count", program_file(text), *args)[0] == code
+    assert gc.collect() == 0
 
 
 # Each subcommand's exit code, stdout and stderr on the worked example and

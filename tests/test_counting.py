@@ -31,6 +31,7 @@ from aspsubcount import (
 )
 
 from aspsubcount.cli import main
+from aspsubcount.program import GroundProgram
 
 from conftest import EXAMPLE1, FIXTURES
 from helpers import (
@@ -146,6 +147,18 @@ def emit_cnf(tmp_path, text, *flags):
     return out
 
 
+# A program built through the library, whose atom names need escaping in
+# JSON: quotes, backslashes, control characters and non-ASCII letters. Two
+# positive loops put names among the primed copies too.
+ESCAPED_NAMES = GroundProgram(
+    ['say "hi"', "back\\slash", "tab\tin", "caf\u00e9", "\u2028", "B", "\x00", "line\nbreak"],
+    [
+        ([0], [1], []), ([1], [0], []), ([0, 2], [], []), ([3], [], [4]),
+        ([4], [], [3]), ([5, 6], [], []), ([6], [7], []), ([7], [6], []),
+    ],
+)
+
+
 class TestEmittedFiles:
     def test_nontight_writes_both_formulas(self, example1, tmp_path):
         out = emit_cnf(tmp_path, EXAMPLE1)
@@ -165,6 +178,34 @@ class TestEmittedFiles:
         with pytest.raises(sat.SearchTimeout), sat.time_limit(0):
             write_formulas(str(out), program, completion, surplus)
         assert os.listdir(out) == []
+
+    def test_no_file_is_written_when_the_map_runs_out_of_time(
+        self, example1, tmp_path, monkeypatch
+    ):
+        # the formulas are built; the deadline passes while the map's text is
+        def expired(items):
+            raise sat.SearchTimeout("builtin counter timed out after 1s")
+
+        completion = clark_completion(example1)
+        surplus = surplus_formula(example1, completion)
+        monkeypatch.setattr(aspsubcount.counting, "_clocked", expired)
+        out = tmp_path / "enc"
+        with pytest.raises(sat.SearchTimeout):
+            write_formulas(str(out), example1, completion, surplus)
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize(
+        "program",
+        [parse_program(text) for text in FIXTURES.values()] + [ESCAPED_NAMES],
+        ids=[*FIXTURES, "escaped-names"],
+    )
+    def test_map_is_the_text_of_json_dumps(self, tmp_path, program):
+        completion = clark_completion(program)
+        surplus = surplus_formula(program, completion)
+        write_formulas(str(tmp_path), program, completion, surplus)
+        var_map = surplus.variable_map(program)
+        expected = json.dumps(var_map, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "phi2.map.json").read_text() == expected
 
     def test_tight_writes_both_formulas(self, tmp_path):
         # phi2 of a tight program is unsatisfiable: its witness disjunction is empty

@@ -111,6 +111,19 @@ class TestParsing:
         assert (err.value.line, err.value.column) == (1, column)
         assert message in str(err.value)
 
+    @pytest.mark.parametrize("space", ["\v", "\f", "\xa0", "\u2028"])
+    def test_a_line_of_other_whitespace_is_no_blank_line(self, space):
+        # only space, tab and CR are blanks, on a line of their own too
+        with pytest.raises(ParseError) as err:
+            parse_program(space)
+        assert (err.value.line, err.value.column) == (1, 1)
+        assert f"unexpected character {space!r}" in str(err.value)
+
+    def test_a_rule_then_a_line_of_no_break_space_is_an_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_program("a.\n\xa0\n")
+        assert (err.value.line, err.value.column) == (2, 1)
+
     def test_duplicate_head_atom_collapses(self):
         p = parse_program("a | a.\n")
         assert len(p.rules[0].head) == 1
