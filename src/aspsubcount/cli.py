@@ -81,8 +81,7 @@ def _build_parser() -> _Parser:
         p.add_argument("path", help="program file, or - for stdin")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p_analyze = sub.add_parser("analyze", help="program statistics and tightness")
-    add_common(p_analyze)
+    add_common(sub.add_parser("analyze", help="program statistics and tightness"))
 
     p_encode = sub.add_parser("encode", help="write DIMACS for both formulas")
     add_common(p_encode)
@@ -118,10 +117,7 @@ def _build_parser() -> _Parser:
     )
     p_count.add_argument("--emit-cnf", metavar="DIR", default=None)
 
-    p_oracle = sub.add_parser(
-        "oracle", help="brute-force answer sets (small programs only)"
-    )
-    add_common(p_oracle)
+    add_common(sub.add_parser("oracle", help="brute-force answer sets (small programs only)"))
 
     p_check = sub.add_parser("check", help="judge one interpretation")
     add_common(p_check)

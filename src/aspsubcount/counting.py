@@ -1,21 +1,19 @@
 """Answer-set counting strategies and counter backends.
 
-Every mode takes the program's distinct atom-disjoint parts one at a time:
-it builds a part's formulas, counts or enumerates the part, and lets the
-formulas go before the next part; the parts' numbers multiply, each raised
-to the number of copies of its part. A counted part gives the
-plain model count of its completion (whose auxiliaries are all defined by
-its atoms) less its surplus, the completion models that are not answer
-sets: the count of its surplus formula projected onto its atoms. An
+Every mode takes the distinct parts of ``depgraph.split`` one at a time,
+tight or not: it builds a part's formulas, counts or enumerates the part
+once, however many copies it has, and lets the formulas go before the next
+part; the parts' numbers multiply, each raised to its number of copies. A
+counted part gives the model count of its completion (whose auxiliaries
+its atoms define) less its surplus, the completion models that are not
+answer sets: its surplus formula's count projected onto its atoms. An
 enumerated part gives the justified models of one search over its
 completion, each decided by the clauses that the surplus formula adds
-(``copy_checker``). Subtractive mode counts every part and enumeration mode
-enumerates every part; hybrid mode counts tight parts and walks each loop
-part's completion models, counting the part in place once the walk reaches
-the threshold.
+(``copy_checker``). Subtractive mode counts every part, enumeration
+mode enumerates every part, and hybrid mode counts tight parts and walks
+each loop part's completion models, counting it in place at the threshold.
 ``subtractive_count``, ``enumerate_count`` and ``hybrid_count`` each return
-a ``CountReport``; writing the formulas to files is left to the caller
-(``write_formulas``).
+a ``CountReport``; ``write_formulas`` writes the formulas to files.
 """
 
 import contextlib
@@ -256,12 +254,10 @@ def _count_by_parts(
     ``_count_part`` with ``counter`` (the other parts, and a "hybrid" loop
     part whose walk reaches ``limit`` models, on the formulas the walk
     used), and its formulas are let go before the next part is built. Its
-    numbers are folded into the products once, raised to the number of its
-    copies: copies are the same program up to atom names, so they count
-    alike. The loop stops at the first part that makes the reported product
-    zero (the overcount in "subtractive" mode, the answer sets in the
-    others), and builds no later part. An IntegrityError names its part as
-    "part i of N", numbering the distinct parts."""
+    numbers are raised to the number of its copies, which count alike. The
+    loop stops at the first part that makes the reported product zero (the
+    overcount in "subtractive" mode, the answer sets in the others). An
+    IntegrityError names its part as "part i of N" of the distinct parts."""
     if (limit is None and mode == "hybrid") or (limit is not None and limit < 1):
         raise ValueError(f"{mode} limit must be at least 1")
     t0 = time.perf_counter()

@@ -6,8 +6,14 @@ lists the positive body atoms of every rule with y in the head, so heads
 depend on what supports them. A successor repeats when rules repeat it.
 """
 
+from collections import Counter
+
 from .program import GroundProgram, Rule
 from .sat import _check_clock, _clocked
+
+# split keys repeated tight components past this share of the tight rules;
+# copies break even at 0.2, and distinct blocks of one size cost 12-16% more
+REPEAT_SHARE = 0.5
 
 
 def build_dependency_graph(program: GroundProgram) -> list[list[int]]:
@@ -24,13 +30,13 @@ def _sccs(successors: list[list[int]]):
     each SCC it meets as a list of nodes. The search starts only at nodes
     with a successor: any other node is a singleton SCC without a
     self-loop, which holds no loop atom. The clock is checked before each
-    4096 roots and each 4096 nodes found."""
+    4096 roots and each 4096 nodes found, and after each 4096 closed."""
     n = len(successors)
     index = [0] * n  # discovery order from 1; 0 when unvisited
     low = [0] * n
     on_stack = bytearray(n)
     stack: list[int] = []
-    counter = 0
+    counter = closed = 0
     sccs = []
 
     for root in _clocked(range(n)):
@@ -57,6 +63,9 @@ def _sccs(successors: list[list[int]]):
                     low[node] = index[nxt]
             else:  # every successor is done
                 work.pop()
+                closed += 1
+                if not closed & 4095:
+                    _check_clock()
                 if work and low[node] < low[work[-1][0]]:
                     low[work[-1][0]] = low[node]
                 if low[node] == index[node]:
@@ -91,17 +100,19 @@ def split(
     and completion models of a union of atom-disjoint programs are the
     products of those of the parts (the trivial case of the splitting-set
     theorem), so the parts can be counted separately. Every component
-    holding loop atoms is a part of its own, ordered by its smallest atom;
-    the tight components and the rules without atoms form one remainder
-    part, last. Parts keep the atoms' relative order and the rules'
-    original order, and two parts whose rules are equal once renumbered
-    are the same program up to atom names: such a part is returned once,
-    at its first place, with the number of its copies. A tight program, or
-    one whose parts would be one, is returned whole.
+    holding loop atoms is a part of its own. So is each tight component
+    whose size (atoms, rules) another tight component has, when the tight
+    components beyond the first of each size hold more than
+    ``REPEAT_SHARE`` of the rules outside loop components. These parts are
+    ordered by their smallest atom; the other components and the rules
+    without atoms form one remainder part, last. Parts keep the atoms'
+    relative order and the rules' original order, and two parts whose rules
+    are equal once renumbered are the same program up to atom names: such a
+    part is returned once, at its first place, with the number of its
+    copies. A program whose parts would be one is returned whole.
     """
-    if not loops:
-        return [(program, loops, 1)]
-    parent = list(range(program.num_atoms))
+    parent = list(range(n := program.num_atoms))
+    size, held = [1] * n, [0] * n  # a root's atoms and rules
 
     def find(x):
         while parent[x] != x:
@@ -115,38 +126,47 @@ def split(
         if atoms:
             root = find(atoms[0])
             for x in atoms:
-                x = find(x)
-                if x != root:
+                if parent[x] != root and (x := find(x)) != root:
+                    if x < root:  # each root is the smallest atom of its component
+                        root, x = x, root
                     parent[x] = root
+                    size[root] += size[x]
+                    held[root] += held[x]
                     joins += 1
+            held[root] += 1
         else:
             atomless = True
-    if joins == program.num_atoms - 1 and not atomless:
+    if joins == n - 1 and not atomless:
         return [(program, loops, 1)]
-    components: dict[int, list[int]] = {}
-    for x in _clocked(range(program.num_atoms)):
-        components.setdefault(find(x), []).append(x)
-    groups = [c for c in components.values() if not loops.isdisjoint(c)]
-    rest = sorted(x for c in components.values() if loops.isdisjoint(c) for x in c)
-    part_of = {x: i for i, c in enumerate(groups) for x in c}
-    rules: list[list[Rule]] = [[] for _ in range(len(groups) + 1)]
-    for rule in _clocked(program.rules):
-        some = (rule.head or rule.pos_body or rule.neg_body or (None,))[0]
-        rules[part_of.get(some, len(groups))].append(rule)
+    tops = [r for r in _clocked(range(n)) if parent[r] == r]
+    looped = {find(x) for x in loops}
+    shapes = Counter((size[r], held[r]) for r in tops if r not in looped)
+    extra = sum((k - 1) * rules for (_, rules), k in shapes.items())
+    repeats = extra > REPEAT_SHARE * (len(program.rules) - sum(held[r] for r in looped))
+    keyed = [r for r in tops if r in looped or repeats and shapes[size[r], held[r]] > 1]
+    if not keyed:
+        return [(program, loops, 1)]
+    slot = {r: i for i, r in enumerate(keyed)}
+    part_of = [slot.get(find(x), -1) for x in _clocked(range(n))] + [-1]  # -1: remainder
+    parts: list[tuple[list[int], list[Rule]]] = [([], []) for _ in range(len(slot) + 1)]
+    for x in _clocked(range(n)):
+        parts[part_of[x]][0].append(x)
+    for rule in _clocked(program.rules):  # a rule without atoms reads part_of[n]
+        first = (rule.head or rule.pos_body or rule.neg_body or (n,))[0]
+        parts[part_of[first]][1].append(rule)
     distinct: dict = {}  # (atom count, renumbered rules) -> [part, its loops, copies]
-    for atoms, part_rules in zip(groups + [rest], rules):
-        if not (atoms or part_rules):
-            continue
+    for atoms, rules in filter(any, parts):  # an empty remainder is no part
         new_id = {x: i for i, x in enumerate(atoms)}.__getitem__
         key = len(atoms), tuple([
             (tuple(map(new_id, h)), tuple(map(new_id, pb)), tuple(map(new_id, nb)))
-            for h, pb, nb in part_rules
+            for h, pb, nb in rules
         ])
         entry = distinct.get(key)
         if entry:
             entry[2] += 1
         else:  # re-keyed on the part's equal rules: no second copy is held
-            part = GroundProgram([program.atoms[x] for x in atoms], key[1])
+            part = GroundProgram._trusted(  # renumbered in order: still ascending
+                [program.atoms[x] for x in atoms], list(map(Rule._make, key[1])))
             part_loops = frozenset(i for i, x in enumerate(atoms) if x in loops)
             distinct[len(atoms), tuple(part.rules)] = [part, part_loops, 1]
     return [tuple(entry) for entry in distinct.values()]

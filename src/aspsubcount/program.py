@@ -64,18 +64,18 @@ class GroundProgram:
     rules: list[Rule]
 
     def __post_init__(self):
-        n, rules = len(self.atoms), []
-        for r, (head, pos_body, neg_body) in enumerate(_clocked(self.rules)):
-            rule = Rule(
-                tuple(sorted(set(head))) if head else (),
-                tuple(sorted(set(pos_body))) if pos_body else (),
-                tuple(sorted(set(neg_body))) if neg_body else (),
-            )
+        n = len(self.atoms)
+        self.rules = [_ascending(h, pb, nb) for h, pb, nb in _clocked(self.rules)]
+        for r, rule in enumerate(_clocked(self.rules)):
             for ids in rule:
                 if ids and (ids[0] < 0 or ids[-1] >= n):
                     raise ValueError(f"rule {r} references unknown atom ids {ids}")
-            rules.append(rule)
-        self.rules = rules
+
+    @classmethod
+    def _trusted(cls, atoms: list[str], rules: list[Rule]) -> "GroundProgram":
+        """The program, unchecked: for callers whose ``Rule``s are valid."""
+        (program := object.__new__(cls)).__dict__.update(atoms=atoms, rules=rules)
+        return program
 
     @property
     def num_atoms(self) -> int:
@@ -102,6 +102,13 @@ class GroundProgram:
     @property
     def is_disjunctive(self) -> bool:
         return any(len(r.head) > 1 for r in self.rules)
+
+
+def _ascending(head, pos_body, neg_body) -> Rule:
+    """The ``Rule`` of three iterables of ids, each made an ascending tuple."""
+    return Rule(tuple(sorted(set(head))) if head else (),
+                tuple(sorted(set(pos_body))) if pos_body else (),
+                tuple(sorted(set(neg_body))) if neg_body else ())
 
 
 def satisfies(interp: Interpretation, rule: Rule) -> bool:
@@ -138,34 +145,36 @@ _MARKS = frozenset((":-", "|", ",", "."))
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
-def _parse_rule(line: str, line_no: int, intern) -> tuple[list[int], ...]:
-    """Head, positive and negative body of one rule's line, comment removed."""
+def _fail(line: str, line_no: int, i: int, message: str):
+    """Raise ``message`` at token i of the line. Columns are found here only,
+    by a rescan of the line. Its first character that is no token is the
+    error: no rule parses past one."""
+    column = len(line) + 1
+    for j, m in enumerate(_TOKEN.finditer(line)):
+        if m[0] not in _MARKS and m[0][0] not in _IDENT_START:
+            raise ParseError(f"unexpected character {m[0]!r}", line_no, m.start() + 1)
+        if j == i:
+            column = m.start() + 1
+    raise ParseError(message, line_no, column)
+
+
+def _parse_rule(line: str, line_no: int, ids: dict[str, int]) -> Rule:
+    """The rule of one line, comment removed; a new atom gets the next id."""
     toks = _TOKEN.findall(line) + [""]  # "" is the end of the line
     head: list[int] = []
     pos_body: list[int] = []
     neg_body: list[int] = []
     i = 0
 
-    def fail(message: str):
-        # Columns are found here only, by a rescan of the line. Its first
-        # character that is no token is the error: no rule parses past one.
-        column = len(line) + 1
-        for j, m in enumerate(_TOKEN.finditer(line)):
-            if m[0] not in _MARKS and m[0][0] not in _IDENT_START:
-                raise ParseError(f"unexpected character {m[0]!r}", line_no, m.start() + 1)
-            if j == i:
-                column = m.start() + 1
-        raise ParseError(message, line_no, column)
-
     def atom(context: str) -> int:
         nonlocal i
         text = toks[i]
         if text[:1] not in _IDENT_START:
-            fail(f"expected atom {context}")
+            _fail(line, line_no, i, f"expected atom {context}")
         if text == "not":
-            fail(f"'not' is a reserved word, not an atom {context}")
+            _fail(line, line_no, i, f"'not' is a reserved word, not an atom {context}")
         i += 1
-        return intern(text)
+        return ids.setdefault(text, len(ids))
 
     if toks[0][:1] in _IDENT_START:
         head.append(atom("in head"))
@@ -185,13 +194,13 @@ def _parse_rule(line: str, line_no: int, intern) -> tuple[list[int], ...]:
                     break
                 i += 1
     elif not head:
-        fail("expected atom or ':-'")
+        _fail(line, line_no, i, "expected atom or ':-'")
     if toks[i] != ".":
-        fail("expected '.'")
+        _fail(line, line_no, i, "expected '.'")
     i += 1
     if toks[i]:
-        fail("one rule per line")
-    return head, pos_body, neg_body
+        _fail(line, line_no, i, "one rule per line")
+    return _ascending(head, pos_body, neg_body)
 
 
 def parse_program(text: str) -> GroundProgram:
@@ -200,22 +209,14 @@ def parse_program(text: str) -> GroundProgram:
     ``%`` starts a comment; lines of blanks (space, tab, CR) are skipped. Atom
     ids follow first textual occurrence. Raises ParseError with line/column.
     """
-    atoms: list[str] = []
-    by_name: dict[str, int] = {}
-
-    def intern(name: str) -> int:
-        if name not in by_name:
-            by_name[name] = len(atoms)
-            atoms.append(name)
-        return by_name[name]
-
-    rules: list[tuple[list[int], ...]] = []
+    ids: dict[str, int] = {}  # each atom's id, in order of first occurrence
+    rules: list[Rule] = []
     for line_no, raw in enumerate(_clocked(text.split("\n")), start=1):
         line = raw.split("%", 1)[0]
         if not line.strip(" \t\r"):
             continue
-        rules.append(_parse_rule(line, line_no, intern))
-    return GroundProgram(atoms, rules)
+        rules.append(_parse_rule(line, line_no, ids))
+    return GroundProgram._trusted(list(ids), rules)  # its own ids: in range
 
 
 def format_rule(program: GroundProgram, rule: Rule) -> str:

@@ -31,6 +31,10 @@ WORKED_CLAUSES_WITH_REPEATS = (
     "-1 -2 0\n-2 -1 0\n-3 -4 5 0\n-4 -3 5 0\n-6 2 0\n-6 4 0\n6 -2 -4 0\n-5 1 6 0\n"
 )
 
+# 40 pairs joined by one rule into one part with 2^40 answer sets, which no
+# enumeration walks in time (40 separate pairs are one repeated part of two)
+SLOW_TO_ENUMERATE = pairs_text(40) + f"c :- {', '.join(f'a{i}' for i in range(40))}.\n"
+
 
 def drop_repeated_clauses(text: str) -> str:
     """DIMACS ``text`` without each clause whose literal set an earlier
@@ -261,7 +265,7 @@ class TestCount:
         if mode == "subtractive":
             path = program_file(pigeonhole_text(10, 9))
         else:
-            path = program_file("".join(f"a{i} | b{i}.\n" for i in range(40)))
+            path = program_file(SLOW_TO_ENUMERATE)
         start = time.monotonic()
         code, out, err = run_cli(capsys, "count", path, "--mode", mode, "--timeout", "0.2")
         assert time.monotonic() - start < 3
@@ -896,7 +900,7 @@ def test_no_command_makes_reference_cycles(
         (EXAMPLE1, ["--backend", "nope"], 1),
         (EXAMPLE1, ["--mode", "subtractive", "--threshold", "5"], 1),
         (pigeonhole_text(10, 9), ["--timeout", "0.1"], 2),
-        (pairs_text(40), ["--mode", "enumerate", "--timeout", "0.1"], 2),
+        (SLOW_TO_ENUMERATE, ["--mode", "enumerate", "--timeout", "0.1"], 2),
     ],
     ids=["parse-error", "bad-backend", "usage-error", "timeout", "enumerate-timeout"],
 )
@@ -1199,3 +1203,43 @@ def test_golden_output(capsys, tmp_path, program, args, code, out, err):
     got_code, got_out, got_err = run_cli(capsys, argv[0], str(path), *argv[1:])
     got_out = TIMES.sub(r'"\1_time": T', got_out.replace(str(tmp_path), "TMP"))
     assert (got_code, got_out, got_err) == (code, out, err)
+
+
+# count on k pairs, which split returns as one pair with k copies, prints
+# byte for byte what it printed when the pairs were one part: (k, arguments
+# after the program's path, exit code, stdout, stderr)
+REPEATED_PAIRS = [
+    (40, "--mode enumerate --threshold 1000", 0,
+     "mode: enumeration (capped)\n"
+     "answer sets: 1000\n",
+     "note: stopped at limit 1000; count is a lower bound\n"),
+    (40, "--mode enumerate --threshold 1000 --json", 0,
+     '{"schema": 1, "overcount": 1000, "surplus": 0, "answer_sets": 1000, '
+     '"mode": "enumeration", "backend": "builtin", "encode_time": T, '
+     '"count_time": T, "loop_atom_count": 0, "exhausted": false}\n',
+     "note: stopped at limit 1000; count is a lower bound\n"),
+    (7, "--mode hybrid --threshold 64", 0,
+     "mode: hybrid\n"
+     "backend: builtin\n"
+     "loop atoms: 0\n"
+     "overcount: 128\n"
+     "surplus: 0\n"
+     "answer sets: 128\n",
+     ""),
+    (7, "--mode hybrid --threshold 64 --json", 0,
+     '{"schema": 1, "overcount": 128, "surplus": 0, "answer_sets": 128, '
+     '"mode": "hybrid", "backend": "builtin", "encode_time": T, '
+     '"count_time": T, "loop_atom_count": 0}\n',
+     ""),
+]
+
+
+@pytest.mark.parametrize(
+    "k, args, code, out, err", REPEATED_PAIRS,
+    ids=[f"{k} pairs: {args}" for k, args, *_ in REPEATED_PAIRS],
+)
+def test_repeated_pairs_print_as_one_part(capsys, program_file, k, args, code, out, err):
+    got_code, got_out, got_err = run_cli(
+        capsys, "count", program_file(pairs_text(k)), *args.split()
+    )
+    assert (got_code, TIMES.sub(r'"\1_time": T', got_out), got_err) == (code, out, err)

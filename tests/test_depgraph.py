@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import aspsubcount.depgraph
 from aspsubcount import build_dependency_graph, loop_atoms, parse_program, sat, split
 
 from helpers import cyclic_atoms_dfs, random_program_text
@@ -142,3 +143,14 @@ def test_loop_atoms_and_split_stop_at_the_deadline():
         with pytest.raises(sat.SearchTimeout):
             split(program, loops)
     assert split(program, loops) == [(program, loops, 1)]
+
+
+def test_sccs_check_the_clock_while_closing(monkeypatch):
+    # one cycle is found in one descent and closed in one climb back out;
+    # the clock is checked after each 4096 nodes of either
+    n = 5 * 4096
+    calls = []
+    monkeypatch.setattr(aspsubcount.depgraph, "_check_clock", lambda: calls.append(1))
+    [component] = aspsubcount.depgraph._sccs([[(i + 1) % n] for i in range(n)])
+    assert len(component) == n
+    assert len(calls) == 2 * 5

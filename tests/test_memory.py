@@ -6,7 +6,7 @@ numbered by the layout, with no set or map of them. The peak of a count
 per part, on 60 distinct cycle parts and a tight part: each part's
 formulas are let go before the next part's are built. What the split
 keeps of 4000 copies of one cycle block: the block once, not 4000 part
-programs."""
+programs; and of 4000 pairs, one pair, not the parsed program."""
 
 import gc
 import tracemalloc
@@ -76,3 +76,17 @@ def test_split_keeps_one_part_of_many_copies():
     loops = loop_atoms(build_dependency_graph(program))
     kept, _ = traced(lambda: split(program, loops))
     assert kept <= 150 * RULES
+
+
+def test_split_keeps_one_pair_of_many_copies():
+    # the parsed program keeps about 350 B a rule; the split's one part
+    # keeps a pair, and the rest is what freed tuples leave in Python's
+    # free lists (about 30 B a rule)
+    text = pairs_text(RULES)
+
+    def run():
+        program = parse_program(text)
+        return split(program, loop_atoms(build_dependency_graph(program)))
+
+    kept, _ = traced(run)
+    assert kept <= 60 * RULES

@@ -37,6 +37,7 @@ from aspsubcount.cli import main
 from conftest import EXAMPLE1
 from test_counting import emit_cnf, enumerated
 from helpers import (
+    chain_text,
     completion_models_by_definition,
     cycles_text,
     distinct_cycles_text,
@@ -128,6 +129,22 @@ class TestSplit:
         assert enumerated(program) == (4, True)
         assert hybrid_count(program, threshold=2).answer_sets == 4
 
+    def test_repeated_pairs_are_one_part(self):
+        [(part, loops, copies)] = parts_of(parse_program(pairs_text(1000)))
+        assert (part.atoms, part.rules) == (["a0", "b0"], [((0, 1), (), ())])
+        assert (loops, copies) == (frozenset(), 1000)
+
+    @pytest.mark.parametrize(
+        "text",
+        [chain_text(50) + pairs_text(10, "p"), pairs_text(2)],
+        ids=["9-of-111-rules", "1-of-2-rules"],
+    )
+    def test_repeats_within_the_share_leave_the_program_whole(self, text):
+        # the extra copies of a pair hold no more than half of the rules
+        program = parse_program(text)
+        [(part, loops, copies)] = parts_of(program)
+        assert part is program and (loops, copies) == (frozenset(), 1)
+
 
 class TestSplitCounts:
     @settings(max_examples=60, deadline=None)
@@ -213,6 +230,42 @@ class TestSplitCounts:
         else:
             assert hybrid.mode == "hybrid"
             assert (hybrid.overcount, hybrid.surplus) == (completions, completions - answers)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        blocks=st.lists(st.tuples(st.booleans(), st.integers(1, 6)), min_size=1, max_size=3),
+        threshold=st.integers(1, 64),
+    )
+    def test_repeated_blocks_in_any_rule_order(self, seed, blocks, threshold):
+        # tight and loop blocks, each repeated under fresh prefixes, with
+        # the rules of all copies shuffled
+        rng = random.Random(seed)
+        lines = []
+        answers = completions = 1
+        for i, (loopy, copies) in enumerate(blocks):
+            if loopy:
+                block = random_program_text(rng, max_atoms=4, max_rules=5, force_loop=True)
+            else:
+                block = random_tight_program_text(rng, max_atoms=4, max_rules=5)
+            program = parse_program(block)
+            answers *= count_answer_sets_bruteforce(program) ** copies
+            completions *= completion_models_by_definition(program) ** copies
+            for c in range(copies):
+                lines += prefixed(block, f"p{i}c{c}").splitlines(keepends=True)
+        rng.shuffle(lines)
+        union = parse_program("".join(lines))
+        # the parts, with their copies, partition the rules and the atoms
+        parts = parts_of(union)
+        assert sum(n * len(part.rules) for part, _, n in parts) == len(union.rules)
+        assert sum(n * part.num_atoms for part, _, n in parts) == union.num_atoms
+        report = subtractive_count(union)
+        assert (report.overcount, report.answer_sets) == (completions, answers)
+        limit = 256
+        assert enumerated(union, limit) == (min(answers, limit), answers < limit)
+        hybrid = hybrid_count(union, threshold=threshold)
+        assert hybrid.answer_sets == answers
+        assert hybrid.mode == ("enumeration" if answers < threshold else "hybrid")
 
     def test_always_false_constraint(self):
         assert subtractive_count(parse_program(":- .\n")).answer_sets == 0
@@ -419,6 +472,23 @@ class TestPerPart:
         report = count(parse_program(cycles_text(200)))
         assert report.answer_sets == 2**200
         assert completions[0] == 1
+
+    def test_repeated_pairs_build_one_engine_of_one_pair(self, monkeypatch):
+        # one engine over the pair's two clauses, not one over 40000
+        # variables (whose clauses the merge of equal variables empties)
+        engines = []
+
+        class Counted(aspsubcount.sat._Trail):
+            __slots__ = ()
+
+            def __init__(self, clauses, num_vars):
+                engines.append((len(clauses), num_vars))
+                super().__init__(clauses, num_vars)
+
+        monkeypatch.setattr(aspsubcount.sat, "_Trail", Counted)
+        report = subtractive_count(parse_program(pairs_text(20000)))
+        assert report.answer_sets == 2**20000
+        assert engines == [(2, 2)], engines[:3]
 
     @pytest.mark.parametrize(
         "text",
