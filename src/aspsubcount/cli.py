@@ -27,7 +27,6 @@ from .counting import (
     subtractive_count,
     write_formulas,
 )
-from .depgraph import build_dependency_graph, loop_atoms
 from .oracle import (
     BRUTE_FORCE_ATOM_LIMIT,
     answer_sets_bruteforce,
@@ -171,7 +170,7 @@ def _report(args, payload: dict, lines: list[str]) -> int:
 
 def _cmd_analyze(args) -> int:
     program = _read_program(args.path)
-    loops = sorted(map(program.name_of, loop_atoms(build_dependency_graph(program))))
+    loops = sorted(map(program.name_of, program.loop_atoms))
     warnings = lint(program)
     payload = {
         "atoms": program.num_atoms,
@@ -220,7 +219,7 @@ def _cmd_count(args) -> int:
             return _usage_error("--mode enumerate runs no model counter; drop --backend")
         if args.mode == "subtractive" and args.threshold is not None:
             return _usage_error("--mode subtractive takes no --threshold")
-        if args.emit_cnf is not None:  # the whole program, though counting goes by parts
+        if args.emit_cnf is not None:  # the whole program; the count reuses its analysis
             _emit(program, args.emit_cnf)
         if args.mode == "enumerate":
             report = enumerate_count(program, args.threshold)
@@ -265,15 +264,14 @@ def _cmd_check(args) -> int:
     except KeyError as exc:
         return _usage_error(f"unknown atom {exc.args[0]!r} in --model")
     completion = clark_completion(program)
-    loops = loop_atoms(build_dependency_graph(program))
     models_program = satisfies_program(interp, program)
     models_completion = completion_model_check(completion, interp)
 
     just_all = justification_check_all(program, interp) if models_program else None
     just_loops = copy_sat = None
     if models_completion:
-        just_loops = justification_check_loops(program, interp, loops, completion)
-        copy_sat = copy_check(program, interp, loops, completion)
+        just_loops = justification_check_loops(program, interp, completion)
+        copy_sat = copy_check(program, interp, completion)
     answer = models_program and just_all is None
 
     def justification(checked, witness, why):

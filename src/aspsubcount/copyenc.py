@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from .cnf import CnfFormula, dimacs
 from .completion import CompletionArtifact, clark_completion
-from .depgraph import build_dependency_graph, loop_atoms
 from .program import GroundProgram
 from .sat import _clocked, checker
 
@@ -93,26 +92,22 @@ class SurplusArtifact:
 
 
 def surplus_formula(
-    program: GroundProgram,
-    completion: CompletionArtifact | None = None,
-    loops: frozenset[int] | None = None,
+    program: GroundProgram, completion: CompletionArtifact | None = None
 ) -> SurplusArtifact:
-    """Build the subtrahend formula. ``loops`` are the program's loop
-    atoms, computed here when not given.
+    """Build the subtrahend formula over ``program.loop_atoms``, on
+    ``completion`` (built here when None).
 
     For a tight program the witness disjunction is empty, so the formula
     contains an empty clause and is unsatisfiable (surplus zero).
     """
     if completion is None:
         completion = clark_completion(program)
-    if loops is None:
-        loops = loop_atoms(build_dependency_graph(program))
-    ordered = tuple(sorted(loops))
+    ordered = tuple(sorted(program.loop_atoms))
     base, k = completion.cnf.num_vars, len(ordered)
 
     # ordered[i] has the prime base + 1 + i, and its witness k above that
     clauses = completion.cnf.clauses + copy_operation(
-        program, loops, {x: v for v, x in enumerate(ordered, base + 1)}
+        program, program.loop_atoms, {x: v for v, x in enumerate(ordered, base + 1)}
     )
     for v, x in enumerate(ordered, base + 1):
         clauses.append((-(v + k), -v))

@@ -1,12 +1,13 @@
 """Answer-set counting strategies and counter backends.
 
 Every mode takes the distinct parts of ``depgraph.split`` one at a time,
-tight or not: it builds a part's formulas, counts or enumerates the part
-once, however many copies it has, and lets the formulas go before the next
-part; the parts' numbers multiply, each raised to its number of copies. A
-counted part gives the model count of its completion (whose auxiliaries
-its atoms define) less its surplus, the completion models that are not
-answer sets: its surplus formula's count projected onto its atoms. An
+tight or not, each with its ``loop_atoms`` (the program's, found once): it
+builds a part's formulas, counts or enumerates the part once, however many
+copies it has, and lets the formulas go before the next part; the parts'
+numbers multiply, each raised to its number of copies. A counted part
+gives the count of its completion less its surplus, the completion models
+that are not answer sets, each formula counted projected onto the part's
+atoms (the completion's auxiliaries are defined by its atoms). An
 enumerated part gives the justified models of one search over its
 completion, each decided by the clauses that the surplus formula adds
 (``copy_checker``). Subtractive mode counts every part, enumeration
@@ -27,9 +28,9 @@ from dataclasses import asdict, dataclass
 
 from .completion import clark_completion, CompletionArtifact
 from .copyenc import copy_checker, surplus_formula, SurplusArtifact
-from .depgraph import build_dependency_graph, loop_atoms, split
+from .depgraph import split
 from .program import GroundProgram
-from .sat import _clocked, _time_left, count_models, models, projected_count
+from .sat import _clocked, _time_left, models, projected_count
 
 HYBRID_THRESHOLD = 10_000  # hybrid_count's default switch point
 
@@ -191,25 +192,25 @@ def _count_part(
     where: str,
 ) -> tuple[int, int]:
     """Count one part's completion formula and, when the part has loop
-    atoms, its surplus formula projected onto the atoms, in process or by
-    the external counter at path ``counter``. Returns (overcount, surplus),
+    atoms, its surplus formula, each projected onto the atoms, in process or
+    by the external counter at path ``counter``. Returns (overcount, surplus),
     or raises IntegrityError, naming the part by ``where``, when the surplus
     exceeds the overcount. The external counter reads DIMACS files written
     to a temporary directory, which is removed when the call ends, however
     it ends."""
+    formulas = list(filter(None, [completion, surplus_art]))
     if counter:
         with tempfile.TemporaryDirectory(prefix="aspsubcount-") as tmp:
             paths = []
-            for i, formula in enumerate(filter(None, [completion, surplus_art]), 1):
+            for i, formula in enumerate(formulas, 1):
                 paths.append(os.path.join(tmp, f"phi{i}.cnf"))
                 with open(paths[-1], "w") as handle:
                     handle.write(formula.to_dimacs(program))
             counts = [external_projected_count(path, counter) for path in paths]
-        over, surplus = counts[0], sum(counts[1:])  # no phi2.cnf: surplus 0
-    else:
-        over, surplus = count_models(completion.cnf), 0
-        if surplus_art:
-            surplus = projected_count(surplus_art.cnf, surplus_art.projection_out)
+    else:  # every variable above the atoms is projected away
+        above = completion.num_atoms + 1
+        counts = [projected_count(f.cnf, range(above, f.cnf.num_vars + 1)) for f in formulas]
+    over, surplus = counts[0], sum(counts[1:])  # no surplus formula: surplus 0
     if surplus > over:
         raise IntegrityError(
             f"surplus {surplus} exceeds overcount {over}{where}; "
@@ -247,8 +248,8 @@ def _count_by_parts(
     counter: str | None = None,
 ) -> CountReport:
     """The counting loop of every mode ("subtractive", "enumeration" or
-    "hybrid") over the distinct parts of ``split(program, loops)``, the
-    program's loop atoms found once, here. Each part in turn is built, then
+    "hybrid") over the distinct parts of ``split(program)``, each with its
+    ``loop_atoms``, the program's found once. Each part in turn is built, then
     enumerated by ``_enumerate_part`` (up to ``limit`` answer sets in
     "enumeration" mode; a loop part in "hybrid" mode) or counted by
     ``_count_part`` with ``counter`` (the other parts, and a "hybrid" loop
@@ -261,17 +262,16 @@ def _count_by_parts(
     if (limit is None and mode == "hybrid") or (limit is not None and limit < 1):
         raise ValueError(f"{mode} limit must be at least 1")
     t0 = time.perf_counter()
-    program_loops = loop_atoms(build_dependency_graph(program))
-    parts = split(program, program_loops)
+    parts = split(program)
     encode_time = time.perf_counter() - t0
     overcount, answer_sets, counted = 1, 1, False
-    for i, (part, loops, copies) in enumerate(parts):
+    for i, (part, copies) in enumerate(parts):
         t1 = time.perf_counter()
         completion = clark_completion(part)
-        surplus_art = surplus_formula(part, completion, loops) if loops else None
+        surplus_art = surplus_formula(part, completion) if part.loop_atoms else None
         encode_time += time.perf_counter() - t1
         walk = None
-        if mode == "enumeration" or (mode == "hybrid" and loops):
+        if mode == "enumeration" or (mode == "hybrid" and surplus_art):
             walk = _enumerate_part(completion, surplus_art, limit, mode == "hybrid")
         if walk:
             over, surplus = walk
@@ -294,7 +294,7 @@ def _count_by_parts(
         answer_sets = overcount
     return CountReport(
         overcount, overcount - answer_sets, answer_sets, mode, backend,
-        encode_time, count_time, len(program_loops), exhausted,
+        encode_time, count_time, len(program.loop_atoms), exhausted,
     )
 
 

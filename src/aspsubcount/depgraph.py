@@ -30,7 +30,8 @@ def _sccs(successors: list[list[int]]):
     each SCC it meets as a list of nodes. The search starts only at nodes
     with a successor: any other node is a singleton SCC without a
     self-loop, which holds no loop atom. The clock is checked before each
-    4096 roots and each 4096 nodes found, and after each 4096 closed."""
+    4096 roots and each 4096 nodes found, and after each 4096 closed and
+    each 4096 members popped into one component."""
     n = len(successors)
     index = [0] * n  # discovery order from 1; 0 when unvisited
     low = [0] * n
@@ -74,6 +75,8 @@ def _sccs(successors: list[list[int]]):
                         member = stack.pop()
                         on_stack[member] = 0
                         component.append(member)
+                        if not len(component) & 4095:
+                            _check_clock()
                         if member == node:
                             break
                     sccs.append(component)
@@ -90,11 +93,9 @@ def loop_atoms(successors: list[list[int]]) -> frozenset[int]:
     return frozenset(loops)
 
 
-def split(
-    program: GroundProgram, loops: frozenset[int]
-) -> list[tuple[GroundProgram, frozenset[int], int]]:
-    """The distinct atom-disjoint parts of the program, each with its loop
-    atoms and how often it occurs; ``loops`` are the program's loop atoms.
+def split(program: GroundProgram) -> list[tuple[GroundProgram, int]]:
+    """The distinct atom-disjoint parts of the program, as (part, copies)
+    pairs; a part's ``loop_atoms`` are set from the program's as it is built.
 
     Two atoms share a part when a chain of rules links them. Answer sets
     and completion models of a union of atom-disjoint programs are the
@@ -137,15 +138,15 @@ def split(
         else:
             atomless = True
     if joins == n - 1 and not atomless:
-        return [(program, loops, 1)]
+        return [(program, 1)]
     tops = [r for r in _clocked(range(n)) if parent[r] == r]
-    looped = {find(x) for x in loops}
+    looped = set(map(find, loops := program.loop_atoms))
     shapes = Counter((size[r], held[r]) for r in tops if r not in looped)
     extra = sum((k - 1) * rules for (_, rules), k in shapes.items())
     repeats = extra > REPEAT_SHARE * (len(program.rules) - sum(held[r] for r in looped))
     keyed = [r for r in tops if r in looped or repeats and shapes[size[r], held[r]] > 1]
     if not keyed:
-        return [(program, loops, 1)]
+        return [(program, 1)]
     slot = {r: i for i, r in enumerate(keyed)}
     part_of = [slot.get(find(x), -1) for x in _clocked(range(n))] + [-1]  # -1: remainder
     parts: list[tuple[list[int], list[Rule]]] = [([], []) for _ in range(len(slot) + 1)]
@@ -154,7 +155,7 @@ def split(
     for rule in _clocked(program.rules):  # a rule without atoms reads part_of[n]
         first = (rule.head or rule.pos_body or rule.neg_body or (n,))[0]
         parts[part_of[first]][1].append(rule)
-    distinct: dict = {}  # (atom count, renumbered rules) -> [part, its loops, copies]
+    distinct: dict = {}  # (atom count, renumbered rules) -> [part, copies]
     for atoms, rules in filter(any, parts):  # an empty remainder is no part
         new_id = {x: i for i, x in enumerate(atoms)}.__getitem__
         key = len(atoms), tuple([
@@ -163,10 +164,10 @@ def split(
         ])
         entry = distinct.get(key)
         if entry:
-            entry[2] += 1
+            entry[1] += 1
         else:  # re-keyed on the part's equal rules: no second copy is held
             part = GroundProgram._trusted(  # renumbered in order: still ascending
                 [program.atoms[x] for x in atoms], list(map(Rule._make, key[1])))
-            part_loops = frozenset(i for i, x in enumerate(atoms) if x in loops)
-            distinct[len(atoms), tuple(part.rules)] = [part, part_loops, 1]
+            part.loop_atoms = frozenset(i for i, x in enumerate(atoms) if x in loops)
+            distinct[len(atoms), tuple(part.rules)] = [part, 1]
     return [tuple(entry) for entry in distinct.values()]

@@ -10,7 +10,6 @@ model, for diagnostics and for comparison with the reduct checks.
 
 from .completion import CompletionArtifact, clark_completion, completion_model_check
 from .copyenc import copy_checker, surplus_formula
-from .depgraph import build_dependency_graph, loop_atoms
 from .program import GroundProgram, Interpretation, satisfies_program
 from .sat import solve_clauses
 
@@ -112,32 +111,28 @@ def _require_completion_model(
 
 
 def justification_check_loops(
-    program: GroundProgram,
-    interp: Interpretation,
-    loops: frozenset[int] | None = None,
+    program: GroundProgram, interp: Interpretation,
     completion: CompletionArtifact | None = None,
 ) -> frozenset[int] | None:
-    """Like justification_check_all, but only loop atoms may be dropped:
-    true non-loop atoms stay fixed, and at least one true loop atom must go
-    false. Requires ``interp`` to be a model of the completion.
+    """Like justification_check_all, but only ``program.loop_atoms`` may be
+    dropped: true non-loop atoms stay fixed, and at least one true loop atom
+    must go false. Requires ``interp`` to be a model of the completion
+    (``completion``, built when None).
 
     Returns the witness assignment (as the set of true atoms) or None.
     """
     _require_completion_model(program, interp, completion)
-    if loops is None:
-        loops = loop_atoms(build_dependency_graph(program))
-    return _smaller_reduct_model(program, interp, interp & loops)
+    return _smaller_reduct_model(program, interp, interp & program.loop_atoms)
 
 
 def copy_check(
-    program: GroundProgram,
-    interp: Interpretation,
-    loops: frozenset[int] | None = None,
+    program: GroundProgram, interp: Interpretation,
     completion: CompletionArtifact | None = None,
 ) -> bool:
     """``copyenc.copy_checker``'s test on one interpretation, which must be
-    a model of the completion. Returns True exactly when ``interp`` is not
-    an answer set."""
+    a model of the completion (``completion``, built when None), with the
+    surplus formula over ``program.loop_atoms``. Returns True exactly when
+    ``interp`` is not an answer set."""
     completion = _require_completion_model(program, interp, completion)
     model = {x + 1: x in interp for x in range(completion.num_atoms)}
-    return copy_checker(completion, surplus_formula(program, completion, loops))(model)
+    return copy_checker(completion, surplus_formula(program, completion))(model)

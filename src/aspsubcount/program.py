@@ -85,6 +85,11 @@ class GroundProgram:
     def _by_name(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.atoms)}
 
+    @cached_property
+    def loop_atoms(self) -> frozenset[int]:
+        """The atoms on a cycle of positive dependencies, found on first use."""
+        return depgraph.loop_atoms(depgraph.build_dependency_graph(self))
+
     def atom_id(self, name: str) -> int:
         return self._by_name[name]
 
@@ -232,3 +237,6 @@ def format_rule(program: GroundProgram, rule: Rule) -> str:
 def format_program(program: GroundProgram) -> str:
     """Render the program back to text; reparsing yields an isomorphic program."""
     return "\n".join(format_rule(program, r) for r in program.rules) + "\n"
+
+
+from . import depgraph  # noqa: E402  (last: depgraph imports this module's classes)

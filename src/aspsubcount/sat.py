@@ -52,10 +52,10 @@ search runs on an explicit stack, so its depth is not bound by Python's
 recursion limit. Within one count, each component's count is cached under
 the exact key of its clause ids and variables, so a component that the
 search reaches again along another branch is counted once; the cache is
-emptied when it grows past ``CACHE_BYTES``. Every search, the breadth-first
-ones that rank a component too, checks the clock every 64 steps and raises
-``SearchTimeout`` once the innermost ``time_limit`` has passed; outside
-every one the deadline is math.inf, and no check fails.
+emptied when it grows past ``CACHE_BYTES``. A walk of leaves or of layers
+checks the clock every 64 steps, and a count as its search starts and once
+its turns and the sizes of the components it branched on pass 4096; past
+the innermost ``time_limit`` (math.inf outside all) they raise ``SearchTimeout``.
 """
 
 import math
@@ -207,7 +207,7 @@ def _merged(clauses: list, num_vars: int, kept: bytearray) -> list | None:
         a * m + b if a * a <= b * b else b * m + a
         for a, b in compress(_clocked(clauses), map((2).__eq__, map(len, clauses)))
     ]
-    found = set(keys).intersection(map(neg, filter((0).__gt__, keys)))
+    found = list(set(keys).intersection(map(neg, filter((0).__gt__, keys))))
     if not found:
         return clauses
     # up[x]: a literal equal to x, x itself at a root; up[-x] is -up[x]
@@ -225,7 +225,7 @@ def _merged(clauses: list, num_vars: int, kept: bytearray) -> list | None:
         return lit
 
     away = []  # each variable linked below a root, in the order linked
-    for key in found:
+    for key in _clocked(found):
         a = (key + num_vars) // m
         a, b = find(a), find(a * m - key)  # a == -(key - a * m)
         if a == -b:
@@ -236,7 +236,7 @@ def _merged(clauses: list, num_vars: int, kept: bytearray) -> list | None:
             away.append(abs(b))
             up[b], up[-b] = a, -a
     # a variable is linked to a root, or to one linked after it
-    for v in reversed(away):
+    for v in _clocked(away[::-1]):
         up[v] = root = up[up[v]]
         up[-v] = -root
         kept[v] = kept[-v] = 0
@@ -406,7 +406,7 @@ class _Trail:
         components, the index of the next of them and their product so
         far]."""
         trail, nfree = self.trail, self.nfree
-        steps = 0
+        work = 4096  # toward a clock read: full, so the search starts with one
         cache, cache_bytes = {}, 0
         every = range(1, self.num_vars + 1)
         comps = self.split(every, kept)
@@ -422,8 +422,9 @@ class _Trail:
         index = 0
         stack = []
         while True:
-            steps += 1
-            if not steps & 63:
+            work += 1
+            if work > 4096:
+                work = 0
                 _check_clock()
             if product and index < len(comps):
                 key, nkept, var, items = comps[index]
@@ -464,6 +465,7 @@ class _Trail:
             # take the branch node[3] of the component on top of the stack;
             # what it makes true lies in the component
             mark, index = node[4], 0
+            work += len(node[2])
             if not self.assign([node[3]]):
                 comps, product = (), 0
             elif len(trail) - mark == len(node[2]):

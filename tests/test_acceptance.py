@@ -127,7 +127,6 @@ def test_acceptance_3_check_equivalence(fixture_programs):
     models_seen = 0
     for name, program in programs.items():
         completion = clark_completion(program)
-        loops = loop_atoms(build_dependency_graph(program))
         for interp in all_interpretations(program.num_atoms):
             if not completion_model_check(completion, interp):
                 continue
@@ -135,10 +134,10 @@ def test_acceptance_3_check_equivalence(fixture_programs):
             answer = is_answer_set(program, interp)
             via_all = justification_check_all(program, interp) is None
             via_loops = (
-                justification_check_loops(program, interp, loops, completion)
+                justification_check_loops(program, interp, completion)
                 is None
             )
-            via_copy = not copy_check(program, interp, loops, completion)
+            via_copy = not copy_check(program, interp, completion)
             if not (answer == via_all == via_loops == via_copy):
                 violations.append((name, sorted(interp)))
     ok = not violations and models_seen > 250

@@ -136,21 +136,22 @@ def test_loop_atoms_and_split_stop_at_the_deadline():
     ring = "".join(f"a{i} :- a{i + 1}.\n" for i in range(n))
     program = parse_program(ring + f"a{n} :- a0.\na0 :- not b.\nb :- not a0.\n")
     graph = build_dependency_graph(program)
-    loops = loop_atoms(graph)
+    assert program.loop_atoms == loop_atoms(graph)  # known: split raises in its own walk
     with sat.time_limit(0):
         with pytest.raises(sat.SearchTimeout):
             loop_atoms(graph)
         with pytest.raises(sat.SearchTimeout):
-            split(program, loops)
-    assert split(program, loops) == [(program, loops, 1)]
+            split(program)
+    assert split(program) == [(program, 1)]
 
 
 def test_sccs_check_the_clock_while_closing(monkeypatch):
-    # one cycle is found in one descent and closed in one climb back out;
-    # the clock is checked after each 4096 nodes of either
+    # one cycle is found in one descent, closed in one climb back out and
+    # popped off the stack as one component; the clock is checked after
+    # each 4096 nodes of any of the three
     n = 5 * 4096
     calls = []
     monkeypatch.setattr(aspsubcount.depgraph, "_check_clock", lambda: calls.append(1))
     [component] = aspsubcount.depgraph._sccs([[(i + 1) % n] for i in range(n)])
     assert len(component) == n
-    assert len(calls) == 2 * 5
+    assert len(calls) == 3 * 5

@@ -163,7 +163,7 @@ class TestLoopJustification:
         for interp in all_interpretations(program.num_atoms):
             if not completion_model_check(completion, interp):
                 continue
-            witness = justification_check_loops(program, interp, loops, completion)
+            witness = justification_check_loops(program, interp, completion)
             if witness is None:
                 continue
             assert witness & (interp - loops) == interp - loops
@@ -213,17 +213,14 @@ class TestThreeWayAgreement:
     @staticmethod
     def _check(program, label):
         completion = clark_completion(program)
-        from aspsubcount import build_dependency_graph, loop_atoms
-
-        loops = loop_atoms(build_dependency_graph(program))
         for interp in all_interpretations(program.num_atoms):
             if not completion_model_check(completion, interp):
                 continue
             expected = is_answer_set(program, interp)
             via_loops = (
-                justification_check_loops(program, interp, loops, completion)
+                justification_check_loops(program, interp, completion)
                 is None
             )
-            via_copy = not copy_check(program, interp, loops, completion)
+            via_copy = not copy_check(program, interp, completion)
             assert via_loops == expected, (label, sorted(interp))
             assert via_copy == expected, (label, sorted(interp))

@@ -14,6 +14,7 @@ from aspsubcount import (
     parse_program,
     projected_count,
     solve_clauses,
+    surplus_formula,
 )
 from aspsubcount import sat
 from aspsubcount.sat import models
@@ -526,6 +527,42 @@ class TestTimeLimit:
                 count_models(f)
         assert sat._merged(f.clauses, f.num_vars, kept) == []
         assert count_models(f) == 2
+
+    def test_the_merge_reads_the_clock_while_merging(self, monkeypatch):
+        # a chain of 4 * 4096 equalities: the clock is read before each 4096
+        # clauses of both passes over the clauses, each 4096 equal pairs and
+        # each 4096 variables merged away
+        n = 4 * 4096
+        clauses = [c for v in range(1, n + 1) for c in ((v, -(v + 1)), (-v, v + 1))]
+        kept = bytearray([1]) * (2 * n + 3)
+        calls = []
+        monkeypatch.setattr(sat, "_check_clock", lambda: calls.append(1))
+        assert sat._merged(clauses, n + 1, kept) == []
+        assert len(calls) == 8 + 4 + 4 + 8
+
+    def test_a_count_charges_its_branches_by_size(self, monkeypatch):
+        # the surplus search of a 4000-rule ring takes a few turns, each a
+        # branch over thousands of variables: the clock is read as the
+        # search starts, and after each branch
+        program = parse_program(ring_text(4000))
+        f = surplus_formula(program).cnf
+        events = []
+
+        class Logged(sat._Trail):
+            def assign(self, queue):
+                events.append("assign")
+                return super().assign(queue)
+
+            def count(self, kept):
+                events.append("count")
+                return super().count(kept)
+
+        monkeypatch.setattr(sat, "_Trail", Logged)
+        monkeypatch.setattr(sat, "_check_clock", lambda: events.append("clock"))
+        assert projected_count(f, range(program.num_atoms + 1, f.num_vars + 1)) == 0
+        search = events[events.index("count") + 1:]
+        assert search[0] == "clock" and "assign" in search
+        assert all(then == "clock" for now, then in zip(search, search[1:]) if now == "assign")
 
     def test_ranking_stops_at_the_limit(self):
         # ranking a chain of 20000 variables takes tens of milliseconds; its

@@ -3,6 +3,7 @@ programs against brute force, the completion by definition and closed
 forms."""
 
 import importlib.util
+import json
 import os
 import random
 import sys
@@ -60,7 +61,7 @@ LOOPS_TWICE = "a :- b.\nb :- a.\na | c.\nx :- y.\ny :- x.\nx | z.\n:- z.\n"
 
 
 def parts_of(program):
-    return split(program, loop_atoms(build_dependency_graph(program)))
+    return [(part, part.loop_atoms, copies) for part, copies in split(program)]
 
 
 class TestSplit:
@@ -267,6 +268,30 @@ class TestSplitCounts:
         assert hybrid.answer_sets == answers
         assert hybrid.mode == ("enumeration" if answers < threshold else "hybrid")
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        blocks=st.lists(st.tuples(st.booleans(), st.integers(1, 4)), min_size=1, max_size=3),
+    )
+    def test_parts_carry_their_own_loop_atoms(self, seed, blocks):
+        # the blocks of test_repeated_blocks_in_any_rule_order: each part's
+        # loop atoms, set by split, are the ones its own graph gives
+        rng = random.Random(seed)
+        lines = []
+        for i, (loopy, copies) in enumerate(blocks):
+            if loopy:
+                block = random_program_text(rng, max_atoms=4, max_rules=5, force_loop=True)
+            else:
+                block = random_tight_program_text(rng, max_atoms=4, max_rules=5)
+            for c in range(copies):
+                lines += prefixed(block, f"p{i}c{c}").splitlines(keepends=True)
+        rng.shuffle(lines)
+        program = parse_program("".join(lines))
+        parts = split(program)
+        assert program.loop_atoms == loop_atoms(build_dependency_graph(program))
+        for part, _ in parts:
+            assert part.loop_atoms == loop_atoms(build_dependency_graph(part))
+
     def test_always_false_constraint(self):
         assert subtractive_count(parse_program(":- .\n")).answer_sets == 0
         program = parse_program(":- .\n" + LOOPS_TWICE)
@@ -289,7 +314,7 @@ class TestSplitCounts:
         # the surplus of a tight part, which counting skips, counted for real
         program = parse_program(pairs_text(2, "t") + LOOPS_TWICE)
         [tight] = [part for part, loops, _ in parts_of(program) if not loops]
-        surplus = surplus_formula(tight, clark_completion(tight), frozenset())
+        surplus = surplus_formula(tight, clark_completion(tight))
         assert projected_count(surplus.cnf, surplus.projection_out) == 0
         assert subtractive_count(program).answer_sets == count_answer_sets_bruteforce(program)
 
@@ -354,15 +379,17 @@ class TestAnalysisOnce:
             calls.append(graph)
             return original(graph)
 
-        # every module that refers to loop_atoms, so no call goes uncounted
+        # every module that refers to loop_atoms, so no call goes uncounted;
+        # the others read a program's own, which it finds through depgraph
         users = [m for name, m in sys.modules.items() if name.startswith("aspsubcount")]
         users = [m for m in users if getattr(m, "loop_atoms", None) is original]
-        assert {m.__name__ for m in users} >= {
+        assert {m.__name__ for m in users}.isdisjoint({
             "aspsubcount.cli",
             "aspsubcount.copyenc",
             "aspsubcount.counting",
             "aspsubcount.oracle",
-        }
+        })
+        assert "aspsubcount.depgraph" in {m.__name__ for m in users}
         for module in users:
             monkeypatch.setattr(module, "loop_atoms", counted)
         return calls
@@ -376,7 +403,7 @@ class TestAnalysisOnce:
         assert hybrid_count(program, threshold=100).mode == "enumeration"
         assert len(loop_atoms_calls) == 1
         assert hybrid_count(program, threshold=2).mode == "hybrid"
-        assert len(loop_atoms_calls) == 2
+        assert len(loop_atoms_calls) == 1  # kept on the program object
 
     @pytest.mark.parametrize(
         "flags",
@@ -388,10 +415,25 @@ class TestAnalysisOnce:
         path.write_text(cycles_text(2) + EXAMPLE1)
         assert main(["count", str(path), *flags]) == 0
         assert len(loop_atoms_calls) == 1
-        # the emitted files take one more analysis, of the whole program
+        # the emitted files and the count share the program's analysis
         out = tmp_path / "enc"
         assert main(["count", str(path), *flags, "--emit-cnf", str(out)]) == 0
-        assert len(loop_atoms_calls) == 3
+        assert len(loop_atoms_calls) == 2
+
+    def test_encode_command(self, loop_atoms_calls, tmp_path):
+        path = tmp_path / "program.lp"
+        path.write_text(cycles_text(2) + EXAMPLE1)
+        assert main(["encode", str(path), "--emit-cnf", str(tmp_path / "enc")]) == 0
+        assert len(loop_atoms_calls) == 1
+
+    def test_check_command(self, loop_atoms_calls, tmp_path, capsys):
+        # a completion model that is no answer set: both loop checks run
+        path = tmp_path / "program.lp"
+        path.write_text(EXAMPLE1)
+        assert main(["check", str(path), "--model", "p1,q0,q1,w", "--json"]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["copy_check"] is True and verdict["justification_loops"]["sat"]
+        assert len(loop_atoms_calls) == 1
 
 
 ZERO_LOOP = "zx :- zy.\nzy :- zx.\n:- not zx.\n"
