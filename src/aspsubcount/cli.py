@@ -195,13 +195,12 @@ def _cmd_analyze(args) -> int:
 
 def _emit(program, directory: str) -> dict:
     """Write the whole program's formulas into ``directory``; return encode's payload."""
-    completion = clark_completion(program)
-    surplus = surplus_formula(program, completion)
-    paths = write_formulas(directory, program, completion, surplus)
+    surplus = surplus_formula(program)
+    paths = write_formulas(directory, surplus)
     return {
         **dict(zip(["phi1", "phi2", "map"], paths)),
         "atoms": program.num_atoms,
-        "phi1_vars": completion.cnf.num_vars,
+        "phi1_vars": surplus.completion.cnf.num_vars,
         "phi2_vars": surplus.cnf.num_vars,
     }
 

@@ -15,8 +15,8 @@ and the first keeps its place and literal order.
 Atom id i is variable i + 1. Multi-literal support conjuncts get one
 auxiliary variable each, above the atoms, defined by a full biconditional,
 so every model over the atom variables extends to exactly one model of the
-CNF. The plain model count of the CNF therefore is the completion's model
-count over the atoms, and no projection is needed.
+CNF. So the CNF's plain model count and its count projected onto the atoms
+(the way ``counting`` counts it) both are the completion's model count.
 """
 
 from dataclasses import dataclass
@@ -28,17 +28,21 @@ from .sat import _clocked, checker
 
 @dataclass
 class CompletionArtifact:
-    """CNF of the completion, in the layout of ``cnf``: the first
-    ``num_atoms`` variables are the atoms, and the auxiliaries
-    ``range(num_atoms + 1, cnf.num_vars + 1)`` are the Tseitin definitions
-    above them, each fixed by the atoms' values.
+    """CNF of the completion of ``program``, in the layout of ``cnf``: the
+    first ``num_atoms`` variables are the program's atoms, and the
+    auxiliaries ``range(num_atoms + 1, cnf.num_vars + 1)`` are the Tseitin
+    definitions above them, each fixed by the atoms' values.
     """
 
+    program: GroundProgram
     cnf: CnfFormula
-    num_atoms: int
 
-    def to_dimacs(self, program: GroundProgram) -> str:
-        return dimacs(self.cnf, atom_names=dict(enumerate(program.atoms, 1)))
+    @property
+    def num_atoms(self) -> int:
+        return self.program.num_atoms
+
+    def to_dimacs(self) -> str:
+        return dimacs(self.cnf, atom_names=dict(enumerate(self.program.atoms, 1)))
 
 
 def clark_completion(program: GroundProgram) -> CompletionArtifact:
@@ -99,7 +103,7 @@ def clark_completion(program: GroundProgram) -> CompletionArtifact:
     for clause in clauses:
         first.setdefault(tuple(sorted(clause)), clause)
 
-    return CompletionArtifact(CnfFormula._trusted(next_var - 1, list(first.values())), n)
+    return CompletionArtifact(program, CnfFormula._trusted(next_var - 1, list(first.values())))
 
 
 def completion_model_check(

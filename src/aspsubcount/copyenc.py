@@ -16,8 +16,10 @@ layout of ``cnf``, the primes and then the witnesses follow the
 completion's variables, each in ascending order of the loop atoms.
 Counting the formula's models projected onto the atoms counts exactly the
 completion models that are not answer sets, so subtracting yields the
-answer-set count. The clauses it adds to the completion also decide a
-single completion model, on one engine for many models (``copy_checker``).
+answer-set count. A ``SurplusArtifact`` holds the completion it is built
+on, which holds its program. The clauses it adds to the completion also
+decide a single completion model, on one engine for many models
+(``copy_checker``).
 """
 
 from dataclasses import dataclass
@@ -28,12 +30,8 @@ from .program import GroundProgram
 from .sat import _clocked, checker
 
 
-def copy_operation(
-    program: GroundProgram,
-    loops: frozenset[int],
-    copy_map: dict[int, int],
-) -> list[tuple[int, ...]]:
-    """The copy clauses for the given loop atoms: type 1, then type 2.
+def copy_operation(program: GroundProgram, copy_map: dict[int, int]) -> list[tuple[int, ...]]:
+    """The copy clauses for ``program.loop_atoms``: type 1, then type 2.
 
     ``copy_map`` assigns each loop atom its copy variable; atom id i itself
     is variable i + 1. For a tight program (no loop atoms) the list is
@@ -41,6 +39,7 @@ def copy_operation(
     its substituted positive body) are dropped, and a clause equal to an
     earlier one is left out.
     """
+    loops = program.loop_atoms
     if missing := loops.difference(copy_map):
         raise ValueError(f"loop atom {min(missing)} has no copy variable")
 
@@ -60,33 +59,39 @@ def copy_operation(
 
 @dataclass
 class SurplusArtifact:
-    """The projected-counting side of the subtraction. ``loops`` are the
-    loop atoms, ascending, which number the primes and the witnesses;
-    projection_out is every variable above the atoms. Counting models of
-    ``cnf`` projected onto the atoms counts completion models that are
-    not answer sets.
+    """The projected-counting side of the subtraction: ``cnf`` is the
+    clauses of ``completion`` and then the added ones, and counting its
+    models projected onto the atoms counts completion models that are not
+    answer sets. ``loops``, the loop atoms ascending, number the primes and
+    the witnesses; projection_out is every variable above the atoms.
     """
 
+    completion: CompletionArtifact
     cnf: CnfFormula
-    projection_out: range
-    loops: tuple[int, ...]
+
+    @property
+    def loops(self) -> tuple[int, ...]:
+        return tuple(sorted(self.completion.program.loop_atoms))
+
+    @property
+    def projection_out(self) -> range:
+        return range(self.completion.num_atoms + 1, self.cnf.num_vars + 1)
 
     @property
     def cv_prime(self) -> dict[int, int]:
-        """Each loop atom's prime copy variable."""
-        base = self.cnf.num_vars - 2 * len(self.loops)
-        return {x: v for v, x in enumerate(self.loops, base + 1)}
+        """Each loop atom's prime copy variable, above the completion's."""
+        return {x: v for v, x in enumerate(self.loops, self.completion.cnf.num_vars + 1)}
 
-    def to_dimacs(self, program: GroundProgram) -> str:
-        names = dict(enumerate(program.atoms, 1))
+    def to_dimacs(self) -> str:
+        names = dict(enumerate(self.completion.program.atoms, 1))
         return dimacs(self.cnf, atom_names=names, show=sorted(names))
 
-    def variable_map(self, program: GroundProgram) -> dict:
-        name, primes = program.name_of, self.cv_prime
+    def variable_map(self) -> dict:
+        program, primes = self.completion.program, self.cv_prime
         copies = set(primes.values())
         return {
             "atoms": {a: v for v, a in enumerate(_clocked(program.atoms), 1)},
-            "cv_prime": {name(a): v for a, v in primes.items()},
+            "cv_prime": {program.name_of(a): v for a, v in primes.items()},
             "aux": [v for v in _clocked(self.projection_out) if v not in copies],
         }
 
@@ -106,33 +111,27 @@ def surplus_formula(
     base, k = completion.cnf.num_vars, len(ordered)
 
     # ordered[i] has the prime base + 1 + i, and its witness k above that
-    clauses = completion.cnf.clauses + copy_operation(
-        program, program.loop_atoms, {x: v for v, x in enumerate(ordered, base + 1)}
-    )
-    for v, x in enumerate(ordered, base + 1):
+    primes = {x: v for v, x in enumerate(ordered, base + 1)}
+    clauses = completion.cnf.clauses + copy_operation(program, primes)
+    for x, v in primes.items():
         clauses.append((-(v + k), -v))
         clauses.append((-(v + k), x + 1))
     clauses.append(tuple(range(base + k + 1, base + 2 * k + 1)))
 
-    num_vars = base + 2 * k
-    return SurplusArtifact(
-        cnf=CnfFormula._trusted(num_vars, clauses),
-        projection_out=range(program.num_atoms + 1, num_vars + 1),
-        loops=ordered,
-    )
+    return SurplusArtifact(completion, CnfFormula._trusted(base + 2 * k, clauses))
 
 
-def copy_checker(completion: CompletionArtifact, surplus: SurplusArtifact):
-    """The copy check, on one engine: a function of a model of ``completion``
-    (each atom variable to its value, as ``sat.models`` yields it) that is
-    True exactly when the model is not an answer set. ``surplus`` must be
-    built on ``completion``; the function tests whether the clauses it adds
-    (the copy, witness and witness-disjunction clauses) can hold under the
-    values the model gives the atoms they mention, that is, whether a copy
-    of the loop atoms lies below the model and strictly below it somewhere.
-    It does not check that the model is a completion model."""
-    added = surplus.cnf.clauses[len(completion.cnf.clauses):]
+def copy_checker(surplus: SurplusArtifact):
+    """The copy check, on one engine: a function of a model of
+    ``surplus.completion`` (each atom variable to its value, as
+    ``sat.models`` yields it) that is True exactly when the model is not an
+    answer set. It tests whether the clauses ``surplus`` adds (the copy,
+    witness and witness-disjunction clauses) can hold under the values the
+    model gives the atoms they mention, that is, whether a copy of the loop
+    atoms lies below the model and strictly below it somewhere. It does not
+    check that the model is a completion model."""
+    added = surplus.cnf.clauses[len(surplus.completion.cnf.clauses):]
     test = checker(added, surplus.cnf.num_vars)
-    n = completion.num_atoms
+    n = surplus.completion.num_atoms
     atoms = sorted({abs(lit) for clause in added for lit in clause if abs(lit) <= n})
     return lambda model: test([v if model[v] else -v for v in atoms])

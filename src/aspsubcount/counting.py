@@ -152,24 +152,18 @@ def external_projected_count(dimacs_path: str, counter: str) -> int:
     return parse_counter_output(stdout)
 
 
-def write_formulas(
-    directory: str,
-    program: GroundProgram,
-    completion: CompletionArtifact,
-    surplus_art: SurplusArtifact,
-) -> list[str]:
-    """Write ``phi1.cnf`` (the completion), ``phi2.cnf`` (the surplus
-    formula, with a show line over the atoms) and ``phi2.map.json`` into
-    ``directory``, for a tight program too. Returns the paths written, in
-    that order. Inside ``sat.time_limit`` the texts are built on the clock,
-    and a deadline that passes while they are built leaves no file
-    (``SearchTimeout``)."""
+def write_formulas(directory: str, surplus: SurplusArtifact) -> list[str]:
+    """Write ``phi1.cnf`` (the completion that ``surplus`` is built on),
+    ``phi2.cnf`` (``surplus``, with a show line over the atoms) and
+    ``phi2.map.json`` into ``directory``, for a tight program too. Returns
+    the paths written, in that order. Inside ``sat.time_limit`` the texts
+    are built on the clock, and a deadline that passes while they are built
+    leaves no file (``SearchTimeout``)."""
     os.makedirs(directory, exist_ok=True)
-    texts = {"phi1.cnf": completion.to_dimacs(program)}
-    texts["phi2.cnf"] = surplus_art.to_dimacs(program)
+    texts = {"phi1.cnf": surplus.completion.to_dimacs(), "phi2.cnf": surplus.to_dimacs()}
     # json.dumps(map, indent=2, sort_keys=True), on the clock and making no cycles
     sections = []
-    for key, value in sorted(surplus_art.variable_map(program).items()):
+    for key, value in sorted(surplus.variable_map().items()):
         if isinstance(value, dict):
             ends = "{}"
             items = [f"{json.dumps(k)}: {v}" for k, v in _clocked(sorted(value.items()))]
@@ -185,19 +179,17 @@ def write_formulas(
 
 
 def _count_part(
-    program: GroundProgram,
-    completion: CompletionArtifact,
-    surplus_art: SurplusArtifact | None,
-    counter: str | None,
-    where: str,
+    completion: CompletionArtifact, surplus_art: SurplusArtifact | None,
+    counter: str | None, where: str,
 ) -> tuple[int, int]:
-    """Count one part's completion formula and, when the part has loop
-    atoms, its surplus formula, each projected onto the atoms, in process or
-    by the external counter at path ``counter``. Returns (overcount, surplus),
-    or raises IntegrityError, naming the part by ``where``, when the surplus
-    exceeds the overcount. The external counter reads DIMACS files written
-    to a temporary directory, which is removed when the call ends, however
-    it ends."""
+    """Count a part's ``completion`` and, when the part has loop atoms, the
+    ``surplus_art`` built on it, each projected onto the part's atoms, in
+    process or by the external counter at path ``counter``. Returns
+    (overcount, surplus), or raises IntegrityError, naming the part by
+    ``where``, when the surplus exceeds the overcount. The external counter
+    reads the DIMACS text each formula writes of its program, from files in
+    a temporary directory, which is removed when the call ends, however it
+    ends."""
     formulas = list(filter(None, [completion, surplus_art]))
     if counter:
         with tempfile.TemporaryDirectory(prefix="aspsubcount-") as tmp:
@@ -205,7 +197,7 @@ def _count_part(
             for i, formula in enumerate(formulas, 1):
                 paths.append(os.path.join(tmp, f"phi{i}.cnf"))
                 with open(paths[-1], "w") as handle:
-                    handle.write(formula.to_dimacs(program))
+                    handle.write(formula.to_dimacs())
             counts = [external_projected_count(path, counter) for path in paths]
     else:  # every variable above the atoms is projected away
         above = completion.num_atoms + 1
@@ -230,7 +222,7 @@ def _enumerate_part(
     walked. The copy check on the surplus formula runs only where the part
     has loop atoms. Returns (models walked, those that are not answer sets),
     or None when a ``hybrid`` walk reaches its limit."""
-    not_answer_set = surplus_art and copy_checker(completion, surplus_art)
+    not_answer_set = surplus_art and copy_checker(surplus_art)
     walked = found = 0
     for model in models(completion.cnf.clauses, completion.cnf.num_vars):
         walked += 1
@@ -277,7 +269,7 @@ def _count_by_parts(
             over, surplus = walk
         else:
             where = f" in part {i + 1} of {len(parts)}" if len(parts) > 1 else ""
-            over, surplus = _count_part(part, completion, surplus_art, counter, where)
+            over, surplus = _count_part(completion, surplus_art, counter, where)
             counted = True
         del completion, surplus_art  # before the next part is built
         overcount *= over**copies

@@ -135,4 +135,4 @@ def copy_check(
     ``interp`` is not an answer set."""
     completion = _require_completion_model(program, interp, completion)
     model = {x + 1: x in interp for x in range(completion.num_atoms)}
-    return copy_checker(completion, surplus_formula(program, completion))(model)
+    return copy_checker(surplus_formula(program, completion))(model)

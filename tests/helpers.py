@@ -389,8 +389,8 @@ def two_copy_surplus_formula(program) -> tuple[CnfFormula, frozenset]:
     star = {x: base + 1 + k + i for i, x in enumerate(ordered)}
     witness = {x: base + 1 + 2 * k + i for i, x in enumerate(ordered)}
     clauses = list(completion.cnf.clauses)
-    clauses += copy_operation(program, frozenset(ordered), prime)
-    clauses += copy_operation(program, frozenset(ordered), star)
+    clauses += copy_operation(program, prime)
+    clauses += copy_operation(program, star)
     for x in ordered:
         clauses.append((-prime[x], star[x]))
         clauses.append((-witness[x], -prime[x]))

@@ -89,7 +89,7 @@ def test_acceptance_2_worked_example(example1):
 
     type1 = [(-7, 4), (-8, 5)]
     type2 = [(3, 7), (7, -8), (-1, 8), (-2, -7, 8)]
-    copy_ok = copy_operation(example1, loops, {3: 7, 4: 8}) == type1 + type2
+    copy_ok = copy_operation(example1, {3: 7, 4: 8}) == type1 + type2
 
     m1 = example1.interpretation(["p0", "q0", "q1", "w"])
     m2 = example1.interpretation(["p1", "q0", "q1", "w"])
@@ -283,7 +283,7 @@ def test_acceptance_8_external_differential(fixture_programs, tmp_path):
             continue
         sur = surplus_formula(program)
         path = tmp_path / f"{name}.cnf"
-        path.write_text(sur.to_dimacs(program))
+        path.write_text(sur.to_dimacs())
         builtin = projected_count(sur.cnf, sur.projection_out)
         with time_limit(60):
             external = external_projected_count(str(path), exe)

@@ -425,6 +425,14 @@ class TestCount:
             f"must be at least 1, got {int(threshold)}"
         ]
 
+    @pytest.mark.parametrize("flag, kind", [("--threshold", "int"), ("--timeout", "float")])
+    def test_a_value_that_is_no_number_is_a_usage_error(self, capsys, worked_path, flag, kind):
+        code, out, err = run_cli(capsys, "count", worked_path, "--mode", "hybrid", flag, "abc")
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"aspsubcount count: error: argument {flag}: invalid {kind} value: 'abc'"]
+
     def test_project_overcount_flag(self, capsys, worked_path):
         # no such flag: the completion's auxiliaries are all defined, so
         # projecting them away changes no count
@@ -759,15 +767,17 @@ class TestErrorPaths:
 
 class TestInstalledEntryPoint:
     def test_console_script(self, worked_path):
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from aspsubcount.cli import main; sys.exit(main())",
-             "count", worked_path],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
-        assert "answer sets: 1" in proc.stdout
+        for launch in (
+            ["-c", "import sys; from aspsubcount.cli import main; sys.exit(main())"],
+            ["-m", "aspsubcount.cli"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, *launch, "count", worked_path],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, launch
+            assert "answer sets: 1" in proc.stdout
 
     def test_program_files_are_utf8_in_any_locale(self, tmp_path):
         path = tmp_path / "cafe.lp"

@@ -94,8 +94,11 @@ class TestDimacsText:
             parse_dimacs("p cnf 2 1\n1 2\n")
         with pytest.raises(ValueError):
             parse_dimacs("")
+        for header in ("p dnf 2 1", "p cnf 2"):
+            with pytest.raises(ValueError, match=f"bad DIMACS header: '{header}'"):
+                parse_dimacs(header + "\n1 2 0\n")
 
     def test_multiline_clause_and_comments(self):
-        f, show = parse_dimacs("c hello\np cnf 3 1\n1\n2 3 0\n")
+        f, show = parse_dimacs("c hello\n\np cnf 3 1\n1\n  \n2 3 0\n")
         assert f.clauses == [(1, 2, 3)]
         assert show is None

@@ -49,19 +49,19 @@ class TestCopyOperation:
         # loop atoms q1 (id 3, var 4) and w (id 4, var 5); copies 6 and 7
         loops = program_loops(example1)
         assert loops == frozenset({3, 4})
-        clauses = copy_operation(example1, loops, {3: 6, 4: 7})
+        clauses = copy_operation(example1, {3: 6, 4: 7})
         type1 = [(-6, 4), (-7, 5)]
         type2 = [(3, 6), (6, -7), (-1, 7), (-2, -6, 7)]
         assert clauses == type1 + type2
 
     def test_constraint_contributes_nothing(self, example1):
         # the headless rule never meets the loop atoms
-        clauses = copy_operation(example1, program_loops(example1), {3: 6, 4: 7})
+        clauses = copy_operation(example1, {3: 6, 4: 7})
         assert len(clauses) == 2 + 4  # two type 1 clauses, four type 2
 
     def test_tight_program_is_empty(self):
         p = parse_program("a1 | b1.\na2 | b2.\n")
-        assert copy_operation(p, frozenset(), {}) == []
+        assert copy_operation(p, {}) == []
 
     def test_disjunctive_loop_rule(self):
         p = parse_program("x | y :- z.\nz :- x.\nq | z.\n")
@@ -70,18 +70,18 @@ class TestCopyOperation:
         type1 = [(-5, 1), (-6, 3)]
         # y (var 2) and q (var 4) keep their own variables
         type2 = [(2, 5, -6), (-5, 6), (4, 6)]
-        assert copy_operation(p, loops, {0: 5, 2: 6}) == type1 + type2
+        assert copy_operation(p, {0: 5, 2: 6}) == type1 + type2
 
     def test_self_loop_rule_becomes_tautology(self):
         p = parse_program("a :- a.\n")
         # the type 1 clause only; the type 2 clause a' -> a' is dropped
-        assert copy_operation(p, frozenset({0}), {0: 2}) == [(-2, 1)]
+        assert copy_operation(p, {0: 2}) == [(-2, 1)]
 
     def test_negative_body_is_not_substituted(self):
         p = parse_program("a :- b, not a.\nb :- a.\n")
         loops = program_loops(p)
         assert loops == frozenset({0, 1})
-        clauses = copy_operation(p, loops, {0: 3, 1: 4})
+        clauses = copy_operation(p, {0: 3, 1: 4})
         assert clauses[:2] == [(-3, 1), (-4, 2)]  # type 1
         # head a -> 3, pos body b -> 4, neg body a keeps var 1
         assert (1, 3, -4) in clauses[2:]
@@ -89,7 +89,7 @@ class TestCopyOperation:
 
     def test_missing_copy_variable(self, example1):
         with pytest.raises(ValueError):
-            copy_operation(example1, program_loops(example1), {3: 6})
+            copy_operation(example1, {3: 6})
 
 
 class TestSurplusWorkedExample:
@@ -99,19 +99,18 @@ class TestSurplusWorkedExample:
         assert sur.cnf.num_vars == 10
         assert sur.loops == (3, 4)
         assert sur.cv_prime == {3: 7, 4: 8}
-        assert sur.variable_map(example1)["aux"] == [6, 9, 10]
+        assert sur.variable_map()["aux"] == [6, 9, 10]
         assert sur.projection_out == range(6, 11)
-        assert "\nc p show 1 2 3 4 5 0\n" in sur.to_dimacs(example1)
+        assert "\nc p show 1 2 3 4 5 0\n" in sur.to_dimacs()
 
     def test_strictness_clauses(self, example1):
         sur = surplus_formula(example1)
         comp = clark_completion(example1)
-        loops = program_loops(example1)
         # the completion, one copy, then the witnesses: 9 for q1 (var 4)
         # and 10 for w (var 5), each implying its atom and not its copy
         witness = [(-9, -7), (-9, 4), (-10, -8), (-10, 5), (9, 10)]
         assert sur.cnf.clauses == (
-            comp.cnf.clauses + copy_operation(example1, loops, sur.cv_prime) + witness
+            comp.cnf.clauses + copy_operation(example1, sur.cv_prime) + witness
         )
         assert sur.cnf.num_clauses == 24
 
@@ -177,6 +176,8 @@ class TestSurplusProperties:
             assert sur.cnf.num_vars == base + 2 * k
             assert sur.projection_out == range(n + 1, sur.cnf.num_vars + 1)
             assert sur.loops == tuple(sorted(loops))
+            assert sur.completion.program is program
+            assert sur.completion.num_atoms == program.num_atoms
             # the primes: base + 1 to base + k, in atom order
             assert list(sur.cv_prime) == sorted(loops)
             assert list(sur.cv_prime.values()) == list(range(base + 1, base + k + 1))
@@ -191,7 +192,7 @@ class TestSurplusProperties:
                 assert w > base and (-w, x + 1) in added
                 witnesses.append(w)
             assert added[-1] == tuple(witnesses)
-            aux = sur.variable_map(program)["aux"]
+            aux = sur.variable_map()["aux"]
             assert aux == [*range(n + 1, base + 1), *witnesses]
 
     def test_total_models_respect_copy_order(self, fixture_programs):
@@ -273,8 +274,8 @@ class TestSurplusProperties:
     def test_dimacs_and_map_are_deterministic(self, example1):
         a = surplus_formula(example1)
         b = surplus_formula(example1)
-        assert a.to_dimacs(example1) == b.to_dimacs(example1)
-        assert a.variable_map(example1) == {
+        assert a.to_dimacs() == b.to_dimacs()
+        assert a.variable_map() == {
             "atoms": {"p0": 1, "p1": 2, "q0": 3, "q1": 4, "w": 5},
             "cv_prime": {"q1": 7, "w": 8},
             "aux": [6, 9, 10],

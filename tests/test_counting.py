@@ -168,7 +168,7 @@ class TestEmittedFiles:
         assert "p cnf 10 24" in phi2
         assert "c p show" not in (out / "phi1.cnf").read_text()
         mapping = json.loads((out / "phi2.map.json").read_text())
-        assert mapping == surplus_formula(example1).variable_map(example1)
+        assert mapping == surplus_formula(example1).variable_map()
 
     def test_no_file_is_written_past_the_deadline(self, tmp_path):
         program = parse_program(ring_text(10000))
@@ -176,7 +176,7 @@ class TestEmittedFiles:
         surplus = surplus_formula(program, completion)
         out = tmp_path / "enc"
         with pytest.raises(sat.SearchTimeout), sat.time_limit(0):
-            write_formulas(str(out), program, completion, surplus)
+            write_formulas(str(out), surplus)
         assert os.listdir(out) == []
 
     def test_no_file_is_written_when_the_map_runs_out_of_time(
@@ -191,7 +191,7 @@ class TestEmittedFiles:
         monkeypatch.setattr(aspsubcount.counting, "_clocked", expired)
         out = tmp_path / "enc"
         with pytest.raises(sat.SearchTimeout):
-            write_formulas(str(out), example1, completion, surplus)
+            write_formulas(str(out), surplus)
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize(
@@ -202,8 +202,8 @@ class TestEmittedFiles:
     def test_map_is_the_text_of_json_dumps(self, tmp_path, program):
         completion = clark_completion(program)
         surplus = surplus_formula(program, completion)
-        write_formulas(str(tmp_path), program, completion, surplus)
-        var_map = surplus.variable_map(program)
+        write_formulas(str(tmp_path), surplus)
+        var_map = surplus.variable_map()
         expected = json.dumps(var_map, indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "phi2.map.json").read_text() == expected
 
@@ -419,6 +419,10 @@ class TestExternalBackend:
             subtractive_count(program, wrapper_factory("--sleep", "0.4"))
         assert time.monotonic() - start < 3
         assert subtractive_count(program, wrapper_factory()).answer_sets == 64
+
+    def test_an_empty_counter_path_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="^external_projected_count needs a counter path$"):
+            external_projected_count(str(tmp_path / "phi1.cnf"), "")
 
     def test_copies_share_their_counter_calls(self, tmp_path, wrapper_factory):
         # six copies of one loop part: one completion call and one surplus

@@ -81,7 +81,7 @@ def test_readme_flags_are_accepted():
 
 def test_variable_map_keys_are_documented(example1):
     text = section("Emitted files")
-    keys = surplus_formula(example1).variable_map(example1)
+    keys = surplus_formula(example1).variable_map()
     assert len(keys) >= 3
     for key in keys:
         assert f"`{key}`" in text, f"phi2.map.json key {key!r} is not in README"

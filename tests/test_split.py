@@ -343,16 +343,16 @@ class TestSplitCounts:
         assert (completion.cnf.num_vars, completion.cnf.num_clauses) == (6, 13)
         assert (surplus.cnf.num_vars, surplus.cnf.num_clauses) == (10, 24)
         out = emit_cnf(tmp_path, EXAMPLE1)
-        assert (out / "phi1.cnf").read_text() == completion.to_dimacs(example1)
-        assert (out / "phi2.cnf").read_text() == surplus.to_dimacs(example1)
+        assert (out / "phi1.cnf").read_text() == completion.to_dimacs()
+        assert (out / "phi2.cnf").read_text() == surplus.to_dimacs()
 
     def test_emitted_files_hold_the_whole_program(self, tmp_path):
         text = LOOPS_TWICE + pairs_text(1, "t")
         program = parse_program(text)
         out = emit_cnf(tmp_path, text)
         completion = clark_completion(program)
-        assert (out / "phi1.cnf").read_text() == completion.to_dimacs(program)
-        phi2 = surplus_formula(program, completion).to_dimacs(program)
+        assert (out / "phi1.cnf").read_text() == completion.to_dimacs()
+        phi2 = surplus_formula(program, completion).to_dimacs()
         assert (out / "phi2.cnf").read_text() == phi2
 
     def test_many_cycles(self):
